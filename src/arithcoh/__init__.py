@@ -29,6 +29,7 @@ from .arakelov import (
 )
 from .errors import (
     ArithcohError,
+    CertificationFailed,
     DescriptorInconsistent,
     EnumerationBudgetExceeded,
     InvalidDivisor,

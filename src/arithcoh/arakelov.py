@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidDivisor, UnsupportedField
+from .errors import CertificationFailed, InvalidDivisor, UnsupportedField
 from .lattice import DEFAULT_BUDGET, theta_sum
 from .numfield import (
     FractionalIdeal,
@@ -152,7 +152,9 @@ def h0(D: ArakelovDivisor, tol: float = 1e-9,
     res, _ = _theta_of_divisor(D, tol, budget)
     log_err = res.tail_bound / (res.value - res.tail_bound)
     value = math.log(res.value)
-    assert value >= 0.0  # the zero vector contributes 1 to the sum
+    if value < 0.0:  # the zero vector alone contributes 1 to the sum
+        raise CertificationFailed(
+            f"theta sum {res.value!r} is below 1 (tail bound {res.tail_bound:.3e})")
     return CohomologyValue(value=value, tail_bound=log_err,
                            points_enumerated=res.points_enumerated)
 

@@ -23,6 +23,14 @@ class ToleranceUnreachable(ArithcohError):
     """The enumeration radius growth stalled before the tail bound met tol."""
 
 
+class CertificationFailed(ArithcohError):
+    """A computed value broke a bound that holds in exact arithmetic.
+
+    The message carries the value and its certified error, so the fault can
+    be traced; this signals a numerical defect, not bad input.
+    """
+
+
 class InvalidFieldSpec(ArithcohError):
     """A field specification is malformed (e.g. non-squarefree quadratic d)."""
 

@@ -7,13 +7,15 @@ G and a shift c it evaluates
 
 by enumerating every lattice point below an explicit radius and bounding the
 discarded tail rigorously, so the returned value always carries a certified
-error.  All arithmetic is IEEE-754 binary64; the terms are added in ascending
-order of the quadratic form with exact compensated summation (math.fsum), so
-repeated calls are bit-identical.
+error.  All arithmetic is IEEE-754 binary64.  The terms are added by
+math.fsum, which is correctly rounded: the value does not depend on the
+order of the terms, so it needs no sort, and repeated calls are
+bit-identical.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -32,6 +34,13 @@ _LATTICE_RTOL = 1e-10
 # relative slack on the enumeration boundary; the tail bound is evaluated at
 # R*(1 - 2*slack) so points lost to roundoff at the boundary stay covered
 _BOUNDARY_SLACK = 1e-9
+# candidates of the last enumeration level expanded at a time; bounds the
+# memory of one theta sum whatever its point count
+_BLOCK_POINTS = 1 << 15
+_U = 2.0 ** -53  # unit roundoff of binary64
+# terms of the one-dimensional Gaussian sum taken exactly before its
+# integral tail bound
+_LINE_SUM_TERMS = 8
 
 
 def _as_matrix(gram) -> np.ndarray:
@@ -133,42 +142,98 @@ class ThetaResult:
     radius: float
 
 
-def _enumerate_with_norms(g: np.ndarray, center: np.ndarray, radius: float,
-                          budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """All v in Z^n with Q(v + center) <= radius, with the Q values.
+def _level(U: np.ndarray, center: np.ndarray, bound: float, V: np.ndarray,
+           T: np.ndarray, i: int, budget: int, half: bool):
+    """Candidate values lo .. lo + counts - 1 of coordinate i below each row of V.
 
-    Vectorized Fincke-Pohst: levels are processed from the last coordinate
-    down, keeping arrays of partial assignments.  Points whose Q lands within
-    roundoff of the boundary may be included; the caller's tail bound is
-    evaluated at a slightly smaller radius so exclusions stay covered.
+    Also returns s, the part of (U (v + center))_i fixed by the row, and the
+    candidate total.  In half-space mode row 0 is the all-zero tail: it keeps
+    v_i >= 0, and v_0 >= 1 at the last level, so exactly one of each pair
+    +-v != 0 is enumerated.  The budget applies to the full space, whose
+    level holds 2 * total - 1 candidates above the last level (the zero row
+    keeps its v_i = 0) and 2 * total + 1 at it (the zero vector comes back).
     """
-    n = g.shape[0]
-    U = cholesky(g).T  # Q(x) = ||U x||^2 with U upper triangular
-    slack = _BOUNDARY_SLACK * max(radius, 1.0)
+    s = (V + center[i + 1:]) @ U[i, i + 1:]
+    rad = np.sqrt(np.maximum(bound - T, 0.0))
+    uii = U[i, i]
+    lo = np.ceil((-rad - s) / uii - center[i] - _BOUNDARY_SLACK).astype(np.int64)
+    hi = np.floor((rad - s) / uii - center[i] + _BOUNDARY_SLACK).astype(np.int64)
+    if half:
+        lo[0] = max(lo[0], 0 if i else 1)
+    counts = np.maximum(hi - lo + 1, 0)
+    total = int(counts.sum())
+    if (2 * total + (1 if i == 0 else -1) if half else total) > budget:
+        raise EnumerationBudgetExceeded(
+            f"enumeration needs more than {budget} points; the metric is too flat")
+    return s, lo, counts, total
+
+
+def _expand(s, lo, counts, total: int, T, uii, ci, bound: float):
+    """Every candidate of one level: its v_i, its partial Q and the mask of
+    those inside the ball.  Candidates come row by row, in order."""
+    starts = np.cumsum(counts) - counts
+    vi = np.arange(total) + np.repeat(lo - starts, counts)
+    Tn = np.repeat(T, counts) + (uii * (vi + ci) + np.repeat(s, counts)) ** 2
+    return vi, Tn, Tn <= bound
+
+
+def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int,
+                  half: bool = False):
+    """Vectorized Fincke-Pohst enumeration of v in Z^n with Q(v + center) <= radius.
+
+    Q(x) = ||U x||^2 with U upper triangular.  Coordinates are assigned from
+    the last down.  Coordinates n-1 .. 1 are expanded in full into V (one
+    row per partial assignment, v_1 first) and T (its partial Q).  The last
+    coordinate, which holds almost all of the points, is expanded lazily.
+    Returns V and a generator of blocks (r0, c, v0, q, keep) of at most
+    _BLOCK_POINTS candidates: rows r0, r0 + 1, ... of V contribute c[k]
+    candidates each, v0 and q are their last coordinate and Q, and keep
+    marks those inside the ball.  Every budget check runs before this
+    returns, so no level is allocated over budget.
+
+    Points whose Q lands within roundoff of the boundary may be included;
+    the caller's tail bound is evaluated at a slightly smaller radius so
+    exclusions stay covered.
+    """
+    n = U.shape[0]
+    bound = radius + _BOUNDARY_SLACK * max(radius, 1.0)
     V = np.zeros((1, 0), dtype=np.int64)
     T = np.zeros(1)
-    for i in range(n - 1, -1, -1):
-        ytail = V + center[i + 1:]
-        s = ytail @ U[i, i + 1:]
-        rem = radius + slack - T
-        rad = np.sqrt(np.maximum(rem, 0.0))
-        uii = U[i, i]
-        lo = np.ceil((-rad - s) / uii - center[i] - _BOUNDARY_SLACK).astype(np.int64)
-        hi = np.floor((rad - s) / uii - center[i] + _BOUNDARY_SLACK).astype(np.int64)
-        counts = np.maximum(hi - lo + 1, 0)
-        total = int(counts.sum())
-        if total > budget:
-            raise EnumerationBudgetExceeded(
-                f"enumeration needs more than {budget} points; the metric is too flat")
-        idx = np.repeat(np.arange(counts.size), counts)
-        starts = np.cumsum(counts) - counts
-        vi = lo[idx] + (np.arange(total) - np.repeat(starts, counts))
-        yi = vi + center[i]
-        Tn = T[idx] + (uii * yi + s[idx]) ** 2
-        keep = Tn <= radius + slack
-        V = np.column_stack([vi[keep], V[idx[keep]]]) if V.shape[1] else vi[keep].reshape(-1, 1)
+    for i in range(n - 1, 0, -1):
+        s, lo, counts, total = _level(U, center, bound, V, T, i, budget, half)
+        vi, Tn, keep = _expand(s, lo, counts, total, T, U[i, i], center[i], bound)
+        rows = np.repeat(np.arange(counts.size), counts)[keep]
+        V = np.column_stack([vi[keep], V[rows]])
         T = Tn[keep]
-    return V, T
+    s, lo, counts, total = _level(U, center, bound, V, T, 0, budget, half)
+    return V, _last_level(s, lo, counts, total, T, U[0, 0], center[0], bound)
+
+
+def _last_level(s, lo, counts, total: int, T, uii, ci, bound: float):
+    # the blocks of _fincke_pohst, split by candidate index, so that one row
+    # may span several blocks
+    ends = np.cumsum(counts)
+    for a in range(0, total, _BLOCK_POINTS):
+        b = min(a + _BLOCK_POINTS, total)
+        r0 = int(np.searchsorted(ends, a, side="right"))
+        r1 = int(np.searchsorted(ends, b - 1, side="right")) + 1
+        start = ends[r0:r1] - counts[r0:r1]
+        skip = np.maximum(a - start, 0)
+        c = np.minimum(b - start, counts[r0:r1]) - skip
+        yield (r0, c) + _expand(s[r0:r1], lo[r0:r1] + skip, c, b - a, T[r0:r1], uii, ci, bound)
+
+
+def _enumerate_with_norms(g: np.ndarray, center: np.ndarray, radius: float,
+                          budget: int) -> tuple[np.ndarray, np.ndarray]:
+    """All v in Z^n with Q(v + center) <= radius, with the Q values."""
+    V, blocks = _fincke_pohst(cholesky(g).T, center, radius, budget)
+    points = [np.zeros((0, V.shape[1] + 1), dtype=np.int64)]
+    norms = [np.zeros(0)]
+    for r0, c, v0, q, keep in blocks:
+        rows = r0 + np.repeat(np.arange(c.size), c)[keep]
+        points.append(np.column_stack([v0[keep], V[rows]]))
+        norms.append(q[keep])
+    return np.concatenate(points), np.concatenate(norms)
 
 
 def enumerate_below(gram, center, radius: float,
@@ -187,39 +252,80 @@ def enumerate_below(gram, center, radius: float,
     return V[order]
 
 
-def _certified_lambda_min(g: np.ndarray) -> float:
-    """Conservative lower bound on the smallest eigenvalue of g.
+def _certified_lambda_min(L: np.ndarray) -> float:
+    """Rigorous lower bound on the smallest eigenvalue of G from its computed
+    Cholesky factor L.
 
-    Fixed 50-iteration power method on the inverse estimates ||g^-1||_2 from
-    below, so its reciprocal overestimates lambda_min; the 0.99 factor makes
-    the result safe for the tail formula.
+    Let u = 2^-53 and let X be the inverse of L computed by forward
+    substitution, column by column.  Error analysis of both steps (Higham,
+    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thms 10.3 and
+    8.5, with gamma_k = ku / (1 - ku) <= 2ku) gives:
+
+    - L L^T = G + E with |E| <= 2(n+1)u |L| |L|^T, so
+      ||E||_2 <= 2(n+1)u ||L||_F^2.
+    - Column j of X solves (L + F_j) x_j = e_j with |F_j| <= 2nu |L|, so
+      R = I - L X has ||R||_2 <= ||R||_F <= r = 2nu ||L||_F ||X||_F.  When
+      r < 1, L^-1 = X (I - R)^-1 gives ||L^-1||_2 <= ||X||_2 / (1 - r).
+    - ||X||_2^2 is the spectral radius of X^T X (about G^-1), so it is at
+      most N = ||X^T X||_inf.  The computed X^T X is off by at most
+      2nu |X|^T |X| entrywise, and each row of |X|^T |X| sums to at most
+      n ||X||_F^2 (Cauchy-Schwarz), so N <= ||fl(X^T X)||_inf + 2n^2 u ||X||_F^2.
+
+    By Weyl's inequality, lambda_min(G) >= lambda_min(L L^T) - ||E||_2 =
+    1 / ||L^-1||_2^2 - ||E||_2 >= (1 - r)^2 / N - 2(n+1)u ||L||_F^2.
+
+    Rounding margin: each norm above is a sum of products in which each
+    term meets at most 2n^2 roundings, so its exact value is at most
+    (1 + 8n^2 u) times the computed one.  The code moves every quantity,
+    and the result, by a factor 1 +- 16n^2 u against itself, which also
+    covers the few roundings of the formula.  The bound is within a factor
+    n of lambda_min (exact for n = 1 up to the margin) until the condition
+    number nears 1/u, where it stops being positive.
     """
-    n = g.shape[0]
-    ginv = np.linalg.inv(g)
-    v = 1.0 + 1e-3 * np.arange(n)
-    v /= math.sqrt(float(v @ v))
-    rho = 0.0
-    for _ in range(50):
-        w = ginv @ v
-        rho = max(rho, float(v @ w))
-        nw = math.sqrt(float(w @ w))
-        if nw == 0.0:
-            break
-        v = w / nw
-    if rho <= 0.0:
-        raise NotPositiveDefinite("power method failed on the inverse Gram matrix")
-    return 0.99 / rho
+    l = L.tolist()
+    n = len(l)
+    x = [[0.0] * n for _ in range(n)]
+    for j in range(n):
+        x[j][j] = 1.0 / l[j][j]
+        for i in range(j + 1, n):
+            x[i][j] = -sum(l[i][k] * x[k][j] for k in range(j, i)) / l[i][i]
+    # X is lower triangular: (X^T X)_ij sums over k >= max(i, j)
+    inv = [[sum(x[k][i] * x[k][j] for k in range(max(i, j), n)) for j in range(n)]
+           for i in range(n)]
+    up = 1.0 + 16 * n * n * _U
+    down = 1.0 - 16 * n * n * _U
+    lf2 = up * sum(v * v for row in l for v in row)
+    xf2 = up * sum(v * v for row in x for v in row)
+    big_n = up * (max(sum(abs(v) for v in row) for row in inv) + up * (2 * n * n * _U) * xf2)
+    r = up * (2 * n * _U) * math.sqrt(lf2 * xf2)
+    lam = down * (down * (1.0 - r) ** 2 / big_n - up * (2 * (n + 1) * _U) * lf2)
+    if r >= 0.5 or not lam > 0.0:
+        raise ToleranceUnreachable(
+            "no positive certified bound on the smallest eigenvalue; "
+            "the Gram matrix is too ill-conditioned")
+    return lam
 
 
 def _gauss_line_sum(lam: float) -> float:
-    """sum over k in Z of exp(-pi * lam * k^2 / 2), truncated below 1e-33."""
+    """Upper bound on S = sum over k in Z of exp(-a k^2), a = pi * lam / 2.
+
+    The terms decrease in |k|, so exp(-a k^2) is at most the integral of
+    exp(-a t^2) over [k - 1, k] for every k >= 1, and with K =
+    _LINE_SUM_TERMS
+
+        sum_{k>=1} exp(-a k^2) <= sum_{k=1}^{K} exp(-a k^2) + int_K^inf exp(-a t^2) dt
+                                = sum_{k=1}^{K} exp(-a k^2) + (1/2) sqrt(pi/a) erfc(K sqrt(a)).
+
+    The integral exceeds the terms it replaces by less than exp(-a K^2) <= 1,
+    so the bound stays close to S both where the terms fall fast (that
+    excess vanishes) and where they do not (S is about sqrt(pi/a) and large).
+    Rounding moves the result by a few ulps, far inside the +2 slack of the
+    tail formula in theta_sum.
+    """
     a = 0.5 * math.pi * lam
-    kmax = int(math.sqrt(76.0 / a)) + 1
-    if kmax > 50_000_000:
-        raise ToleranceUnreachable(
-            "certified smallest eigenvalue is too small to bound the tail")
-    k = np.arange(1, kmax + 1, dtype=float)
-    return 1.0 + 2.0 * float(np.sum(np.exp(-a * k * k)))
+    head = math.fsum(math.exp(-a * k * k) for k in range(1, _LINE_SUM_TERMS + 1))
+    tail = 0.5 * math.sqrt(math.pi / a) * math.erfc(_LINE_SUM_TERMS * math.sqrt(a))
+    return 1.0 + 2.0 * (head + tail)
 
 
 def _log_tail(radius: float, log_per_dim: float, n: int) -> float:
@@ -236,7 +342,24 @@ def theta_sum(gram, center, tol: float,
 
     The tail over Q > R is bounded by exp(-pi R/2) * (S + 2)^n, where S is
     the one-dimensional Gaussian sum at the certified smallest eigenvalue;
-    R grows until this drops below tol.
+    R grows until this drops below tol.  One Cholesky factor serves both
+    that eigenvalue bound and the enumeration.
+
+    A centred sum (center in Z^n) enumerates one half-space: the zero vector
+    and, of each pair +-v, the v whose first nonzero coordinate in the
+    enumeration order v_{n-1}, ..., v_0 is positive.  The value is fsum of 1
+    and twice each term.  This equals the sum over the whole ball exactly.
+    With a zero centre every step of the recurrence maps v to -v by an exact
+    negation: the candidate ranges and the boundary test are symmetric, so
+    the ball holds -v exactly when it holds v, and Q(-v) and Q(v) are the
+    same float.  Doubling is exact, and fsum is correctly rounded, so any
+    multiset of terms with the same exact sum gives the same result.
+    points_enumerated still counts the ball, 1 + 2h.
+
+    The last coordinate is expanded and summed in blocks of at most
+    _BLOCK_POINTS candidates.  All blocks feed one fsum, so the sum stays
+    correctly rounded over every term, and the memory of a call stays
+    bounded whatever its point count.
     """
     if tol <= 0.0:
         raise ValueError("tol must be positive")
@@ -244,7 +367,8 @@ def theta_sum(gram, center, tol: float,
     n = g.shape[0]
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float).reshape(n)
     c = c - np.round(c)  # theta is Z^n-periodic in the shift
-    lam = _certified_lambda_min(g)
+    L = cholesky(g)
+    lam = _certified_lambda_min(L)
     log_per_dim = math.log(_gauss_line_sum(lam) + 2.0)
     radius = max(1.0, (2.0 / math.pi) * (n * log_per_dim - math.log(tol)) + 0.5)
     tail = math.inf
@@ -256,16 +380,29 @@ def theta_sum(gram, center, tol: float,
         radius *= 1.25
     else:
         raise ToleranceUnreachable(f"tail bound stalled at {tail:.3e} > tol {tol:.3e}")
-    covolume = math.sqrt(float(np.linalg.det(g)))
+    covolume = float(np.prod(np.diag(L)))
     if _ellipsoid_volume(n, radius, covolume) > 2.0 * budget:
         raise EnumerationBudgetExceeded(
             f"estimated point count exceeds the budget of {budget}")
-    V, Q = _enumerate_with_norms(g, c, radius, budget)
-    order = np.lexsort(tuple(V[:, k] for k in range(n - 1, -1, -1)) + (Q,))
-    terms = np.exp(-math.pi * Q[order])
-    value = math.fsum(terms.tolist())
+    half = not c.any()
+    _, blocks = _fincke_pohst(L.T, c, radius, budget, half)
+    kept = 0
+
+    def term_lists():
+        nonlocal kept
+        if half:
+            yield [1.0]  # the zero vector
+        for *_, q, keep in blocks:
+            terms = np.exp(-math.pi * q[keep])
+            kept += terms.size
+            if half:
+                terms *= 2.0
+            yield terms.tolist()
+
+    value = math.fsum(itertools.chain.from_iterable(term_lists()))
+    points = 2 * kept + 1 if half else kept
     return ThetaResult(value=value, tail_bound=tail,
-                       points_enumerated=int(V.shape[0]), radius=radius)
+                       points_enumerated=points, radius=radius)
 
 
 def dual_lattice(lat: EmbeddedLattice) -> EmbeddedLattice:

@@ -22,7 +22,9 @@ from arithcoh.arakelov import (
     zero_divisor,
     zeta_integrand_sweep,
 )
-from arithcoh.errors import InvalidDivisor, UnsupportedField
+from arithcoh import arakelov
+from arithcoh.errors import CertificationFailed, InvalidDivisor, UnsupportedField
+from arithcoh.lattice import ThetaResult
 from arithcoh.numfield import ideal_norm, make_field, primes_above, unit_ideal
 
 from conftest import brute_force_theta
@@ -119,6 +121,15 @@ def test_h_values_nonnegative():
         D = degree_divisor(t)
         assert h0(D).value >= 0.0
         assert h1(D).value >= -1e-9
+
+
+def test_h0_rejects_theta_below_one(monkeypatch):
+    fake = ThetaResult(value=0.75, tail_bound=2.5e-11, points_enumerated=1, radius=1.0)
+    monkeypatch.setattr(arakelov, "theta_sum", lambda *args, **kwargs: fake)
+    with pytest.raises(CertificationFailed) as info:
+        h0(degree_divisor(0.0))
+    assert "0.75" in str(info.value)
+    assert "2.500e-11" in str(info.value)
 
 
 def test_h0_monotone_in_infinite_component():

@@ -2,6 +2,8 @@
 
 import math
 import random
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -15,7 +17,8 @@ from arithcoh.lattice import (
     enumerate_below,
     theta_sum,
 )
-from arithcoh.lattice import _enumerate_with_norms
+from arithcoh import lattice
+from arithcoh.lattice import _certified_lambda_min, _enumerate_with_norms, _fincke_pohst
 
 from conftest import brute_force_points, brute_force_theta, random_pd_gram
 
@@ -191,3 +194,129 @@ def test_embedded_lattice_validation():
         EmbeddedLattice(basis=np.eye(2), gram=GramMatrix(2.0 * np.eye(2)), covolume=1.0)
     with pytest.raises(NotPositiveDefinite):
         EmbeddedLattice(basis=np.eye(2), gram=GramMatrix(np.eye(2)), covolume=3.0)
+
+
+def _below_lambda_min_2x2(g, lam) -> bool:
+    """lam <= (a + c)/2 - sqrt(((a - c)/2)^2 + b^2), decided in exact arithmetic."""
+    a, b, c = Fraction(float(g[0][0])), Fraction(float(g[1][0])), Fraction(float(g[1][1]))
+    t = (a + c) / 2 - Fraction(lam)
+    return t >= 0 and t * t >= ((a - c) / 2) ** 2 + b * b
+
+
+def _exactly_positive_definite(m) -> bool:
+    """Every pivot of Gaussian elimination is > 0, in exact arithmetic."""
+    a = [list(row) for row in m]
+    n = len(a)
+    for k in range(n):
+        if a[k][k] <= 0:
+            return False
+        for i in range(k + 1, n):
+            f = a[i][k] / a[k][k]
+            for j in range(k, n):
+                a[i][j] -= f * a[k][j]
+    return True
+
+
+def _gram_with_spectrum(rng: np.random.Generator, eigenvalues) -> np.ndarray:
+    q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
+    g = q @ np.diag(eigenvalues) @ q.T
+    return 0.5 * (g + g.T)
+
+
+def test_lambda_bound_adversarial_start_vector():
+    # eigenvalues 0.05 and 0.06; the lambda_min eigenvector (1, -1) is
+    # orthogonal to a power method's start vector (1, 1)
+    g = np.array([[0.055, 0.005], [0.005, 0.055]])
+    lam = _certified_lambda_min(cholesky(g))
+    assert _below_lambda_min_2x2(g, lam)
+    assert lam > 0.045
+
+
+def test_lambda_bound_is_a_lower_bound_up_to_condition_1e8():
+    rng = np.random.default_rng(20)
+    for _ in range(300):
+        n = int(rng.integers(2, 5))
+        smallest = 10.0 ** rng.uniform(-4.0, 2.0)
+        eigs = smallest * 10.0 ** np.concatenate([[0.0], rng.uniform(0.0, 8.0, n - 1)])
+        g = _gram_with_spectrum(rng, eigs)
+        lam = _certified_lambda_min(cholesky(g))
+        if n == 2:
+            assert _below_lambda_min_2x2(g, lam)
+        exact = [[Fraction(float(v)) for v in row] for row in g]
+        for i in range(n):
+            exact[i][i] -= Fraction(lam)
+        assert _exactly_positive_definite(exact)
+        # not vacuous: within the factor n of the infinity-norm bound
+        assert lam >= 0.99 * np.linalg.eigvalsh(g)[0] / n
+
+
+def _random_gram(rng: random.Random, n: int) -> np.ndarray:
+    if n <= 2:
+        return np.asarray(random_pd_gram(rng, n), dtype=float)
+    b = np.array([[rng.uniform(-1.5, 1.5) for _ in range(n)] for _ in range(n)])
+    return b @ b.T + 0.3 * np.eye(n)
+
+
+def test_centred_theta_equals_full_enumeration_bit_for_bit():
+    rng = random.Random(5)
+    for n in (1, 2, 3, 4):
+        for _ in range(6):
+            g = _random_gram(rng, n)
+            res = theta_sum(g, None, 1e-10)
+            V, Q = _enumerate_with_norms(g, np.zeros(n), res.radius, 10**8)
+            assert sorted(V.tolist()) == enumerate_below(g, None, res.radius).tolist()
+            assert res.value == math.fsum(np.exp(-math.pi * Q).tolist())
+            assert res.points_enumerated == V.shape[0]
+            for center in ([3.0] * n, [-0.0] * n, [float(rng.randint(-4, 4)) for _ in range(n)]):
+                again = theta_sum(g, center, 1e-10)
+                assert again.value == res.value
+                assert again.points_enumerated == res.points_enumerated
+
+
+def test_block_size_does_not_change_results(monkeypatch):
+    rng = random.Random(8)
+    cases = [(_random_gram(rng, n), center)
+             for n in (1, 2, 3) for center in (None, [0.3, -0.45, 0.1][:n])]
+    before = [(theta_sum(g, c, 1e-10), _enumerate_with_norms(g, np.zeros(g.shape[0]), 9.0, 10**8))
+              for g, c in cases]
+    # blocks of 7 candidates split rows of the last level between blocks
+    monkeypatch.setattr(lattice, "_BLOCK_POINTS", 7)
+    for (g, c), (res, (V, Q)) in zip(cases, before):
+        assert theta_sum(g, c, 1e-10) == res
+        V2, Q2 = _enumerate_with_norms(g, np.zeros(g.shape[0]), 9.0, 10**8)
+        assert np.array_equal(V2, V) and np.array_equal(Q2, Q)
+
+
+def test_half_space_budget_matches_full_space():
+    # the centred half-space must raise at exactly the budget where the full
+    # enumeration does
+    rng = random.Random(13)
+    for n in (1, 2, 3):
+        g = _random_gram(rng, n)
+        U = cholesky(g).T
+        zero = np.zeros(n)
+        for radius in (1.0, 6.5, 15.0):
+            need = 0
+            while True:
+                try:
+                    _fincke_pohst(U, zero, radius, need)
+                    break
+                except EnumerationBudgetExceeded:
+                    need += 1
+            with pytest.raises(EnumerationBudgetExceeded):
+                _fincke_pohst(U, zero, radius, need - 1, half=True)
+            _fincke_pohst(U, zero, radius, need, half=True)
+
+
+def test_theta_peak_memory_is_bounded():
+    # about 1.4 M points; the whole point set alone would take over 30 MB
+    g = [[4e-5, 8e-6], [8e-6, 6e-5]]
+    for center in (None, [0.3, -0.2]):
+        tracemalloc.start()
+        try:
+            res = theta_sum(g, center, 1e-9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.points_enumerated >= 1_000_000
+        assert peak < 16 * 2**20
