@@ -2,10 +2,11 @@
 
 h0 of an Arakelov divisor is the log of a lattice theta sum with a certified
 tail bound; h1 is the log-density of the quotient measure.  The package
-numerically verifies Serre duality and the arithmetic Riemann-Roch formula by
-independent lattice enumerations, and exhaustively checks the convolution
-structures (first kind, second kind, mixed) and their duality theory on
-finite abelian groups.
+numerically verifies the arithmetic Riemann-Roch formula by two independent
+direct lattice enumerations, of D and of K - D, and reads Serre duality from
+the same pair.  It also exhaustively checks the convolution structures
+(first kind, second kind, mixed) and their duality theory on finite abelian
+groups.
 """
 
 from .arakelov import (
@@ -22,6 +23,7 @@ from .arakelov import (
     load_divisor,
     load_divisor_file,
     sub,
+    verify_duality,
     verify_riemann_roch,
     verify_serre_duality,
     zero_divisor,

@@ -99,8 +99,8 @@ def _cmd_verify(args) -> int:
     D = arakelov.load_divisor_file(fld, args.divisor)
     results: dict = {"degree": arakelov.degree(D)}
     ok = True
+    rr, sd = arakelov.verify_duality(D, tol=args.tol, budget=args.budget)
     if args.what in ("rr", "both"):
-        rr = arakelov.verify_riemann_roch(D, tol=args.tol, budget=args.budget)
         results["riemann_roch"] = {
             "lhs": rr.lhs, "rhs": rr.rhs, "delta": rr.delta, "tol": rr.tol,
             "h0_D": _coh_dict(rr.h0_d), "h0_KD": _coh_dict(rr.h0_kd),
@@ -108,7 +108,6 @@ def _cmd_verify(args) -> int:
         }
         ok = ok and rr.passed
     if args.what in ("duality", "both"):
-        sd = arakelov.verify_serre_duality(D, tol=args.tol, budget=args.budget)
         results["serre_duality"] = {
             "delta": sd.delta, "tol": sd.tol,
             "h1_direct": _coh_dict(sd.h1_direct), "h0_dual": _coh_dict(sd.h0_dual),
@@ -124,6 +123,14 @@ def _cmd_verify(args) -> int:
         "pass": ok,
     })
     return 0 if ok else _INVALID_EXIT
+
+
+def _tolerance(text: str) -> float:
+    """argparse type of --tol: a finite number > 0."""
+    tol = float(text)
+    if not 0.0 < tol < math.inf:  # also false for nan
+        raise argparse.ArgumentTypeError(f"must be a finite number > 0, not {text!r}")
+    return tol
 
 
 def _parse_complex(text: str) -> complex:
@@ -258,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--field", required=True, help="field descriptor JSON file")
         if divisor:
             p.add_argument("--divisor", required=True, help="divisor descriptor JSON file")
-        p.add_argument("--tol", type=float, default=1e-9, help="h-value tolerance")
+        p.add_argument("--tol", type=_tolerance, default=1e-9, help="h-value tolerance")
         p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
                        help="lattice enumeration point cap")
 
@@ -277,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-min", type=float, default=-3.0)
     p.add_argument("--t-max", type=float, default=3.0)
     p.add_argument("--steps", type=int, default=13)
-    p.add_argument("--tol", type=float, default=1e-9)
+    p.add_argument("--tol", type=_tolerance, default=1e-9)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=["json", "csv"], default="json")
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -72,9 +72,14 @@ def cholesky(gram) -> np.ndarray:
 
 @dataclass(frozen=True)
 class GramMatrix:
-    """Symmetric positive-definite matrix of inner products."""
+    """Symmetric positive-definite matrix of inner products.
+
+    factor is the Cholesky factor of entries that validation computes; the
+    theta sum enumerates with it rather than factoring again.
+    """
 
     entries: np.ndarray
+    factor: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=float)
@@ -86,7 +91,9 @@ class GramMatrix:
         m = 0.5 * (m + m.T)
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
-        cholesky(m)
+        L = cholesky(m)
+        L.setflags(write=False)
+        object.__setattr__(self, "factor", L)
 
     @property
     def n(self) -> int:
@@ -343,7 +350,8 @@ def theta_sum(gram, center, tol: float,
     The tail over Q > R is bounded by exp(-pi R/2) * (S + 2)^n, where S is
     the one-dimensional Gaussian sum at the certified smallest eigenvalue;
     R grows until this drops below tol.  One Cholesky factor serves both
-    that eigenvalue bound and the enumeration.
+    that eigenvalue bound and the enumeration: a GramMatrix brings the one
+    its validation computed, a raw array is factored here.
 
     A centred sum (center in Z^n) enumerates one half-space: the zero vector
     and, of each pair +-v, the v whose first nonzero coordinate in the
@@ -361,13 +369,12 @@ def theta_sum(gram, center, tol: float,
     correctly rounded over every term, and the memory of a call stays
     bounded whatever its point count.
     """
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("tol must be positive")
-    g = _as_matrix(gram)
-    n = g.shape[0]
+    L = gram.factor if isinstance(gram, GramMatrix) else cholesky(gram)
+    n = L.shape[0]
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float).reshape(n)
     c = c - np.round(c)  # theta is Z^n-periodic in the shift
-    L = cholesky(g)
     lam = _certified_lambda_min(L)
     log_per_dim = math.log(_gauss_line_sum(lam) + 2.0)
     radius = max(1.0, (2.0 / math.pi) * (n * log_per_dim - math.log(tol)) + 0.5)

@@ -1,5 +1,7 @@
-"""Shared oracles and random-instance generators for the test suite."""
+"""Shared oracles, field descriptors and random-instance generators for the
+test suite."""
 
+import cmath
 import math
 import random
 
@@ -13,6 +15,45 @@ GROUP_POOL = [
     (13,), (14,), (15,), (16,), (2, 2), (2, 4), (2, 6), (2, 8), (3, 3),
     (4, 4), (2, 2, 2), (2, 2, 4), (2, 2, 2, 2),
 ]
+
+
+def _power_basis_descriptor(r1, r2, abs_disc, different_basis, label, images):
+    """Custom-field descriptor over the power basis 1, a, ..., a^(n-1).
+
+    images(k) lists the images of a^k: r1 real places, then one root of
+    each of the r2 complex pairs, which embeds as (Re, Im).
+    """
+    n = r1 + 2 * r2
+    rows = []
+    for k in range(n):
+        z = images(k)
+        rows.append(z[:r1] + [part for w in z[r1:] for part in (w.real, w.imag)])
+    return {"degree": n, "r1": r1, "r2": r2, "abs_discriminant": abs_disc,
+            "embeddings": [x for row in rows for x in row],
+            "different_basis": different_basis, "label": label}
+
+
+def cbrt2_descriptor():
+    """Q(2^(1/3)), signature (1, 1), |disc| = 108, different (3 a^2)."""
+    a = 2.0 ** (1.0 / 3.0)
+    w = a * cmath.exp(2j * math.pi / 3.0)
+    return _power_basis_descriptor(1, 1, 108, [[0, 0, 3], [6, 0, 0], [0, 6, 0]],
+                                   "Q(cbrt2)", lambda k: [a ** k, w ** k])
+
+
+def zeta7_plus_descriptor():
+    """Q(zeta_7)^+ = Q(a), a^3 + a^2 - 2a - 1 = 0: totally real, |disc| = 49,
+    different (f'(a)) = (3a^2 + 2a - 2)."""
+    roots = sorted(2.0 * cmath.exp(2j * math.pi * k / 7.0).real for k in (1, 2, 3))
+    return _power_basis_descriptor(3, 0, 49, [[-2, 2, 3], [3, 4, -1], [-1, 1, 5]],
+                                   "Q(zeta7)+", lambda k: [r ** k for r in roots])
+
+
+def zeta8_descriptor():
+    """Q(zeta_8), signature (0, 2), |disc| = 256, different (4) = (1 - zeta)^8."""
+    return _power_basis_descriptor(
+        0, 2, 256, [[4 * int(i == j) for j in range(4)] for i in range(4)], "Q(zeta8)",
+        lambda k: [cmath.exp(1j * math.pi * j * k / 4.0) for j in (1, 3)])
 
 
 def random_pd_gram(rng: random.Random, n: int):

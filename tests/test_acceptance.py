@@ -16,8 +16,7 @@ from arithcoh.arakelov import (
     degree,
     divisor_from_primes,
     effectivity_v,
-    verify_riemann_roch,
-    verify_serre_duality,
+    verify_duality,
     zero_divisor,
 )
 from arithcoh.cli import main as cli_main
@@ -101,8 +100,7 @@ def quadratic_divisor_suite():
             if abs(degree(D) - half_log_disc) > DEGREE_SPREAD_CAP:
                 continue
             made += 1
-            rr = verify_riemann_roch(D, IDENTITY_TOL)
-            sd = verify_serre_duality(D, IDENTITY_TOL)
+            rr, sd = verify_duality(D, IDENTITY_TOL)
             cases.append((d, D, rr, sd))
     return cases, time.perf_counter() - start
 

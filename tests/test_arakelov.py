@@ -17,6 +17,7 @@ from arithcoh.arakelov import (
     h1,
     load_divisor,
     sub,
+    verify_duality,
     verify_riemann_roch,
     verify_serre_duality,
     zero_divisor,
@@ -24,10 +25,24 @@ from arithcoh.arakelov import (
 )
 from arithcoh import arakelov
 from arithcoh.errors import CertificationFailed, InvalidDivisor, UnsupportedField
-from arithcoh.lattice import ThetaResult
-from arithcoh.numfield import ideal_norm, make_field, primes_above, unit_ideal
+from arithcoh.lattice import DEFAULT_BUDGET, ThetaResult
+from arithcoh.numfield import (
+    embed_ideal,
+    ideal_inv,
+    ideal_mul,
+    ideal_norm,
+    make_field,
+    primes_above,
+    principal_ideal,
+    unit_ideal,
+)
 
-from conftest import brute_force_theta
+from conftest import (
+    brute_force_theta,
+    cbrt2_descriptor,
+    zeta7_plus_descriptor,
+    zeta8_descriptor,
+)
 
 Q = make_field("rational")
 QI = make_field(("quadratic", -1))
@@ -132,6 +147,15 @@ def test_h0_rejects_theta_below_one(monkeypatch):
     assert "2.500e-11" in str(info.value)
 
 
+def test_h_values_reject_bad_tol():
+    D = degree_divisor(0.0)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            h0(D, tol)
+        with pytest.raises(ValueError):
+            effectivity_v(D, [0.5], tol)
+
+
 def test_h0_monotone_in_infinite_component():
     values = [h0(degree_divisor(t), 1e-10).value for t in (-2, -1, 0, 1, 2)]
     assert values == sorted(values)
@@ -204,6 +228,60 @@ def test_duality_symmetry_of_deltas():
         d1 = verify_serre_duality(D, 1e-8).delta
         d2 = verify_serre_duality(sub(canonical_divisor(F), D), 1e-8).delta
         assert abs(d1 - d2) < 1e-10
+
+
+def test_verify_duality_enumerates_d_and_k_minus_d_directly(monkeypatch):
+    # Riemann-Roch stays falsifiable only while h0(K - D) is its own theta sum
+    # over the K - D lattice, never one derived from the sum over D
+    calls = []
+    real = arakelov.theta_sum
+
+    def recording(gram, center, tol, budget=DEFAULT_BUDGET):
+        calls.append((gram, center))
+        return real(gram, center, tol, budget=budget)
+
+    monkeypatch.setattr(arakelov, "theta_sum", recording)
+    F = make_field(("quadratic", -5))
+    D = divisor_from_primes(F, [(primes_above(F, 3)[1], 1)], [0.3])
+    rr, sd = verify_duality(D, 1e-8)
+    assert [center for _, center in calls] == [None, None]
+    for (gram, _), E in zip(calls, (D, sub(canonical_divisor(F), D))):
+        expected = embed_ideal(F, E.ideal(), E.infinite).gram.entries
+        assert gram.entries.tobytes() == expected.tobytes()
+    assert rr.passed and sd.passed
+    assert verify_riemann_roch(D, 1e-8) == rr
+    assert verify_serre_duality(D, 1e-8) == sd
+
+
+# a and b of the divisors a * b^-1 below, over the first three basis elements
+ELEMENT_PAIRS = (((1, 1, 0), (1, 0, 0)), ((1, 0, 1), (0, 1, 1)), ((2, 1, 0), (1, -1, 1)),
+                 ((0, 1, 0), (1, 1, 1)), ((1, -1, 1), (3, 0, 0)))
+
+
+@pytest.mark.parametrize("descriptor", [cbrt2_descriptor, zeta7_plus_descriptor,
+                                        zeta8_descriptor])
+def test_duality_on_fields_of_degree_3_and_4(descriptor):
+    F = make_field(descriptor())
+    places = F.r1 + F.r2
+    rng = random.Random(3)
+    pad = (0,) * (F.n - 3)
+    shift = [0.5] + [0.25] * (F.n - 1)
+    for a, b in ELEMENT_PAIRS:
+        ideal = ideal_mul(principal_ideal(F, a + pad), ideal_inv(principal_ideal(F, b + pad)))
+        # x_sigma around the self-dual degree keeps both lattices small
+        xs = [0.5 * math.log(F.abs_discriminant) / places + rng.uniform(-1.0, 1.0)
+              for _ in range(places)]
+        D = divisor_from_ideal(F, ideal, xs)
+        rr, sd = verify_duality(D, 1e-8)
+        assert rr.delta <= 1e-8 and sd.delta <= 1e-8, (F.label, a, b, rr.delta, sd.delta)
+        assert 0.0 < effectivity_v(D, shift, 1e-8) <= 1.0
+
+
+def test_wrong_different_fails_riemann_roch_in_degree_3():
+    F = make_field({**cbrt2_descriptor(), "different_basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    rr = verify_riemann_roch(divisor_from_ideal(F, unit_ideal(F), [1.2, 0.6]), 1e-8)
+    assert not rr.passed
+    assert rr.delta > 1e-3
 
 
 def test_randomized_riemann_roch_small_suite():

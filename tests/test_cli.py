@@ -5,6 +5,7 @@ import math
 
 import pytest
 
+from arithcoh import arakelov
 from arithcoh.cli import main
 
 
@@ -96,6 +97,35 @@ def test_verify_passes(files, capsys):
     assert report["results"]["riemann_roch"]["delta"] < 1e-8
     assert report["results"]["riemann_roch"]["rhs"] == pytest.approx(0.4)
     assert report["results"]["serre_duality"]["delta"] < 1e-8
+
+
+def test_verify_both_enumerates_two_lattices(files, capsys, monkeypatch):
+    calls = []
+    real = arakelov.theta_sum
+    monkeypatch.setattr(arakelov, "theta_sum",
+                        lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
+    argv = ["verify", "--field", files["gaussian"], "--divisor", files["div_qi"], "--what"]
+
+    def results(what):
+        code, out, _ = run(capsys, argv + [what])
+        assert code == 0
+        return json.loads(out)["results"]
+
+    both = results("both")
+    assert len(calls) == 2  # D and K - D, once each
+    assert both["riemann_roch"] == results("rr")["riemann_roch"]
+    assert both["serre_duality"] == results("duality")["serre_duality"]
+
+
+@pytest.mark.parametrize("tol", ["-1", "0", "nan", "inf"])
+def test_bad_tol_is_a_usage_error(files, capsys, tol):
+    for argv in (["h0", "--field", files["rational"], "--divisor", files["div0_q"]],
+                 ["verify", "--field", files["gaussian"], "--divisor", files["div_qi"]],
+                 ["zeta-sweep", "--steps", "3"]):
+        code, out, err = run(capsys, argv + ["--tol", tol])
+        assert code == 1, (argv[0], tol)
+        assert out == ""
+        assert "--tol" in err and "Traceback" not in err
 
 
 def test_verify_detects_corrupted_different(files, capsys):

@@ -115,8 +115,30 @@ def test_theta_integer_center_is_periodic():
 
 
 def test_theta_rejects_bad_tol():
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError):
+            theta_sum([[1.0]], [0.0], tol)
     with pytest.raises(ValueError):
-        theta_sum([[1.0]], [0.0], 0.0)
+        theta_sum([[1.0]], None, math.nan)
+
+
+def test_theta_uses_the_factor_of_a_gram_matrix(monkeypatch):
+    rng = random.Random(17)
+    cases = []
+    for n in (1, 2, 3):
+        a = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)])
+        gram = GramMatrix(a @ a.T + 0.5 * np.eye(n))
+        assert np.array_equal(gram.factor, cholesky(gram.entries))
+        assert not gram.factor.flags.writeable
+        for center in (None, [0.3] * n):
+            cases.append((gram, center, theta_sum(gram.entries, center, 1e-10)))
+    factored = []
+    monkeypatch.setattr(lattice, "cholesky", lambda g: factored.append(g) or cholesky(g))
+    for gram, center, expected in cases:
+        assert theta_sum(gram, center, 1e-10) == expected
+    assert factored == []
+    theta_sum(cases[0][0].entries, None, 1e-10)
+    assert len(factored) == 1  # a raw array is factored once per call
 
 
 def test_theta_budget_exceeded_on_flat_metric():
