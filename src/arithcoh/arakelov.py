@@ -52,6 +52,8 @@ class ArakelovDivisor:
         if len(self.infinite) != self.field.r1 + self.field.r2:
             raise InvalidDivisor(
                 f"divisor needs {self.field.r1 + self.field.r2} infinite components")
+        if not all(math.isfinite(t) for t in self.infinite):
+            raise InvalidDivisor(f"infinite components must be finite, not {self.infinite}")
         if self.primes is not None:
             for _, e in self.primes:
                 if not isinstance(e, int):

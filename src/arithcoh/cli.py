@@ -10,6 +10,7 @@ checks passed, 1 usage error, 2 invalid input or a failed verification,
 from __future__ import annotations
 
 import argparse
+import cmath
 import hashlib
 import json
 import math
@@ -133,17 +134,33 @@ def _tolerance(text: str) -> float:
     return tol
 
 
+def _finite(text: str) -> float:
+    """argparse type of --t-min and --t-max: a finite number."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be a finite number, not {text!r}")
+    return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type of --budget and --steps: an integer >= 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be an integer >= 1, not {text!r}")
+    return value
+
+
 def _parse_complex(text: str) -> complex:
     try:
-        return complex(text.replace(" ", ""))
+        s = complex(text.replace(" ", ""))
     except ValueError as exc:
         raise InvalidFieldSpec(f"cannot parse --s value {text!r} as a complex number") from exc
+    if not cmath.isfinite(s):
+        raise InvalidFieldSpec(f"--s value {text!r} is not finite")
+    return s
 
 
 def _cmd_zeta_sweep(args) -> int:
-    if args.steps < 1:
-        _log("error: --steps must be >= 1")
-        return _USAGE_EXIT
     if args.t_max < args.t_min:
         _log("error: --t-max must be >= --t-min")
         return _USAGE_EXIT
@@ -266,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
         if divisor:
             p.add_argument("--divisor", required=True, help="divisor descriptor JSON file")
         p.add_argument("--tol", type=_tolerance, default=1e-9, help="h-value tolerance")
-        p.add_argument("--budget", type=int, default=DEFAULT_BUDGET,
+        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
                        help="lattice enumeration point cap")
 
     p = sub.add_parser("field-info", help="print field data and run the covolume self-check")
@@ -281,11 +298,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("zeta-sweep", help="zeta integrand along the degree line over Q")
     p.add_argument("--s", default="0.5", help="complex parameter, e.g. '0.5' or '0.5+0.3j'")
-    p.add_argument("--t-min", type=float, default=-3.0)
-    p.add_argument("--t-max", type=float, default=3.0)
-    p.add_argument("--steps", type=int, default=13)
+    p.add_argument("--t-min", type=_finite, default=-3.0)
+    p.add_argument("--t-max", type=_finite, default=3.0)
+    p.add_argument("--steps", type=_positive_int, default=13)
     p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
+    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
     p.add_argument("--format", choices=["json", "csv"], default="json")
 
     p = sub.add_parser("ghost", help="finite-group ghost-space operations")

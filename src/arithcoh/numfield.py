@@ -3,8 +3,10 @@
 The rational field and quadratic fields are computed from scratch; any other
 field enters through a descriptor file carrying its degree, signature,
 discriminant, integral-basis embeddings and different, which this module
-cross-validates rather than recomputes.  Ideal arithmetic is exact (Python
-ints and Fractions); only the embeddings are floating point.
+cross-validates rather than recomputes.  Ideal arithmetic is exact: products
+and inverses are integer HNF bases, and an inverse is taken by trace duality,
+I^-1 = (I * O^v)^v with O^v the inverse different.  Only the embeddings are
+floating point.
 
 Conventions fixed here because descriptor files depend on them:
   * archimedean places are ordered real-first (ascending value of the
@@ -117,9 +119,9 @@ class PrimeIdeal:
 # exact element arithmetic over the integral basis
 
 
-def elem_mul(fld: NumberFieldDescriptor, x, y) -> tuple[Fraction, ...]:
+def elem_mul(fld: NumberFieldDescriptor, x, y) -> tuple:
     n = fld.n
-    out = [Fraction(0)] * n
+    out = [0] * n
     table = fld.mult_table
     for i in range(n):
         xi = x[i]
@@ -137,8 +139,8 @@ def elem_mul(fld: NumberFieldDescriptor, x, y) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def elem_trace(fld: NumberFieldDescriptor, x) -> Fraction:
-    tr = Fraction(0)
+def elem_trace(fld: NumberFieldDescriptor, x):
+    tr = 0
     for k in range(fld.n):
         if x[k]:
             tk = sum(fld.mult_table[k][i][i] for i in range(fld.n))
@@ -146,10 +148,10 @@ def elem_trace(fld: NumberFieldDescriptor, x) -> Fraction:
     return tr
 
 
-def _mult_matrix(fld: NumberFieldDescriptor, x) -> list[list[Fraction]]:
+def _mult_matrix(fld: NumberFieldDescriptor, x) -> list[list]:
     """Rows are the coordinates of x * w_i over the integral basis."""
     n = fld.n
-    basis = [tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)]
+    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
     return [list(elem_mul(fld, x, e)) for e in basis]
 
 
@@ -172,27 +174,27 @@ def unit_ideal(fld: NumberFieldDescriptor) -> FractionalIdeal:
 def ideal_mul(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
     if I.field is not J.field:
         raise ValueError("ideals live over different fields")
-    rows = []
-    bi = I.basis_rows()
-    bj = J.basis_rows()
-    for x in bi:
-        for y in bj:
-            rows.append(list(elem_mul(I.field, x, y)))
-    num, den = intmat.fraction_rows_to_lattice(rows)
+    rows = [list(elem_mul(I.field, x, y)) for x in I.num for y in J.num]
+    num, den = intmat.lattice_normalize(rows, I.den * J.den)
     return FractionalIdeal(I.field, tuple(tuple(r) for r in num), den)
 
 
-def ideal_inv(I: FractionalIdeal) -> FractionalIdeal:
-    """Inverse ideal {x : x*I is integral}, exactly."""
-    fld = I.field
-    lattice = None
-    for b in I.basis_rows():
-        m = _mult_matrix(fld, b)
-        inv_rows = intmat.inv_fraction(m)
-        lat = intmat.fraction_rows_to_lattice(inv_rows)
-        lattice = lat if lattice is None else intmat.lattice_intersection(lattice, lat)
-    num, den = lattice
+def _trace_dual(J: FractionalIdeal) -> FractionalIdeal:
+    """{x : Tr(xJ) in Z}: the dot-product dual of J's basis times the trace form."""
+    fld = J.field
+    rows = [[elem_trace(fld, bw) for bw in _mult_matrix(fld, b)] for b in J.num]
+    num, den = intmat.lattice_dual(rows, J.den)
     return FractionalIdeal(fld, tuple(tuple(r) for r in num), den)
+
+
+def ideal_inv(I: FractionalIdeal) -> FractionalIdeal:
+    """Inverse ideal {x : x*I is integral}, by trace duality: (I * O^v)^v.
+
+    Here J^v = {x : Tr(xJ) in Z}, and O^v is the inverse different.  For an
+    ideal J, x in J^v iff Tr(xJ*O) in Z iff xJ in O^v, so J^v = J^-1 * O^v;
+    with J = I * O^v this is I^-1.
+    """
+    return _trace_dual(ideal_mul(I, _trace_dual(unit_ideal(I.field))))
 
 
 def ideal_pow(I: FractionalIdeal, e: int) -> FractionalIdeal:

@@ -354,3 +354,6 @@ def test_load_divisor_errors():
         load_divisor(QI, {"infinite": [0.0], "finite": [{"p": 3}]})
     with pytest.raises(InvalidDivisor):
         load_divisor(QI, {"finite": []})
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidDivisor, match="finite"):
+            load_divisor(QI, {"finite": [], "infinite": [t]})

@@ -128,6 +128,27 @@ def test_bad_tol_is_a_usage_error(files, capsys, tol):
         assert "--tol" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("budget", ["-5", "0"])
+def test_bad_budget_is_a_usage_error(files, capsys, budget):
+    for argv in (["h0", "--field", files["rational"], "--divisor", files["div0_q"]],
+                 ["h1", "--field", files["rational"], "--divisor", files["div0_q"]],
+                 ["verify", "--field", files["gaussian"], "--divisor", files["div_qi"]],
+                 ["zeta-sweep", "--steps", "3"]):
+        code, out, err = run(capsys, argv + ["--budget", budget])
+        assert code == 1, (argv[0], budget)
+        assert out == ""
+        assert "--budget" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+def test_non_finite_infinite_component_is_invalid(files, capsys, value):
+    div = files["write"]("divnf.json", {"finite": [], "infinite": [value]})  # NaN, Infinity
+    code, out, err = run(capsys, ["h0", "--field", files["rational"], "--divisor", div])
+    assert code == 2
+    assert out == ""
+    assert "InvalidDivisor" in err
+
+
 def test_verify_detects_corrupted_different(files, capsys):
     # internally consistent descriptor whose different is wrong: the covolume
     # self-check passes but duality and Riemann-Roch must fail with a clear delta
@@ -175,6 +196,14 @@ def test_zeta_sweep_usage_errors(files, capsys):
     assert run(capsys, ["zeta-sweep", "--steps", "0"])[0] == 1
     assert run(capsys, ["zeta-sweep", "--t-min", "2", "--t-max", "-2"])[0] == 1
     assert run(capsys, ["zeta-sweep", "--s", "spam"])[0] == 2
+    for argv in (["--t-min", "nan"], ["--t-max", "inf"]):
+        assert run(capsys, ["zeta-sweep", "--steps", "3"] + argv)[:2] == (1, "")
+    for s in ("nan", "inf", "1+nanj"):
+        for fmt in ("json", "csv"):
+            code, out, err = run(capsys, ["zeta-sweep", "--steps", "3", "--s", s,
+                                          "--format", fmt])
+            assert (code, out) == (2, ""), (s, fmt)
+            assert "--s" in err
 
 
 def test_usage_error_exit_code(capsys):

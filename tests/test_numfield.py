@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from arithcoh.errors import DescriptorInconsistent, InvalidFieldSpec, UnsupportedField
+from arithcoh.intmat import det_int, inv_fraction
 from arithcoh.lattice import dual_lattice
 from arithcoh.numfield import (
     FractionalIdeal,
@@ -26,8 +27,29 @@ from arithcoh.numfield import (
     unit_ideal,
 )
 
+from conftest import cbrt2_descriptor, zeta7_plus_descriptor, zeta8_descriptor
+
 SQUAREFREE_50 = [d for d in range(-50, 51)
                  if d not in (0, 1) and all(d % (q * q) for q in range(2, 8))]
+# Q(cbrt 2), Q(zeta_7)^+ and Q(zeta_8): signatures (1, 1), (3, 0) and (0, 2)
+HIGHER_DEGREE = (cbrt2_descriptor, zeta7_plus_descriptor, zeta8_descriptor)
+
+
+def ratio_ideals(F, rng, count):
+    """count ideals a * b^-1 for random small a, b: most have den > 1."""
+    out = []
+    while len(out) < count:
+        a, b = ([rng.randint(-3, 3) for _ in range(F.n)] for _ in range(2))
+        if any(a) and any(b):
+            out.append(ideal_mul(principal_ideal(F, a), ideal_inv(principal_ideal(F, b))))
+    return out
+
+
+def trace_dual_of_ring(F):
+    """O^v = {x : Tr(x w_j) in Z for all j}: the rows of the inverse trace form."""
+    basis = [[int(i == j) for j in range(F.n)] for i in range(F.n)]
+    form = [[elem_trace(F, elem_mul(F, x, y)) for y in basis] for x in basis]
+    return FractionalIdeal.from_rows(F, inv_fraction(form))
 
 
 def test_rational_field():
@@ -120,6 +142,13 @@ def test_ideal_inverse_and_norm_multiplicativity():
         assert ideal_mul(I, ideal_inv(I)) == unit_ideal(F)
         J = primes_above(F, 7)[0].ideal
         assert ideal_norm(ideal_mul(I, J)) == ideal_norm(I) * ideal_norm(J)
+    for descriptor in HIGHER_DEGREE:
+        F = make_field(descriptor())
+        ideals = ratio_ideals(F, rng, 6) + [ideal_inv(F.different)]
+        assert sum(I.den > 1 for I in ideals) >= 3
+        for I, J in zip(ideals, reversed(ideals)):
+            assert ideal_mul(I, ideal_inv(I)) == unit_ideal(F)
+            assert ideal_norm(ideal_mul(I, J)) == ideal_norm(I) * ideal_norm(J)
 
 
 def test_embed_rational():
@@ -146,16 +175,29 @@ def test_integral_basis_covolume_is_sqrt_disc():
 
 def test_trace_pairing_integrality():
     rng = random.Random(19)
+    cases = []
     for _ in range(30):
         d = rng.choice(SQUAREFREE_50)
         F = make_field(("quadratic", d))
         pr = rng.choice(primes_above(F, rng.choice([2, 3, 5, 7])))
-        I = ideal_pow(pr.ideal, rng.randint(-2, 2))
+        cases.append((F, ideal_pow(pr.ideal, rng.randint(-2, 2))))
+    for descriptor in HIGHER_DEGREE:
+        F = make_field(descriptor())
+        cases += [(F, I) for I in ratio_ideals(F, rng, 5)]
+    for F, I in cases:
         J = ideal_mul(ideal_inv(F.different), ideal_inv(I))
+        pairing = []
         for x in I.basis_rows():
+            pairing.append([])
             for y in J.basis_rows():
                 tr = elem_trace(F, elem_mul(F, x, y))
                 assert tr.denominator == 1
+                pairing[-1].append(int(tr))
+        assert abs(det_int(pairing)) == 1  # J is all of the trace dual of I
+    # the inverse different is the trace dual of the ring of integers
+    for F in [make_field(("quadratic", d)) for d in SQUAREFREE_50] + \
+             [make_field(descriptor()) for descriptor in HIGHER_DEGREE]:
+        assert ideal_inv(F.different) == trace_dual_of_ring(F)
 
 
 def unimodular_match(primal_basis, dual_basis, r1, r2):
