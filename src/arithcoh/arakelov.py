@@ -32,6 +32,7 @@ from .numfield import (
     ideal_inv,
     ideal_mul,
     ideal_pow,
+    infinite_weights,
     primes_above,
     unit_ideal,
 )
@@ -52,8 +53,13 @@ class ArakelovDivisor:
         if len(self.infinite) != self.field.r1 + self.field.r2:
             raise InvalidDivisor(
                 f"divisor needs {self.field.r1 + self.field.r2} infinite components")
-        if not all(math.isfinite(t) for t in self.infinite):
-            raise InvalidDivisor(f"infinite components must be finite, not {self.infinite}")
+        try:
+            weights = infinite_weights(self.field, self.infinite)
+        except OverflowError:  # exp(-2 x_sigma) beyond the float range
+            weights = [math.inf]
+        if not all(0.0 < w < math.inf for w in weights):
+            raise InvalidDivisor(f"infinite components {self.infinite} give metric weights "
+                                 "that are not positive finite floats")
         if self.primes is not None:
             for _, e in self.primes:
                 if not isinstance(e, int):
@@ -105,19 +111,12 @@ def sub(D1: ArakelovDivisor, D2: ArakelovDivisor) -> ArakelovDivisor:
     inf = tuple(a - b for a, b in zip(D1.infinite, D2.infinite))
     if D1.primes is not None and D2.primes is not None:
         exps: dict = {}
-        order: list = []
-        for prime, e in D1.primes:
-            key = (prime.p, prime.index)
-            exps[key] = (prime, e)
-            order.append(key)
-        for prime, e in D2.primes:
-            key = (prime.p, prime.index)
-            if key in exps:
-                exps[key] = (exps[key][0], exps[key][1] - e)
-            else:
-                exps[key] = (prime, -e)
-                order.append(key)
-        merged = tuple((p, e) for p, e in (exps[k] for k in order) if e)
+        for sign, primes in ((1, D1.primes), (-1, D2.primes)):
+            for prime, e in primes:
+                key = (prime.p, prime.index)
+                first, total = exps.get(key, (prime, 0))
+                exps[key] = (first, total + sign * e)
+        merged = tuple((p, e) for p, e in exps.values() if e)
         return ArakelovDivisor(D1.field, merged, None, inf)
     ideal = ideal_mul(D1.ideal(), ideal_inv(D2.ideal()))
     return ArakelovDivisor(D1.field, None, ideal, inf)

@@ -21,13 +21,9 @@ from . import arakelov, ghost, numfield
 from .errors import (
     ArithcohError,
     EnumerationBudgetExceeded,
-    InvalidDivisor,
     InvalidFieldSpec,
     InvalidGhostSpace,
-    DescriptorInconsistent,
-    NotPositiveDefinite,
     ToleranceUnreachable,
-    UnsupportedField,
 )
 from .lattice import DEFAULT_BUDGET
 
@@ -336,10 +332,6 @@ def main(argv=None) -> int:
     except (EnumerationBudgetExceeded, ToleranceUnreachable) as exc:
         _log(f"error: {type(exc).__name__}: {exc}")
         return _BUDGET_EXIT
-    except (InvalidFieldSpec, DescriptorInconsistent, UnsupportedField,
-            InvalidDivisor, InvalidGhostSpace, NotPositiveDefinite) as exc:
-        _log(f"error: {type(exc).__name__}: {exc}")
-        return _INVALID_EXIT
     except FileNotFoundError as exc:
         _log(f"error: {exc}")
         return _INVALID_EXIT

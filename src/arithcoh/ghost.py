@@ -12,9 +12,16 @@ positive-definite probability measure mu and the translated convolution
     delta_x * delta_y = T_{x+y} mu;
 
 its dimension is log(mu(0) |G|), the log-density at 0 against the uniform
-probability measure.  Quotients, subquotients, duals (via the DFT) and
-quasi-characters are implemented so that every structural claim about these
-spaces can be checked exhaustively at finite scale.
+probability measure.  Both are the mixed product
+
+    delta_x * delta_y = (u(x) u(y) / u(x+y)) T_{x+y} mu,
+
+the first kind at mu = delta_0 and the second at u = 1, and the code has one
+path for the three: one convolution body, and one associativity check that
+takes one x at a time, so its memory stays at |G|^3.  Quotients,
+subquotients, duals (via the DFT) and quasi-characters are implemented so
+that every structural claim about these spaces can be checked exhaustively
+at finite scale.
 
 Elements of Z/n1 x ... x Z/nk are tuples ordered mixed-radix
 lexicographically (C order); functions and measures are flat arrays in that
@@ -52,22 +59,17 @@ class FiniteAbelianGroup:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.cyclic_orders, dtype=np.int64)) if self.cyclic_orders else 1
+        return int(np.prod(self.cyclic_orders, dtype=np.int64))
 
     @property
     def rank(self) -> int:
         return len(self.cyclic_orders)
 
     def elements(self) -> list[tuple[int, ...]]:
-        if not self.cyclic_orders:
-            return [()]
         return [tuple(int(v) for v in x) for x in np.ndindex(*self.cyclic_orders)]
 
     def index(self, x) -> int:
-        x = self.element(x)
-        if not self.cyclic_orders:
-            return 0
-        return int(np.ravel_multi_index(x, self.cyclic_orders))
+        return int(np.ravel_multi_index(self.element(x), self.cyclic_orders))
 
     def element(self, x) -> tuple[int, ...]:
         if isinstance(x, int) and self.rank == 1:
@@ -91,27 +93,22 @@ class FiniteAbelianGroup:
 
     def add_table(self) -> np.ndarray:
         """add_table[i, j] = index of element_i + element_j."""
-        if not self.cyclic_orders:
-            return np.zeros((1, 1), dtype=np.int64)
         coords = self.coords_matrix()
         orders = np.array(self.cyclic_orders, dtype=np.int64)
         sums = (coords[:, None, :] + coords[None, :, :]) % orders
         return np.ravel_multi_index(
-            tuple(sums[:, :, j] for j in range(self.rank)), self.cyclic_orders)
+            tuple(sums[:, :, j] for j in range(self.rank)),
+            self.cyclic_orders).reshape(self.size, self.size)
 
     def neg_table(self) -> np.ndarray:
-        if not self.cyclic_orders:
-            return np.zeros(1, dtype=np.int64)
         coords = self.coords_matrix()
         orders = np.array(self.cyclic_orders, dtype=np.int64)
         negs = (-coords) % orders
         return np.ravel_multi_index(
-            tuple(negs[:, j] for j in range(self.rank)), self.cyclic_orders)
+            tuple(negs[:, j] for j in range(self.rank)), self.cyclic_orders).reshape(self.size)
 
     def character_table(self) -> np.ndarray:
         """chi[a, x] = exp(2 pi i sum_j a_j x_j / n_j)."""
-        if not self.cyclic_orders:
-            return np.ones((1, 1), dtype=complex)
         coords = self.coords_matrix().astype(float)
         orders = np.array(self.cyclic_orders, dtype=float)
         phase = (coords / orders) @ coords.T
@@ -126,16 +123,12 @@ def dft(group: FiniteAbelianGroup, f) -> np.ndarray:
     arr = np.asarray(f, dtype=complex).reshape(-1)
     if arr.size != group.size:
         raise InvalidGhostSpace("function not defined on all group elements")
-    if not group.cyclic_orders:
-        return arr.copy()
     return np.fft.fftn(arr.reshape(group.cyclic_orders)).ravel()
 
 
 def idft(group: FiniteAbelianGroup, fhat) -> np.ndarray:
     """Inverse of ``dft``: f(x) = (1/|G|) sum fhat(chi) chi(x)."""
     arr = np.asarray(fhat, dtype=complex).reshape(-1)
-    if not group.cyclic_orders:
-        return arr.copy()
     return np.fft.ifftn(arr.reshape(group.cyclic_orders)).ravel()
 
 
@@ -182,23 +175,15 @@ def check_first_kind(group: FiniteAbelianGroup, u) -> FirstKindCheck:
     if np.max(u) > 1.0 + _UNIT_TOL:
         return fail(f"u exceeds 1 (max {np.max(u):.12g})")
     # the unit set must be a subgroup with u constant on its cosets
-    unit_idx = np.flatnonzero(u >= 1.0 - _UNIT_TOL)
-    elements = group.elements()
-    unit_set = set(int(i) for i in unit_idx)
+    unit = u >= 1.0 - _UNIT_TOL
+    idx = np.flatnonzero(unit)
     add = group.add_table()
-    for i in unit_idx:
-        for j in unit_idx:
-            if int(add[i, j]) not in unit_set:
-                return fail("{u = 1} is not closed under addition")
-    coset_constant = True
-    for i in unit_idx:
-        if np.max(np.abs(u[add[int(i)]] - u)) > _UNIT_TOL:
-            coset_constant = False
-            break
-    if not coset_constant:
+    if not np.all(unit[add[np.ix_(idx, idx)]]):
+        return fail("{u = 1} is not closed under addition")
+    if np.max(np.abs(u[add[idx]] - u)) > _UNIT_TOL:
         return fail("u is not constant on the cosets of {u = 1}")
-    subgroup = tuple(elements[int(i)] for i in sorted(unit_set))
-    return FirstKindCheck(True, None, dft_min, subgroup, True)
+    elements = group.elements()
+    return FirstKindCheck(True, None, dft_min, tuple(elements[i] for i in idx), True)
 
 
 @dataclass(frozen=True)
@@ -258,6 +243,8 @@ class MixedGhostSpace:
         mu = np.array(self.mu, dtype=float).reshape(-1)
         if u.size != self.group.size or mu.size != self.group.size:
             raise InvalidGhostSpace("u and mu must be defined on all group elements")
+        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(mu))):
+            raise InvalidGhostSpace("u and mu must be finite")
         if abs(u[0] - 1.0) > _UNIT_TOL or np.min(u) <= 0.0:
             raise InvalidGhostSpace("mixed structure needs u > 0 with u(0) = 1")
         neg = self.group.neg_table()
@@ -302,29 +289,29 @@ def _shift(group: FiniteAbelianGroup, arr: np.ndarray, by) -> np.ndarray:
                    axis=tuple(range(group.rank))).ravel()
 
 
+def _convolve(group: FiniteAbelianGroup, u, mu, x, y) -> GhostMeasure:
+    """delta_x * delta_y = (u(x) u(y) / u(x+y)) T_{x+y} mu."""
+    s = group.add(x, y)
+    coeff = float(u[group.index(x)]) * float(u[group.index(y)]) / float(u[group.index(s)])
+    return GhostMeasure(group, coeff * _shift(group, mu, s))
+
+
 def convolve_first(gs: GhostSpaceFirstKind, x, y) -> GhostMeasure:
-    """delta_x * delta_y = (u(x) u(y) / u(x+y)) delta_{x+y}."""
-    g = gs.group
-    xi, yi = g.index(x), g.index(y)
-    si = g.index(g.add(x, y))
-    w = np.zeros(g.size)
-    w[si] = float(gs.u[xi]) * float(gs.u[yi]) / float(gs.u[si])
-    return GhostMeasure(g, w)
+    """delta_x * delta_y = (u(x) u(y) / u(x+y)) delta_{x+y}: the mixed product at mu = delta_0."""
+    delta = np.zeros(gs.group.size)
+    delta[0] = 1.0
+    return _convolve(gs.group, gs.u, delta, x, y)
 
 
 def convolve_second(gs: GhostSpaceSecondKind, x, y) -> GhostMeasure:
-    """delta_x * delta_y = T_{x+y} mu."""
-    g = gs.group
-    return GhostMeasure(g, _shift(g, gs.mu, g.add(x, y)))
+    """delta_x * delta_y = T_{x+y} mu: the mixed product at u = 1."""
+    return _convolve(gs.group, np.ones(gs.group.size), gs.mu, x, y)
 
 
 def mixed_convolve(group: FiniteAbelianGroup, u, mu, x, y) -> GhostMeasure:
     """delta_x * delta_y = (u(x) u(y) / u(x+y)) T_{x+y} mu."""
     ms = MixedGhostSpace(group, u, mu)
-    xi, yi = group.index(x), group.index(y)
-    si = group.index(group.add(x, y))
-    coeff = float(ms.u[xi]) * float(ms.u[yi]) / float(ms.u[si])
-    return GhostMeasure(group, coeff * _shift(group, ms.mu, group.add(x, y)))
+    return _convolve(group, ms.u, ms.mu, x, y)
 
 
 def dim_first(gs: GhostSpaceFirstKind) -> float:
@@ -498,41 +485,33 @@ def check_associativity(structure, tol: float = 1e-11) -> AssociativityCheck:
 
     The extension of * to measures is the definitional double sum, evaluated
     in the two association orders; commutativity is checked on all pairs.
+    Every kind runs as the mixed product c(x,y) T_{x+y} mu: the second kind
+    at u = 1, the first kind at mu = delta_0, whose measure axis collapses to
+    the one point x + y + z.  The triples are taken one x at a time, so no
+    array is larger than |G|^3.
     """
+    if not isinstance(structure, (GhostSpaceFirstKind, GhostSpaceSecondKind, MixedGhostSpace)):
+        raise TypeError(f"cannot check associativity of {type(structure).__name__}")
     group = structure.group
     g = group.size
     add = group.add_table()
-
+    u = np.ones(g) if isinstance(structure, GhostSpaceSecondKind) else structure.u
+    c = (u[:, None] * u[None, :]) / u[add]
     if isinstance(structure, GhostSpaceFirstKind):
-        u = structure.u
-        c = (u[:, None] * u[None, :]) / u[add]
-        lhs = c[:, :, None] * c[add, :]
-        rhs = c[None, :, :] * c[:, add]
-        assoc = float(np.max(np.abs(lhs - rhs)))
-        comm = float(np.max(np.abs(c - c.T)))
-        return AssociativityCheck(assoc <= tol and comm <= tol, assoc, comm, g ** 3)
-
-    if isinstance(structure, (GhostSpaceSecondKind, MixedGhostSpace)):
-        mu = structure.mu
-        neg = group.neg_table()
-        shift_mu = mu[add[neg, :]]           # shift_mu[s, w] = mu(w - s)
-        P = shift_mu[add, :]                 # P[w, z, t] = mu(t - w - z)
-        if isinstance(structure, MixedGhostSpace):
-            u = structure.u
-            c = (u[:, None] * u[None, :]) / u[add]
-        else:
-            c = np.ones((g, g))
+        shift_mu = np.ones((g, 1))  # T_s delta_0 on its one-point axis t = s
+        lhs_core, rhs_core = c[:, :, None], c.T[:, :, None]
+    else:
+        shift_mu = structure.mu[add[group.neg_table(), :]]  # shift_mu[s, w] = mu(w - s)
+        P = shift_mu[add, :]                                # P[w, z, t] = mu(t - w - z)
         lhs_core = np.einsum("aw,wz,wzt->azt", shift_mu, c, P)
         rhs_core = np.einsum("bw,xw,wxt->bxt", shift_mu, c, P)
-        lhs = c[:, :, None, None] * lhs_core[add]
-        rhs = c[None, :, :, None] * np.transpose(rhs_core[add], (2, 0, 1, 3))
-        assoc = float(np.max(np.abs(lhs - rhs)))
-        pair_l = c[:, :, None] * shift_mu[add]
-        pair_r = np.transpose(pair_l, (1, 0, 2))
-        comm = float(np.max(np.abs(pair_l - pair_r)))
-        return AssociativityCheck(assoc <= tol and comm <= tol, assoc, comm, g ** 3)
-
-    raise TypeError(f"cannot check associativity of {type(structure).__name__}")
+    # lhs[y, z, t] = c(x, y) lhs_core[x+y, z, t], rhs[y, z, t] = c(y, z) rhs_core[y+z, x, t]
+    assoc = float(np.max([np.max(np.abs(c[x, :, None, None] * lhs_core[add[x]]
+                                        - c[:, :, None] * rhs_core[:, x][add]))
+                          for x in range(g)]))
+    pair = c[:, :, None] * shift_mu[add]
+    comm = float(np.max(np.abs(pair - np.transpose(pair, (1, 0, 2)))))
+    return AssociativityCheck(assoc <= tol and comm <= tol, assoc, comm, g ** 3)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,12 @@ def test_sub_trivial_identities():
     K = canonical_divisor(QI)
     assert degree(sub(K, zero_divisor(QI))) == degree(K)
     assert degree(sub(K, K)) == 0.0
+    # a prime listed twice: its exponents add up on both sides of the difference
+    D = divisor_from_primes(QI, [(P, 1), (P, 2)], [0.0])
+    assert sub(D, zero_divisor(QI)).ideal() == D.ideal()
+    assert degree(sub(D, zero_divisor(QI))) == pytest.approx(degree(D), abs=1e-14)
+    assert sub(D, D).primes == ()
+    assert degree(sub(D, D)) == 0.0
 
 
 def test_h0_rational_zero_divisor():
@@ -354,6 +360,9 @@ def test_load_divisor_errors():
         load_divisor(QI, {"infinite": [0.0], "finite": [{"p": 3}]})
     with pytest.raises(InvalidDivisor):
         load_divisor(QI, {"finite": []})
-    for t in (math.nan, math.inf, -math.inf):
+    # non-finite x_sigma, and x_sigma whose metric weight exp(-2 x) (real place)
+    # or 2 exp(-x) (complex place) overflows or underflows to 0
+    for fld, t in [(QI, math.nan), (QI, math.inf), (QI, -math.inf),
+                   (QI, 800.0), (QI, -800.0), (Q, 400.0), (Q, -400.0)]:
         with pytest.raises(InvalidDivisor, match="finite"):
-            load_divisor(QI, {"finite": [], "infinite": [t]})
+            load_divisor(fld, {"finite": [], "infinite": [t]})

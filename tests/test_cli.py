@@ -140,10 +140,18 @@ def test_bad_budget_is_a_usage_error(files, capsys, budget):
         assert "--budget" in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("value", [math.nan, math.inf])
-def test_non_finite_infinite_component_is_invalid(files, capsys, value):
+@pytest.mark.parametrize("field, value", [
+    pytest.param("rational", math.nan, id="nan"),
+    pytest.param("rational", math.inf, id="inf"),
+    # the metric weight exp(-2 x) or 2 exp(-x) overflows or underflows to 0
+    pytest.param("rational", 400.0, id="q-400"),
+    pytest.param("rational", -400.0, id="q-minus-400"),
+    pytest.param("gaussian", 800.0, id="qi-800"),
+    pytest.param("gaussian", -800.0, id="qi-minus-800"),
+])
+def test_non_finite_infinite_component_is_invalid(files, capsys, field, value):
     div = files["write"]("divnf.json", {"finite": [], "infinite": [value]})  # NaN, Infinity
-    code, out, err = run(capsys, ["h0", "--field", files["rational"], "--divisor", div])
+    code, out, err = run(capsys, ["h0", "--field", files[field], "--divisor", div])
     assert code == 2
     assert out == ""
     assert "InvalidDivisor" in err
@@ -198,6 +206,8 @@ def test_zeta_sweep_usage_errors(files, capsys):
     assert run(capsys, ["zeta-sweep", "--s", "spam"])[0] == 2
     for argv in (["--t-min", "nan"], ["--t-max", "inf"]):
         assert run(capsys, ["zeta-sweep", "--steps", "3"] + argv)[:2] == (1, "")
+    # finite, but exp(-2 t) overflows: an invalid divisor, not a traceback
+    assert run(capsys, ["zeta-sweep", "--steps", "3", "--t-min", "-400"])[:2] == (2, "")
     for s in ("nan", "inf", "1+nanj"):
         for fmt in ("json", "csv"):
             code, out, err = run(capsys, ["zeta-sweep", "--steps", "3", "--s", s,

@@ -4,6 +4,7 @@ import cmath
 import itertools
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,6 +89,15 @@ def test_check_first_kind_named_failures():
     assert "u(0)" in check_first_kind(Z2, [0.9, 0.5]).failing_invariant
     assert "positive" in check_first_kind(Z2, [1.0, -0.5]).failing_invariant
     assert "even" in check_first_kind(Z3, [1.0, 0.5, 0.6]).failing_invariant
+    # positive-definite only up to the 1e-12 tolerances: {u = 1} = {0, 1, 3} on Z/4
+    unit, near = 1.0 - 0.5e-12, 1.0 - 1.8e-12
+    assert "closed" in check_first_kind(Z4, [1.0, unit, near, unit]).failing_invariant
+    # on Z/15, u lifted from Z/5 plus 6.2e-13 of cos(2 pi x / 15): {u = 1} = <5>
+    # within 1e-12, but u(x + 5) - u(x) reaches 1.07e-12
+    x = np.arange(15)
+    u = (1.0 - 6.2e-13) * np.where(x % 5 == 0, 1.0, 0.3) + 6.2e-13 * np.cos(2 * math.pi * x / 15)
+    report = check_first_kind(FiniteAbelianGroup((15,)), u)
+    assert "cosets" in report.failing_invariant and not report.coset_constant
 
 
 def test_first_kind_constructor_validates():
@@ -208,6 +218,20 @@ def test_sub_quotient_full_group():
     sq = sub_quotient_first(Z4, [1.0, 0.5, 1.0, 0.5], [(1,)])
     assert sq.quotient_group.cyclic_orders == ()
     assert sq.space.u.tolist() == [1.0]
+    # the trivial group Z^0 = {()} goes through the same code as any other
+    trivial = sq.quotient_group
+    assert trivial.size == 1 and trivial.elements() == [()] and trivial.index(()) == 0
+    assert trivial.add_table().tolist() == [[0]]
+    assert trivial.neg_table().tolist() == [0]
+    assert trivial.character_table().tolist() == [[1.0 + 0.0j]]
+    assert dft(trivial, [0.25]).tolist() == [0.25 + 0.0j]
+    assert idft(trivial, [0.25]).tolist() == [0.25 + 0.0j]
+    report = check_first_kind(trivial, [1.0])
+    assert report.passed and report.unit_subgroup == ((),)
+    for structure in (sq.space, GhostSpaceSecondKind(trivial, [1.0])):
+        assoc = check_associativity(structure)
+        assert assoc.passed and assoc.triples_checked == 1
+        assert assoc.max_associativity_defect == 0.0
 
 
 def test_sub_quotient_z4_example():
@@ -417,6 +441,26 @@ def test_associativity_mixed_compatible():
     assert report.passed
 
 
+def random_mixed_pair(rng, group):
+    """Even u > 0 with u(0) = 1 and an even probability measure mu, unrelated."""
+    neg = group.neg_table()
+    u = np.array([rng.uniform(0.1, 1.0) for _ in range(group.size)])
+    u[0] = 1.0
+    mu = np.array([rng.uniform(0.0, 1.0) for _ in range(group.size)])
+    mu = 0.5 * (mu + mu[neg])
+    return MixedGhostSpace(group, 0.5 * (u + u[neg]), mu / mu.sum())
+
+
+def structure_tensor_defects(ms):
+    """Defects from K[x, y] = delta_x * delta_y, the structure tensor of the product."""
+    elements = ms.group.elements()
+    K = np.array([[mixed_convolve(ms.group, ms.u, ms.mu, x, y).weights for y in elements]
+                  for x in elements])
+    lhs = np.einsum("xyw,wzt->xyzt", K, K)  # (dx * dy) * dz
+    rhs = np.einsum("yzw,xwt->xyzt", K, K)  # dx * (dy * dz)
+    return np.max(np.abs(lhs - rhs)), np.max(np.abs(K - np.transpose(K, (1, 0, 2))))
+
+
 def test_associativity_mixed_incompatible_pair_reports_defect():
     # for mu not supported where u is translation invariant the combined
     # convolution genuinely fails associativity; the check must say so
@@ -424,6 +468,39 @@ def test_associativity_mixed_incompatible_pair_reports_defect():
     report = check_associativity(ms)
     assert not report.passed
     assert report.max_associativity_defect == pytest.approx(9 / 64, abs=1e-12)
+    rng = random.Random(71)
+    for orders in ((2, 4), (6,), (3, 3)):
+        ms = random_mixed_pair(rng, FiniteAbelianGroup(orders))
+        report = check_associativity(ms)
+        assoc, comm = structure_tensor_defects(ms)
+        assert not report.passed
+        assert abs(report.max_associativity_defect - assoc) <= 1e-15
+        assert abs(report.max_commutativity_defect - comm) <= 1e-15
+
+
+def test_associativity_memory_stays_cubic():
+    # |G| = 48: one |G|^3 float array is 0.9 MB, a |G|^4 one 42 MB
+    group = FiniteAbelianGroup((4, 12))
+    rng = random.Random(12)
+    gs = random_first_kind(rng, group.cyclic_orders)
+    for structure in (quotient_by_ghost(group, gs.u), random_mixed_pair(rng, group)):
+        tracemalloc.start()
+        try:
+            report = check_associativity(structure)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert report.triples_checked == 48 ** 3
+        assert peak < 16 * 2**20
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_mixed_constructor_rejects_non_finite(bad):
+    u = [1.0, bad, 0.5, bad]
+    with pytest.raises(InvalidGhostSpace, match="finite"):
+        MixedGhostSpace(Z4, u, [0.4, 0.2, 0.2, 0.2])
+    with pytest.raises(InvalidGhostSpace, match="finite"):
+        MixedGhostSpace(Z4, [1.0, 0.5, 0.5, 0.5], [0.4, bad, 0.2, bad])
 
 
 def test_load_ghost_descriptor():
