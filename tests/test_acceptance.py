@@ -222,43 +222,42 @@ def test_criterion_6_oracle_equivalence():
            f"{worst:.2e}; effectivity_v(0.5) = {v_half:.6f}")
 
 
+# the determinism battery: descriptor files, and argv with {name} standing
+# for the path of file name; tests/golden holds its stdout and exit codes
+BATTERY_FILES = {
+    "q": {"type": "rational"},
+    "qi": {"type": "quadratic", "d": -1},
+    "f5m": {"type": "quadratic", "d": -5},
+    "div_q": {"finite": [], "infinite": [1.5]},
+    "div_qi": {"finite": [{"p": 2, "index": 0, "exponent": 1},
+                          {"p": 5, "index": 1, "exponent": -1}],
+               "infinite": [0.4]},
+    "div_f5m": {"finite": [{"p": 3, "index": 0, "exponent": 2}], "infinite": [-0.7]},
+    "ghost": {"cyclic_orders": [2, 4], "u": [1.0, 0.5, 0.8, 0.5, 1.0, 0.5, 0.8, 0.5]},
+}
+BATTERY = [
+    ["field-info", "--field", "{qi}"],
+    ["verify", "--field", "{q}", "--divisor", "{div_q}", "--tol", "1e-8"],
+    ["verify", "--field", "{qi}", "--divisor", "{div_qi}", "--tol", "1e-8"],
+    ["verify", "--field", "{f5m}", "--divisor", "{div_f5m}", "--tol", "1e-8"],
+    ["zeta-sweep", "--s", "0.5", "--t-min", "-3", "--t-max", "3",
+     "--steps", "7", "--format", "csv"],
+    ["ghost", "check", "{ghost}"],
+    ["ghost", "dual", "{ghost}"],
+    ["ghost", "quotient", "{ghost}", "--subgroup", "1,0"],
+    ["ghost", "assoc", "{ghost}"],
+]
+
+
 def run_cli_battery(tmp_path, capsys):
     paths = {}
-
-    def write(name, obj):
-        p = tmp_path / name
-        p.write_text(json.dumps(obj))
-        return str(p)
-
-    paths["q"] = write("q.json", {"type": "rational"})
-    paths["qi"] = write("qi.json", {"type": "quadratic", "d": -1})
-    paths["f5m"] = write("f5m.json", {"type": "quadratic", "d": -5})
-    paths["div_q"] = write("divq.json", {"finite": [], "infinite": [1.5]})
-    paths["div_qi"] = write("divqi.json", {
-        "finite": [{"p": 2, "index": 0, "exponent": 1},
-                   {"p": 5, "index": 1, "exponent": -1}],
-        "infinite": [0.4]})
-    paths["div_f5m"] = write("divf5m.json", {
-        "finite": [{"p": 3, "index": 0, "exponent": 2}], "infinite": [-0.7]})
-    paths["ghost"] = write("ghost.json", {"cyclic_orders": [2, 4],
-                                          "u": [1.0, 0.5, 0.8, 0.5,
-                                                1.0, 0.5, 0.8, 0.5]})
-    battery = [
-        ["field-info", "--field", paths["qi"]],
-        ["verify", "--field", paths["q"], "--divisor", paths["div_q"], "--tol", "1e-8"],
-        ["verify", "--field", paths["qi"], "--divisor", paths["div_qi"], "--tol", "1e-8"],
-        ["verify", "--field", paths["f5m"], "--divisor", paths["div_f5m"], "--tol", "1e-8"],
-        ["zeta-sweep", "--s", "0.5", "--t-min", "-3", "--t-max", "3",
-         "--steps", "7", "--format", "csv"],
-        ["ghost", "check", paths["ghost"]],
-        ["ghost", "dual", paths["ghost"]],
-        ["ghost", "quotient", paths["ghost"], "--subgroup", "1,0"],
-        ["ghost", "assoc", paths["ghost"]],
-    ]
+    for name, obj in BATTERY_FILES.items():
+        paths[name] = tmp_path / f"{name}.json"
+        paths[name].write_text(json.dumps(obj))
     outputs = []
     codes = []
-    for argv in battery:
-        codes.append(cli_main(argv))
+    for argv in BATTERY:
+        codes.append(cli_main([arg.format(**paths) for arg in argv]))
         outputs.append(capsys.readouterr().out.encode())
     return codes, outputs
 
