@@ -18,11 +18,13 @@ from __future__ import annotations
 import cmath
 import json
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationFailed, InvalidDivisor, UnsupportedField
+from .errors import (CertificationFailed, EnumerationBudgetExceeded, InvalidDivisor,
+                     UnsupportedField)
 from .lattice import DEFAULT_BUDGET, theta_sum
 from .numfield import (
     FractionalIdeal,
@@ -57,9 +59,9 @@ class ArakelovDivisor:
             weights = infinite_weights(self.field, self.infinite)
         except OverflowError:  # exp(-2 x_sigma) beyond the float range
             weights = [math.inf]
-        if not all(0.0 < w < math.inf for w in weights):
+        if not all(sys.float_info.min <= w < math.inf for w in weights):  # subnormal: inexact
             raise InvalidDivisor(f"infinite components {self.infinite} give metric weights "
-                                 "that are not positive finite floats")
+                                 "that are not normal positive finite floats")
         if self.primes is not None:
             for _, e in self.primes:
                 if not isinstance(e, int):
@@ -140,7 +142,11 @@ def _theta_of_divisor(D: ArakelovDivisor, log_tol: float, budget: int, center=No
     an absolute one in a single pass.
     """
     lat = embed_ideal(D.field, D.ideal(), D.infinite)
-    theta_floor = max(1.0, 1.0 / lat.covolume)
+    try:
+        theta_floor = math.exp(max(0.0, -lat.log_covolume))
+    except OverflowError:  # terms are <= 1: more points than a float can count
+        raise EnumerationBudgetExceeded(
+            f"lattice of covolume exp({lat.log_covolume:.6g}) has over 1e308 points") from None
     abs_tol = 0.5 * log_tol * theta_floor
     res = theta_sum(lat.gram, center, abs_tol, budget=budget)
     return res, lat

@@ -6,7 +6,7 @@ class ArithcohError(Exception):
 
 
 class NotPositiveDefinite(ArithcohError):
-    """A Gram matrix failed Cholesky factorization (pivot <= 0).
+    """A Gram matrix failed Cholesky factorization.
 
     Signals an invalid metric or an ideal basis that is not full rank.
     """

@@ -30,7 +30,6 @@ from .errors import (
 DEFAULT_BUDGET = 10**8
 
 _SYM_RTOL = 1e-12
-_LATTICE_RTOL = 1e-10
 # relative slack on the enumeration boundary; the tail bound is evaluated at
 # R*(1 - 2*slack) so points lost to roundoff at the boundary stay covered
 _BOUNDARY_SLACK = 1e-9
@@ -50,24 +49,24 @@ def _as_matrix(gram) -> np.ndarray:
 
 
 def cholesky(gram) -> np.ndarray:
-    """Lower-triangular L with L L^T = gram.
+    """Lower-triangular L with L L^T = gram, from LAPACK's potrf.
 
-    Raises NotPositiveDefinite as soon as a pivot fails to be > 0, which is
-    how invalid metrics and rank-deficient ideal bases surface.
+    Raises NotPositiveDefinite when gram is not a square matrix or the
+    factorization fails or leaves a non-finite entry, which is how invalid
+    metrics and rank-deficient ideal bases surface.
     """
-    g = _as_matrix(gram)
-    n = g.shape[0]
-    L = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1):
-            s = g[i, j] - float(np.dot(L[i, :j], L[j, :j]))
-            if i == j:
-                if s <= 0.0:
-                    raise NotPositiveDefinite(f"Cholesky pivot {i} is {s:.6e} <= 0")
-                L[i, i] = math.sqrt(s)
-            else:
-                L[i, j] = s / L[j, j]
+    try:
+        L = np.linalg.cholesky(_as_matrix(gram))
+    except np.linalg.LinAlgError as exc:
+        raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from None
+    if not np.all(np.isfinite(L)):
+        raise NotPositiveDefinite("Cholesky factor has a non-finite entry")
     return L
+
+
+def _log_covolume(L: np.ndarray) -> float:
+    """log sqrt(det G) = sum of log L_ii, for the Cholesky factor L of G."""
+    return math.fsum(math.log(d) for d in np.diag(L).tolist())
 
 
 @dataclass(frozen=True)
@@ -105,38 +104,28 @@ class EmbeddedLattice:
     """A full-rank lattice given by basis row vectors in a metrized R^n.
 
     The coordinates already absorb the metric, so the plain dot product of
-    two basis rows is their inner product and gram = basis @ basis.T.
+    two basis rows is their inner product and gram = basis @ basis.T.  The
+    covolume is kept as its log, the sum of log diag of the Cholesky factor:
+    a divisor metric scales it by exp(-deg D), which leaves the float range
+    long before the metric does.
     """
 
     basis: np.ndarray
-    gram: GramMatrix
-    covolume: float
+    gram: GramMatrix = field(init=False)
+    log_covolume: float = field(init=False)
 
     def __post_init__(self):
         b = np.array(self.basis, dtype=float)
-        g = self.gram.entries
-        if b.shape != g.shape:
-            raise NotPositiveDefinite("basis and Gram matrix shapes disagree")
-        scale = float(np.max(np.abs(g)))
-        if float(np.max(np.abs(b @ b.T - g))) > _LATTICE_RTOL * scale:
-            raise NotPositiveDefinite("Gram matrix does not match basis inner products")
-        vol = math.sqrt(float(np.linalg.det(g)))
-        if abs(vol - self.covolume) > _LATTICE_RTOL * vol:
-            raise NotPositiveDefinite("covolume does not equal sqrt(det(gram))")
+        if b.ndim != 2 or b.shape[0] != b.shape[1]:
+            raise NotPositiveDefinite("lattice basis must be a square matrix")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
+        object.__setattr__(self, "gram", GramMatrix(b @ b.T))
+        object.__setattr__(self, "log_covolume", _log_covolume(self.gram.factor))
 
     @property
-    def n(self) -> int:
-        return self.gram.n
-
-    @classmethod
-    def from_basis(cls, basis) -> "EmbeddedLattice":
-        b = np.asarray(basis, dtype=float)
-        g = b @ b.T
-        g = 0.5 * (g + g.T)
-        gram = GramMatrix(g)
-        return cls(basis=b, gram=gram, covolume=math.sqrt(float(np.linalg.det(gram.entries))))
+    def covolume(self) -> float:
+        return math.exp(self.log_covolume)
 
 
 @dataclass(frozen=True)
@@ -281,6 +270,11 @@ def _certified_lambda_min(L: np.ndarray) -> float:
     By Weyl's inequality, lambda_min(G) >= lambda_min(L L^T) - ||E||_2 =
     1 / ||L^-1||_2^2 - ||E||_2 >= (1 - r)^2 / N - 2(n+1)u ||L||_F^2.
 
+    L comes from LAPACK's potrf (OpenBLAS under numpy), and Thm 10.3 covers
+    its blocked order, FMA and reciprocal pivots: Lemma 8.4 holds for any
+    order of evaluation, an FMA only drops roundings, and a reciprocal adds
+    one rounding to an off-diagonal entry of row i < n, within gamma_{n+1}.
+
     Rounding margin: each norm above is a sum of products in which each
     term meets at most 2n^2 roundings, so its exact value is at most
     (1 + 8n^2 u) times the computed one.  The code moves every quantity,
@@ -339,10 +333,6 @@ def _log_tail(radius: float, log_per_dim: float, n: int) -> float:
     return -0.5 * math.pi * radius + n * log_per_dim
 
 
-def _ellipsoid_volume(n: int, radius: float, covolume: float) -> float:
-    return math.pi ** (n / 2.0) * radius ** (n / 2.0) / math.gamma(n / 2.0 + 1.0) / covolume
-
-
 def theta_sum(gram, center, tol: float,
               budget: int = DEFAULT_BUDGET) -> ThetaResult:
     """Gaussian theta sum over Z^n + center with tail certified below tol.
@@ -387,8 +377,9 @@ def theta_sum(gram, center, tol: float,
         radius *= 1.25
     else:
         raise ToleranceUnreachable(f"tail bound stalled at {tail:.3e} > tol {tol:.3e}")
-    covolume = float(np.prod(np.diag(L)))
-    if _ellipsoid_volume(n, radius, covolume) > 2.0 * budget:
+    # the expected point count, ellipsoid volume over covolume, in logs
+    log_points = 0.5 * n * math.log(math.pi * radius) - math.lgamma(0.5 * n + 1) - _log_covolume(L)
+    if log_points > math.log(2 * budget):  # an int budget may exceed the float range
         raise EnumerationBudgetExceeded(
             f"estimated point count exceeds the budget of {budget}")
     half = not c.any()
@@ -418,8 +409,7 @@ def dual_lattice(lat: EmbeddedLattice) -> EmbeddedLattice:
     The dual Gram matrix is the inverse of the original and the covolumes
     multiply to 1.
     """
-    dual_basis = np.linalg.inv(lat.basis).T
-    return EmbeddedLattice.from_basis(dual_basis)
+    return EmbeddedLattice(np.linalg.inv(lat.basis).T)
 
 
 def lll_reduce_rows(basis, delta: float = 0.75) -> np.ndarray:
@@ -436,8 +426,8 @@ def lll_reduce_rows(basis, delta: float = 0.75) -> np.ndarray:
         return b
 
     def gso(mat):
-        star = mat.astype(float).copy()
-        mu = np.zeros((n, n))
+        star = mat.copy()
+        mu = np.eye(n)
         norms = np.zeros(n)
         for i in range(n):
             for j in range(i):
@@ -454,8 +444,9 @@ def lll_reduce_rows(basis, delta: float = 0.75) -> np.ndarray:
         for j in range(k - 1, -1, -1):
             q = round(mu[k, j])
             if q:
+                # b* stays; row k of mu moves by q times row j (unit diagonal)
                 b[k] = b[k] - q * b[j]
-                mu, norms = gso(b)
+                mu[k, :j + 1] -= q * mu[j, :j + 1]
         if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:

@@ -441,12 +441,12 @@ def embed_ideal(fld: NumberFieldDescriptor, I: FractionalIdeal, x_inf) -> Embedd
     """
     w = infinite_weights(fld, x_inf)
     coords = np.array([[float(x) for x in row] for row in I.basis_rows()])
-    basis = lll_reduce_rows((coords @ fld.integral_basis_embeddings) * np.sqrt(w))
-    lat = EmbeddedLattice.from_basis(basis)
-    expected = float(I.norm()) * math.sqrt(fld.abs_discriminant) * \
-        math.exp(-math.fsum(float(t) for t in x_inf))
-    if abs(lat.covolume - expected) > 1e-6 * expected:
+    lat = EmbeddedLattice(lll_reduce_rows((coords @ fld.integral_basis_embeddings) * np.sqrt(w)))
+    nrm = I.norm()
+    expected = math.log(nrm.numerator) - math.log(nrm.denominator) + \
+        0.5 * math.log(fld.abs_discriminant) - math.fsum(float(t) for t in x_inf)
+    if abs(lat.log_covolume - expected) > 1e-6:  # relative, in linear scale
         raise DescriptorInconsistent(
-            f"embedded covolume {lat.covolume:.12g} disagrees with "
-            f"N(I) sqrt(disc) exp(-sum x_sigma) = {expected:.12g}")
+            f"embedded log-covolume {lat.log_covolume:.12g} disagrees with "
+            f"log N(I) + (1/2) log(disc) - sum x_sigma = {expected:.12g}")
     return lat

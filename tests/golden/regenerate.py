@@ -36,6 +36,7 @@ import dataclasses
 import io
 import json
 import math
+import random
 import re
 import sys
 import tempfile
@@ -124,14 +125,14 @@ def _ghost(fields, inp):
     return out
 
 
-def _cli(fields, inp, workdir: Path):
-    paths = {}
-    for name, obj in inp["files"].items():
-        paths[name] = workdir / f"{name}.json"
-        paths[name].write_text(json.dumps(obj))
+def _cli(fields, inp):
     out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
-        code = cli_main([arg.format(**paths) for arg in inp["argv"]])
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.json" for name in inp["files"]}
+        for name, obj in inp["files"].items():
+            paths[name].write_text(json.dumps(obj))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = cli_main([arg.format(**paths) for arg in inp["argv"]])
     return {"code": code, "stdout": out.getvalue()}
 
 
@@ -139,11 +140,9 @@ def outputs(corpus: dict, family: str) -> list:
     """The outputs the current code gives for the family's stored inputs."""
     fields = {label: make_field(spec) for label, spec in corpus["fields"].items()}
     compute = {"h": _h, "zeta": _zeta, "ghost": _ghost, "cli": _cli}[family]
-    with tempfile.TemporaryDirectory() as tmp:
-        extra = (Path(tmp),) if family == "cli" else ()
-        # through JSON, so tuples and lists compare as the stored form does
-        return [json.loads(json.dumps(_encode(compute(fields, rec["in"], *extra))))
-                for rec in corpus[family]]
+    # through JSON, so tuples and lists compare as the stored form does
+    return [json.loads(json.dumps(_encode(compute(fields, rec["in"]))))
+            for rec in corpus[family]]
 
 
 def load() -> dict:
@@ -195,8 +194,9 @@ def _leaf_delta(a, b) -> float:
     if x is not None and y is not None:
         return abs(x - y)
     if isinstance(a, str) and isinstance(b, str) and _NUMBER.split(a) == _NUMBER.split(b):
-        return max(abs(float(s) - float(t))
-                   for s, t in zip(_NUMBER.findall(a), _NUMBER.findall(b)))
+        return max((abs(float(s) - float(t))
+                    for s, t in zip(_NUMBER.findall(a), _NUMBER.findall(b)) if s != t),
+                   default=0.0)
     return math.inf
 
 
@@ -232,8 +232,6 @@ def diff(old: dict, new: dict) -> list[str]:
 def draw() -> dict:
     """Fresh inputs: seed-1 bench divisors, conftest fields and groups, the
     acceptance battery."""
-    import random
-
     for path in (ROOT, ROOT / "tests"):
         if str(path) not in sys.path:
             sys.path.insert(0, str(path))

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from arithcoh.arakelov import (
@@ -24,8 +25,14 @@ from arithcoh.arakelov import (
     zeta_integrand_sweep,
 )
 from arithcoh import arakelov
-from arithcoh.errors import CertificationFailed, InvalidDivisor, UnsupportedField
-from arithcoh.lattice import DEFAULT_BUDGET, ThetaResult
+from arithcoh.errors import (
+    ArithcohError,
+    CertificationFailed,
+    DescriptorInconsistent,
+    InvalidDivisor,
+    UnsupportedField,
+)
+from arithcoh.lattice import DEFAULT_BUDGET, ThetaResult, theta_sum
 from arithcoh.numfield import (
     embed_ideal,
     ideal_inv,
@@ -361,8 +368,33 @@ def test_load_divisor_errors():
     with pytest.raises(InvalidDivisor):
         load_divisor(QI, {"finite": []})
     # non-finite x_sigma, and x_sigma whose metric weight exp(-2 x) (real place)
-    # or 2 exp(-x) (complex place) overflows or underflows to 0
+    # or 2 exp(-x) (complex place) overflows, underflows to 0 or is subnormal
     for fld, t in [(QI, math.nan), (QI, math.inf), (QI, -math.inf),
-                   (QI, 800.0), (QI, -800.0), (Q, 400.0), (Q, -400.0)]:
+                   (QI, 800.0), (QI, -800.0), (Q, 400.0), (Q, -400.0),
+                   (QI, 745.0), (Q, 355.0)]:
         with pytest.raises(InvalidDivisor, match="finite"):
             load_divisor(fld, {"finite": [], "infinite": [t]})
+
+
+@pytest.mark.parametrize("field, xs", [
+    ("qi", [700.0]), ("qi", [709.0]), ("qi", [-700.0]), ("qi", [745.0]),
+    ("zeta8", [340.0, 340.0]), ("zeta8", [-340.0, -340.0]),
+    ("zeta8", [700.0, 700.0]), ("zeta8", [-700.0, -700.0]),
+    ("theta", None),
+], ids=["qi+700", "qi+709", "qi-700", "qi+745", "zeta8+340", "zeta8-340",
+        "zeta8+700", "zeta8-700", "theta"])
+def test_extreme_metrics_give_a_value_or_a_typed_error(field, xs):
+    # the covolume exp(-sum x_sigma) sqrt(disc) leaves the float range here,
+    # the metric does not (745 makes a subnormal weight): each input must give
+    # h0 or an ArithcohError that is not about the field descriptor
+    try:
+        if field == "theta":
+            value = theta_sum(1e-300 * np.eye(4), None, 1e-9, budget=10**6).value
+        else:
+            fld = QI if field == "qi" else make_field(zeta8_descriptor())
+            value = h0(divisor_from_primes(fld, (), xs), budget=10**6).value
+    except DescriptorInconsistent as exc:
+        pytest.fail(f"a valid field is blamed: {exc}")
+    except ArithcohError:
+        return
+    assert math.isfinite(value) and value >= 0.0

@@ -49,6 +49,15 @@ def test_cholesky_rejects_indefinite():
         cholesky([[1.0, 2.0], [2.0, 4.0]])
 
 
+def test_non_finite_gram_is_not_positive_definite():
+    for bad in (math.inf, math.nan):
+        g = [[bad]]
+        for attempt in (lambda: theta_sum(g, None, 1e-9), lambda: GramMatrix(np.array(g)),
+                        lambda: cholesky([[1.0, 0.0], [bad, 1.0]])):
+            with pytest.raises(NotPositiveDefinite):
+                attempt()
+
+
 def test_gram_matrix_validation():
     with pytest.raises(NotPositiveDefinite):
         GramMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]))
@@ -144,6 +153,9 @@ def test_theta_uses_the_factor_of_a_gram_matrix(monkeypatch):
 def test_theta_budget_exceeded_on_flat_metric():
     with pytest.raises(EnumerationBudgetExceeded):
         theta_sum([[1e-10]], [0.0], 1e-9, budget=1000)
+    # a budget beyond the float range is no limit, not an OverflowError
+    unlimited = theta_sum([[1.0]], None, 1e-9, budget=10**400)
+    assert unlimited == theta_sum([[1.0]], None, 1e-9)
 
 
 def test_theta_oracle_equivalence_randomized():
@@ -188,11 +200,11 @@ def test_theta_deterministic():
 
 
 def test_dual_lattice_examples():
-    one = EmbeddedLattice.from_basis(np.array([[1.0]]))
+    one = EmbeddedLattice(np.array([[1.0]]))
     assert dual_lattice(one).gram.entries[0, 0] == pytest.approx(1.0)
-    two = EmbeddedLattice.from_basis(np.array([[2.0]]))
+    two = EmbeddedLattice(np.array([[2.0]]))
     assert dual_lattice(two).gram.entries[0, 0] == pytest.approx(0.25)
-    skew = EmbeddedLattice.from_basis(cholesky([[2.0, 1.0], [1.0, 2.0]]))
+    skew = EmbeddedLattice(cholesky([[2.0, 1.0], [1.0, 2.0]]))
     dual = dual_lattice(skew)
     inv = np.linalg.inv([[2.0, 1.0], [1.0, 2.0]])
     assert np.max(np.abs(dual.gram.entries - inv)) < 1e-12
@@ -203,7 +215,7 @@ def test_dual_lattice_involution_and_covolume():
     rng = random.Random(11)
     for _ in range(25):
         g = random_pd_gram(rng, 2)
-        lat = EmbeddedLattice.from_basis(cholesky(g))
+        lat = EmbeddedLattice(cholesky(g))
         dual = dual_lattice(lat)
         assert abs(dual.covolume * lat.covolume - 1.0) < 1e-9
         back = dual_lattice(dual)
@@ -212,10 +224,13 @@ def test_dual_lattice_involution_and_covolume():
 
 
 def test_embedded_lattice_validation():
-    with pytest.raises(NotPositiveDefinite):
-        EmbeddedLattice(basis=np.eye(2), gram=GramMatrix(2.0 * np.eye(2)), covolume=1.0)
-    with pytest.raises(NotPositiveDefinite):
-        EmbeddedLattice(basis=np.eye(2), gram=GramMatrix(np.eye(2)), covolume=3.0)
+    # gram and covolume derive from the basis, so only the basis can be invalid
+    for basis in ([1.0, 2.0], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]], [[1.0, 2.0], [2.0, 4.0]]):
+        with pytest.raises(NotPositiveDefinite):
+            EmbeddedLattice(np.array(basis))
+    lat = EmbeddedLattice(np.array([[2.0, 0.0], [1.0, 3.0]]))
+    assert lat.log_covolume == pytest.approx(math.log(6.0), abs=1e-15)
+    assert lat.covolume == pytest.approx(6.0, rel=1e-15)
 
 
 def _below_lambda_min_2x2(g, lam) -> bool:
