@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import (CertificationFailed, EnumerationBudgetExceeded, InvalidDivisor,
                      UnsupportedField)
+from .intmat import exact_int
 from .lattice import DEFAULT_BUDGET, theta_sum
 from .numfield import (
     FractionalIdeal,
@@ -233,9 +234,16 @@ def verify_duality(D: ArakelovDivisor, tol: float = 1e-9, budget: int = DEFAULT_
     numbers and a second pair of enumerations would only repeat them.  Each
     is a theta sum over its own lattice: h0(K - D) taken from h0(D), e.g. by
     Poisson summation, would make the identity hold by construction.
+
+    The ideal I of D is built once.  K has the ideal d^-1, so K - D has the
+    ideal (d I)^-1, with d the descriptor's own different rather than the
+    field's O^v: a descriptor whose different is wrong must still break the
+    identity.
     """
-    a = h0(D, tol / 4.0, budget)
-    b = h0(sub(canonical_divisor(D.field), D), tol / 4.0, budget)
+    F, I = D.field, D.ideal()
+    a = h0(divisor_from_ideal(F, I, D.infinite), tol / 4.0, budget)
+    b = h0(divisor_from_ideal(F, ideal_inv(ideal_mul(F.different, I)),
+                              [0.0 - x for x in D.infinite]), tol / 4.0, budget)
     lhs = a.value - b.value
     rhs = degree(D) - 0.5 * math.log(D.field.abs_discriminant)
     rr_delta = abs(lhs - rhs)
@@ -302,8 +310,8 @@ def load_divisor(fld: NumberFieldDescriptor, obj: dict) -> ArakelovDivisor:
             raise InvalidDivisor("explicit finite part needs an 'ideal' entry")
         spec = finite["ideal"]
         try:
-            rows = [[int(x) for x in row] for row in spec["numerator_basis"]]
-            den = int(spec.get("denominator", 1))
+            rows = [[exact_int(x) for x in row] for row in spec["numerator_basis"]]
+            den = exact_int(spec.get("denominator", 1))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidDivisor(f"malformed ideal basis: {exc}") from exc
         if den <= 0:
@@ -315,9 +323,9 @@ def load_divisor(fld: NumberFieldDescriptor, obj: dict) -> ArakelovDivisor:
     terms = []
     for entry in finite:
         try:
-            p = int(entry["p"])
-            index = int(entry.get("index", 0))
-            e = int(entry["exponent"])
+            p = exact_int(entry["p"])
+            index = exact_int(entry.get("index", 0))
+            e = exact_int(entry["exponent"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidDivisor(f"malformed prime term: {exc}") from exc
         try:

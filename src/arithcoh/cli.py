@@ -185,11 +185,16 @@ def _cmd_zeta_sweep(args) -> int:
 
 
 def _parse_generators(text: str) -> list[tuple[int, ...]]:
+    """argparse type of --subgroup: ';'-separated generators of ','-separated ints."""
     gens = []
     for part in text.split(";"):
         part = part.strip()
         if part:
-            gens.append(tuple(int(tok) for tok in part.split(",")))
+            try:
+                gens.append(tuple(int(tok) for tok in part.split(",")))
+            except ValueError:
+                raise argparse.ArgumentTypeError(
+                    f"generators must be integers like '2' or '1,0;0,3', not {text!r}") from None
     return gens
 
 
@@ -234,8 +239,7 @@ def _cmd_ghost(args) -> int:
     if args.action == "quotient":
         if not isinstance(structure, ghost.GhostSpaceFirstKind):
             raise InvalidGhostSpace("subquotients are implemented for first-kind descriptors")
-        gens = _parse_generators(args.subgroup or "")
-        sq = ghost.sub_quotient_first(structure.group, structure.u, gens)
+        sq = ghost.sub_quotient_first(structure.group, structure.u, args.subgroup)
         # dimension additivity with the counting measures: dim G_u = dim H_u + dim (G/H)_v
         dim_h = math.log(math.fsum(
             float(structure.u[structure.group.index(x)]) for x in sq.subgroup))
@@ -243,7 +247,7 @@ def _cmd_ghost(args) -> int:
                        - ghost.dim_first(sq.space)) <= 1e-12
         _emit({
             "command": "ghost-quotient", "inputs": inputs,
-            "subgroup_generators": args.subgroup or "",
+            "subgroup_generators": ";".join(",".join(map(str, g)) for g in args.subgroup),
             "results": {
                 "quotient_orders": list(sq.quotient_group.cyclic_orders),
                 "subgroup_order": len(sq.subgroup),
@@ -304,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ghost", help="finite-group ghost-space operations")
     p.add_argument("action", choices=["check", "dual", "quotient", "assoc"])
     p.add_argument("ghost_file", help="ghost-space descriptor JSON file")
-    p.add_argument("--subgroup", default="",
+    p.add_argument("--subgroup", type=_parse_generators, default=[],
                    help="subgroup generators, e.g. '2' or '1,0;0,3'")
 
     return parser

@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGhostSpace
-from .intmat import diagonalize_int
+from .intmat import diagonalize_int, exact_int
 
 _PD_TOL = 1e-12
 _EVEN_TOL = 1e-12
@@ -523,7 +523,7 @@ def load_ghost(obj: dict):
     if not isinstance(obj, dict) or "cyclic_orders" not in obj:
         raise InvalidGhostSpace("ghost descriptor needs 'cyclic_orders'")
     try:
-        orders = tuple(int(n) for n in obj["cyclic_orders"])
+        orders = tuple(exact_int(n) for n in obj["cyclic_orders"])
     except (TypeError, ValueError) as exc:
         raise InvalidGhostSpace("cyclic_orders must be a list of integers") from exc
     group = FiniteAbelianGroup(orders)

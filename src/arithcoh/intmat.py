@@ -11,6 +11,18 @@ from fractions import Fraction
 from math import gcd
 
 
+def exact_int(x) -> int:
+    """int(x) for a value that is an integer; ValueError where int() would
+    truncate (1.5), fail to convert (inf) or convert a string ("3")."""
+    try:
+        n = int(x)
+    except OverflowError as exc:
+        raise ValueError(f"{x!r} is not an integer") from exc
+    if n != x:
+        raise ValueError(f"{x!r} is not an integer")
+    return n
+
+
 def hnf_rows(rows: list[list[int]]) -> list[list[int]]:
     """Row-style Hermite normal form of the Z-span of ``rows``.
 

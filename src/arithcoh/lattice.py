@@ -84,6 +84,8 @@ class GramMatrix:
         m = np.array(self.entries, dtype=float)
         if m.ndim != 2 or m.shape[0] != m.shape[1] or m.shape[0] < 1:
             raise NotPositiveDefinite("Gram matrix must be square with n >= 1")
+        if not np.all(np.isfinite(m)):
+            raise NotPositiveDefinite("Gram matrix has a non-finite entry")
         scale = float(np.max(np.abs(m)))
         if scale == 0.0 or float(np.max(np.abs(m - m.T))) > _SYM_RTOL * scale:
             raise NotPositiveDefinite("matrix is not symmetric to 1e-12 relative")

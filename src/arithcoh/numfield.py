@@ -5,8 +5,9 @@ field enters through a descriptor file carrying its degree, signature,
 discriminant, integral-basis embeddings and different, which this module
 cross-validates rather than recomputes.  Ideal arithmetic is exact: products
 and inverses are integer HNF bases, and an inverse is taken by trace duality,
-I^-1 = (I * O^v)^v with O^v the inverse different.  Only the embeddings are
-floating point.
+I^-1 = (I * O^v)^v with O^v the inverse different.  O^v is computed once per
+field, from the trace form alone, when the descriptor is built; so is the
+covolume self-check.  Only the embeddings are floating point.
 
 Conventions fixed here because descriptor files depend on them:
   * archimedean places are ordered real-first (ascending value of the
@@ -22,7 +23,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import isqrt
 
@@ -48,6 +49,13 @@ class NumberFieldDescriptor:
     label: str
     quad_d: int | None = None  # squarefree d for built-in quadratic fields
     different: "FractionalIdeal | None" = None
+    # O^v = {x : Tr(xO) in Z}, from the trace form: the descriptor's different
+    # does not enter it
+    codifferent: "FractionalIdeal" = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_covolume(self)
+        self.codifferent = _trace_dual(unit_ideal(self))
 
     @property
     def n(self) -> int:
@@ -163,8 +171,8 @@ def principal_ideal(fld: NumberFieldDescriptor, coords) -> FractionalIdeal:
 
 
 def unit_ideal(fld: NumberFieldDescriptor) -> FractionalIdeal:
-    return FractionalIdeal.from_rows(
-        fld, [[int(i == j) for j in range(fld.n)] for i in range(fld.n)])
+    return FractionalIdeal(fld, tuple(tuple(int(i == j) for j in range(fld.n))
+                                      for i in range(fld.n)), 1)
 
 
 # ---------------------------------------------------------------------------
@@ -190,11 +198,12 @@ def _trace_dual(J: FractionalIdeal) -> FractionalIdeal:
 def ideal_inv(I: FractionalIdeal) -> FractionalIdeal:
     """Inverse ideal {x : x*I is integral}, by trace duality: (I * O^v)^v.
 
-    Here J^v = {x : Tr(xJ) in Z}, and O^v is the inverse different.  For an
-    ideal J, x in J^v iff Tr(xJ*O) in Z iff xJ in O^v, so J^v = J^-1 * O^v;
-    with J = I * O^v this is I^-1.
+    Here J^v = {x : Tr(xJ) in Z}, and O^v is the inverse different, which the
+    field computed once from its trace form.  For an ideal J, x in J^v iff
+    Tr(xJ*O) in Z iff xJ in O^v, so J^v = J^-1 * O^v; with J = I * O^v this
+    is I^-1.
     """
-    return _trace_dual(ideal_mul(I, _trace_dual(unit_ideal(I.field))))
+    return _trace_dual(ideal_mul(I, I.field.codifferent))
 
 
 def ideal_pow(I: FractionalIdeal, e: int) -> FractionalIdeal:
@@ -242,7 +251,6 @@ def _make_rational() -> NumberFieldDescriptor:
         integral_basis_embeddings=np.array([[1.0]]),
         mult_table=(((1,),),), label="Q", quad_d=None)
     fld.different = unit_ideal(fld)
-    _check_covolume(fld)
     return fld
 
 
@@ -272,7 +280,6 @@ def _make_quadratic(d: int) -> NumberFieldDescriptor:
         integral_basis_embeddings=emb, mult_table=table,
         label=f"Q(sqrt({d}))", quad_d=d)
     fld.different = principal_ideal(fld, (-a, 2))  # (f'(w)) = (2w - a)
-    _check_covolume(fld)
     if fld.different.norm() != delta:
         raise DescriptorInconsistent("norm of the different does not equal the discriminant")
     return fld
@@ -293,12 +300,12 @@ def _complex_pair_products(emb: np.ndarray, r1: int, r2: int,
 
 def _make_custom(desc: dict) -> NumberFieldDescriptor:
     try:
-        n = int(desc["degree"])
-        r1 = int(desc["r1"])
-        r2 = int(desc["r2"])
-        delta = int(desc["abs_discriminant"])
+        n = intmat.exact_int(desc["degree"])
+        r1 = intmat.exact_int(desc["r1"])
+        r2 = intmat.exact_int(desc["r2"])
+        delta = intmat.exact_int(desc["abs_discriminant"])
         emb_flat = [float(x) for x in desc["embeddings"]]
-        diff_rows = [[int(x) for x in row] for row in desc["different_basis"]]
+        diff_rows = [[intmat.exact_int(x) for x in row] for row in desc["different_basis"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidFieldSpec(f"malformed custom field descriptor: {exc}") from exc
     if r1 + 2 * r2 != n:
@@ -331,7 +338,6 @@ def _make_custom(desc: dict) -> NumberFieldDescriptor:
         degree=n, signature=(r1, r2), abs_discriminant=delta,
         integral_basis_embeddings=emb, mult_table=tuple(table),
         label=desc.get("label", f"custom_deg{n}"), quad_d=None)
-    _check_covolume(fld)
     fld.different = FractionalIdeal.from_rows(fld, diff_rows)
     return fld
 
@@ -355,7 +361,7 @@ def make_field(spec) -> NumberFieldDescriptor:
             if "d" not in spec:
                 raise InvalidFieldSpec("quadratic field descriptor needs 'd'")
             try:
-                d = int(spec["d"])
+                d = intmat.exact_int(spec["d"])
             except (TypeError, ValueError) as exc:
                 raise InvalidFieldSpec("quadratic 'd' must be an integer") from exc
             return _make_quadratic(d)

@@ -290,6 +290,43 @@ def test_duality_on_fields_of_degree_3_and_4(descriptor):
         assert 0.0 < effectivity_v(D, shift, 1e-8) <= 1.0
 
 
+def test_verify_duality_builds_the_ideal_of_k_minus_d_as_sub_does(monkeypatch):
+    # verify_duality takes I(K - D) = (d I)^-1 in one product and one inverse;
+    # it must give the ideal and the x_sigma of the generic sub(K, D)
+    seen = []
+
+    def recording(D, tol, budget):
+        seen.append(D)
+        return arakelov.CohomologyValue(value=0.0, tail_bound=0.0, points_enumerated=1)
+
+    monkeypatch.setattr(arakelov, "h0", recording)
+    rng = random.Random(5)
+    divisors = []
+    for d in (-1, -5, 2, 5, 13):
+        F = make_field(("quadratic", d))
+        primes = [pr for p in (2, 3, 5, 7) for pr in primes_above(F, p)]
+        divisors.append(zero_divisor(F))
+        for _ in range(4):
+            terms = [(pr, rng.randint(-2, 2)) for pr in primes]
+            divisors.append(divisor_from_primes(
+                F, terms, [rng.uniform(-2.0, 2.0) for _ in range(F.r1 + F.r2)]))
+    for descriptor in (cbrt2_descriptor, zeta7_plus_descriptor, zeta8_descriptor):
+        F = make_field(descriptor())
+        pad = (0,) * (F.n - 3)
+        for a, b in ELEMENT_PAIRS:
+            ideal = ideal_mul(principal_ideal(F, a + pad), ideal_inv(principal_ideal(F, b + pad)))
+            divisors.append(divisor_from_ideal(
+                F, ideal, [rng.uniform(-1.0, 1.0) for _ in range(F.r1 + F.r2)]))
+    for D in divisors:
+        seen.clear()
+        verify_duality(D)
+        d_seen, kd_seen = seen
+        kd = sub(canonical_divisor(D.field), D)
+        assert d_seen.ideal() == D.ideal() and d_seen.infinite == D.infinite
+        assert kd_seen.ideal() == kd.ideal(), (D.field.label, D)
+        assert [x.hex() for x in kd_seen.infinite] == [x.hex() for x in kd.infinite]
+
+
 def test_wrong_different_fails_riemann_roch_in_degree_3():
     F = make_field({**cbrt2_descriptor(), "different_basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
     rr = verify_riemann_roch(divisor_from_ideal(F, unit_ideal(F), [1.2, 0.6]), 1e-8)
@@ -374,6 +411,15 @@ def test_load_divisor_errors():
                    (QI, 745.0), (Q, 355.0)]:
         with pytest.raises(InvalidDivisor, match="finite"):
             load_divisor(fld, {"finite": [], "infinite": [t]})
+    # integers that int() would truncate or fail on
+    for term in ({"p": 2, "exponent": 1.5}, {"p": 2.5, "exponent": 1},
+                 {"p": 5, "index": 0.5, "exponent": 1}, {"p": 2, "exponent": math.inf}):
+        with pytest.raises(InvalidDivisor):
+            load_divisor(QI, {"finite": [term], "infinite": [0.0]})
+    for ideal in ({"numerator_basis": [[2, 0], [0, 2]], "denominator": 2.7},
+                  {"numerator_basis": [[2, 0], [0, 2.5]]}):
+        with pytest.raises(InvalidDivisor):
+            load_divisor(QI, {"finite": {"ideal": ideal}, "infinite": [0.0]})
 
 
 @pytest.mark.parametrize("field, xs", [

@@ -216,11 +216,16 @@ def test_zeta_sweep_usage_errors(files, capsys):
             assert "--s" in err
 
 
-def test_usage_error_exit_code(capsys):
+def test_usage_error_exit_code(files, capsys):
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
     assert main([]) == 1
     capsys.readouterr()
+    for subgroup in ("a", "1,x", "2;1.5", "1,,0"):
+        code, out, err = run(capsys, ["ghost", "quotient", files["ghost_ok"],
+                                      "--subgroup", subgroup])
+        assert (code, out) == (1, ""), subgroup
+        assert "--subgroup" in err and "Traceback" not in err
 
 
 def test_ghost_check_uniform_dimension(files, capsys):

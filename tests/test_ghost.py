@@ -514,3 +514,5 @@ def test_load_ghost_descriptor():
         load_ghost({"u": [1.0]})
     with pytest.raises(InvalidGhostSpace):
         load_ghost({"cyclic_orders": [1], "u": [1.0]})
+    with pytest.raises(InvalidGhostSpace):  # int() would truncate it to Z/6
+        load_ghost({"cyclic_orders": [6.7], "u": [1.0] * 6})

@@ -84,6 +84,9 @@ def test_invalid_field_specs():
             make_field(("quadratic", bad))
     with pytest.raises(InvalidFieldSpec):
         make_field({"type": "cubic"})
+    for d in (-1.9, 2.5, math.inf, "5"):  # int() would truncate or convert these
+        with pytest.raises(InvalidFieldSpec):
+            make_field({"type": "quadratic", "d": d})
     with pytest.raises(InvalidFieldSpec):
         make_field("septic")
 
@@ -198,6 +201,16 @@ def test_trace_pairing_integrality():
     for F in [make_field(("quadratic", d)) for d in SQUAREFREE_50] + \
              [make_field(descriptor()) for descriptor in HIGHER_DEGREE]:
         assert ideal_inv(F.different) == trace_dual_of_ring(F)
+        assert F.codifferent == trace_dual_of_ring(F)
+
+
+def test_codifferent_ignores_a_wrong_different():
+    # O^v comes from the trace form alone: an identity different_basis, which
+    # breaks Riemann-Roch, leaves it the true inverse different
+    F = make_field({**cbrt2_descriptor(), "different_basis": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]})
+    assert F.different == unit_ideal(F)
+    assert F.codifferent == trace_dual_of_ring(F)
+    assert ideal_norm(ideal_inv(F.codifferent)) == F.abs_discriminant == 108
 
 
 def unimodular_match(primal_basis, dual_basis, r1, r2):
@@ -292,6 +305,14 @@ def test_custom_descriptor_non_ring_embeddings():
 def test_custom_descriptor_malformed():
     with pytest.raises(InvalidFieldSpec):
         make_field({"degree": 2, "r1": 2})
+    rational = {"degree": 1, "r1": 1, "r2": 0, "abs_discriminant": 1,
+                "embeddings": [1.0], "different_basis": [[1]]}
+    make_field(rational)
+    # integers that int() would truncate
+    for key, value in (("abs_discriminant", 1.5), ("different_basis", [[1.9]]),
+                       ("degree", 1.2), ("r2", 0.5)):
+        with pytest.raises(InvalidFieldSpec):
+            make_field({**rational, key: value})
 
 
 def test_fractional_ideal_hnf_shape():
