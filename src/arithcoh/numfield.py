@@ -35,6 +35,9 @@ from .lattice import EmbeddedLattice, lll_reduce_rows
 
 _MULT_INT_TOL = 1e-6
 _COVOL_RTOL = 1e-8
+# a quadratic field's embeddings are floats made from d, and 2^53 is where
+# d stops being an exact float
+_QUAD_D_BOUND = 2 ** 53
 
 
 @dataclass
@@ -224,15 +227,21 @@ def ideal_norm(I: FractionalIdeal) -> Fraction:
 
 
 def _is_squarefree(m: int) -> bool:
+    """Whether no square of a prime divides m.
+
+    Trial division stops once p^3 > m.  The cofactor left then has no prime
+    factor below p, so at most two, and it is squarefree unless it is the
+    square of a prime.
+    """
     m = abs(m)
-    d = 2
-    while d * d <= m:
-        if m % (d * d) == 0:
+    p = 2
+    while p * p * p <= m:
+        if m % (p * p) == 0:
             return False
-        while m % d == 0:
-            m //= d
-        d += 1
-    return True
+        while m % p == 0:
+            m //= p
+        p += 1
+    return m < 2 or isqrt(m) ** 2 != m
 
 
 def _check_covolume(fld: NumberFieldDescriptor):
@@ -257,6 +266,10 @@ def _make_rational() -> NumberFieldDescriptor:
 def _make_quadratic(d: int) -> NumberFieldDescriptor:
     if not isinstance(d, int) or d in (0, 1):
         raise InvalidFieldSpec("quadratic d must be a squarefree integer != 0, 1")
+    if abs(d) >= _QUAD_D_BOUND:
+        raise InvalidFieldSpec(
+            f"quadratic |d| must be below 2^53 = {_QUAD_D_BOUND}, where d stops "
+            f"being an exact float; got d = {d}")
     if not _is_squarefree(d):
         raise InvalidFieldSpec(f"quadratic d = {d} is not squarefree")
     if d % 4 == 1:

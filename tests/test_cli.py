@@ -2,6 +2,7 @@
 
 import json
 import math
+import time
 
 import pytest
 
@@ -62,6 +63,16 @@ def test_field_info_inconsistent_descriptor(files, capsys):
     code, out, err = run(capsys, ["field-info", "--field", bad])
     assert code == 2
     assert "DescriptorInconsistent" in err
+    assert out == ""
+
+
+def test_field_info_rejects_huge_quadratic_d_promptly(files, capsys):
+    huge = files["write"]("huge.json", {"type": "quadratic", "d": 10 ** 30 + 57})
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["field-info", "--field", huge])
+    assert time.perf_counter() - start < 1.0
+    assert code == 2
+    assert "InvalidFieldSpec" in err and "2^53" in err
     assert out == ""
 
 

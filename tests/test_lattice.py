@@ -18,7 +18,12 @@ from arithcoh.lattice import (
     theta_sum,
 )
 from arithcoh import lattice
-from arithcoh.lattice import _certified_lambda_min, _enumerate_with_norms, _fincke_pohst
+from arithcoh.lattice import (
+    _certified_lambda_min,
+    _enumerate_with_norms,
+    _exact_partials,
+    _fincke_pohst,
+)
 
 from conftest import brute_force_points, brute_force_theta, random_pd_gram
 
@@ -294,34 +299,79 @@ def _random_gram(rng: random.Random, n: int) -> np.ndarray:
     return b @ b.T + 0.3 * np.eye(n)
 
 
-def test_centred_theta_equals_full_enumeration_bit_for_bit():
-    rng = random.Random(5)
-    for n in (1, 2, 3, 4):
-        for _ in range(6):
-            g = _random_gram(rng, n)
-            res = theta_sum(g, None, 1e-10)
-            V, Q = _enumerate_with_norms(g, np.zeros(n), res.radius, 10**8)
-            assert sorted(V.tolist()) == enumerate_below(g, None, res.radius).tolist()
-            assert res.value == math.fsum(np.exp(-math.pi * Q).tolist())
-            assert res.points_enumerated == V.shape[0]
-            for center in ([3.0] * n, [-0.0] * n, [float(rng.randint(-4, 4)) for _ in range(n)]):
-                again = theta_sum(g, center, 1e-10)
-                assert again.value == res.value
-                assert again.points_enumerated == res.points_enumerated
+def test_centred_theta_equals_full_enumeration_bit_for_bit(monkeypatch):
+    # with _BIN_MIN = 0 every block reaches fsum as exact partials
+    for bin_min in (lattice._BIN_MIN, 0):
+        monkeypatch.setattr(lattice, "_BIN_MIN", bin_min)
+        rng = random.Random(5)
+        for n in (1, 2, 3, 4):
+            for _ in range(6):
+                g = _random_gram(rng, n)
+                res = theta_sum(g, None, 1e-10)
+                V, Q = _enumerate_with_norms(g, np.zeros(n), res.radius, 10**8)
+                assert sorted(V.tolist()) == enumerate_below(g, None, res.radius).tolist()
+                assert res.value == math.fsum(np.exp(-math.pi * Q).tolist())
+                assert res.points_enumerated == V.shape[0]
+                for center in ([3.0] * n, [-0.0] * n,
+                               [float(rng.randint(-4, 4)) for _ in range(n)]):
+                    again = theta_sum(g, center, 1e-10)
+                    assert again.value == res.value
+                    assert again.points_enumerated == res.points_enumerated
 
 
 def test_block_size_does_not_change_results(monkeypatch):
     rng = random.Random(8)
     cases = [(_random_gram(rng, n), center)
-             for n in (1, 2, 3) for center in (None, [0.3, -0.45, 0.1][:n])]
+             for n in (1, 2, 3, 4) for center in (None, [0.3, -0.45, 0.1, 0.2][:n])]
     before = [(theta_sum(g, c, 1e-10), _enumerate_with_norms(g, np.zeros(g.shape[0]), 9.0, 10**8))
               for g, c in cases]
-    # blocks of 7 candidates split rows of the last level between blocks
-    monkeypatch.setattr(lattice, "_BLOCK_POINTS", 7)
-    for (g, c), (res, (V, Q)) in zip(cases, before):
-        assert theta_sum(g, c, 1e-10) == res
-        V2, Q2 = _enumerate_with_norms(g, np.zeros(g.shape[0]), 9.0, 10**8)
-        assert np.array_equal(V2, V) and np.array_equal(Q2, Q)
+    # blocks of 7 candidates split rows of the last level between blocks;
+    # _BIN_MIN = 0 sends each such block, and each full one, through the
+    # exact partials
+    for block, bin_min in ((7, lattice._BIN_MIN), (7, 0), (lattice._BLOCK_POINTS, 0)):
+        monkeypatch.setattr(lattice, "_BLOCK_POINTS", block)
+        monkeypatch.setattr(lattice, "_BIN_MIN", bin_min)
+        for (g, c), (res, (V, Q)) in zip(cases, before):
+            assert theta_sum(g, c, 1e-10) == res
+            V2, Q2 = _enumerate_with_norms(g, np.zeros(g.shape[0]), 9.0, 10**8)
+            assert np.array_equal(V2, V) and np.array_equal(Q2, Q)
+
+
+def _assert_partials_sum_like_fsum(terms):
+    terms = np.asarray(terms, dtype=float)
+    got = math.fsum(_exact_partials(terms).tolist())
+    assert got.hex() == math.fsum(terms.tolist()).hex()
+
+
+def test_exact_partials_sum_like_fsum():
+    # the exact bin sums need at most 2^26 terms per call
+    assert lattice._BLOCK_POINTS <= 2**26
+    tiny = 2.0 ** -1074
+    rng = np.random.default_rng(21)
+    # subnormals: small multiples of 2^-1074, full 52-bit ones, and normal
+    # and subnormal values near 2^-1060
+    _assert_partials_sum_like_fsum(np.arange(1, 4000) * tiny)
+    _assert_partials_sum_like_fsum(rng.integers(1, 2**52, 3000) * tiny)
+    _assert_partials_sum_like_fsum(np.ldexp(rng.uniform(0.5, 1.0, 3000),
+                                            rng.integers(-1064, -1021, 3000)))
+    # zero terms, alone and mixed in
+    _assert_partials_sum_like_fsum(np.zeros(50))
+    _assert_partials_sum_like_fsum(np.where(rng.random(3000) < 0.4, 0.0,
+                                            rng.uniform(0.0, 2.0, 3000)))
+    # the doubled half-space head 2.0 lands in bin 0
+    _assert_partials_sum_like_fsum(np.concatenate([[2.0, 2.0], rng.uniform(0.0, 2.0, 100)]))
+    # ties at half an ulp of 1.0 round to even in either direction
+    for runs in (1, 2, 3, 5, 2**15 - 1):
+        _assert_partials_sum_like_fsum(np.concatenate([[1.0], np.full(runs, 2.0 ** -53)]))
+        _assert_partials_sum_like_fsum(np.concatenate([[1.0, 2.0 ** -52], np.full(runs, 2.0 ** -54)]))
+    # one full block of the largest term below 2: the heaviest bin load
+    _assert_partials_sum_like_fsum(np.full(lattice._BLOCK_POINTS, 2.0 * (1.0 - 2.0 ** -53)))
+    # random blocks of theta terms and of terms spread over every exponent,
+    # up to the bound 4
+    for size in (1, 7, 1000, lattice._BLOCK_POINTS):
+        _assert_partials_sum_like_fsum(2.0 * np.exp(-math.pi * rng.uniform(0.0, 40.0, size)))
+        _assert_partials_sum_like_fsum(np.ldexp(rng.uniform(0.5, 1.0, size),
+                                                rng.integers(-1073, 3, size)))
 
 
 def test_half_space_budget_matches_full_space():

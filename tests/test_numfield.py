@@ -79,9 +79,14 @@ def test_golden_field_basis():
 
 
 def test_invalid_field_specs():
-    for bad in (0, 1, 12, -12, 49):
+    # 94906249 is the largest prime p with p^2 < 2^53: trial division stops
+    # at the cube root, so p^2 is left whole in the cofactor
+    for bad in (0, 1, 12, -12, 49, 94906249 ** 2, -(94906249 ** 2)):
         with pytest.raises(InvalidFieldSpec):
             make_field(("quadratic", bad))
+    for huge in (2 ** 53, -(2 ** 53), 10 ** 30 + 57):
+        with pytest.raises(InvalidFieldSpec, match=r"below 2\^53"):
+            make_field(("quadratic", huge))
     with pytest.raises(InvalidFieldSpec):
         make_field({"type": "cubic"})
     for d in (-1.9, 2.5, math.inf, "5"):  # int() would truncate or convert these
@@ -92,7 +97,10 @@ def test_invalid_field_specs():
 
 
 def test_different_norm_is_discriminant():
-    for d in (-1, -2, -5, -7, 2, 3, 5, 13, 17):
+    # 208067 * 208073: two primes above the cube root of 2^53, a squarefree
+    # cofactor that trial division leaves whole
+    big = 208067 * 208073
+    for d in (-1, -2, -5, -7, 2, 3, 5, 13, 17, big, -big, 2 ** 53 - 1):
         F = make_field(("quadratic", d))
         assert ideal_norm(F.different) == F.abs_discriminant
 
