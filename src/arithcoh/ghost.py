@@ -17,11 +17,14 @@ probability measure.  Both are the mixed product
     delta_x * delta_y = (u(x) u(y) / u(x+y)) T_{x+y} mu,
 
 the first kind at mu = delta_0 and the second at u = 1, and the code has one
-path for the three: one convolution body, and one associativity check that
-takes one x at a time, so its memory stays at |G|^3.  Quotients,
-subquotients, duals (via the DFT) and quasi-characters are implemented so
-that every structural claim about these spaces can be checked exhaustively
-at finite scale.
+path for the three: one convolution body, and one associativity check.  That
+check compares the triples (0, a, b) only, in |G|^3 work and memory: with
+J(s, z, t) = (sum_w mu(w - s) c(w, z) mu(t - w - z)) / (u(s) u(z)) and
+c(x, y) = u(x) u(y) / u(x+y), the product is associative exactly when
+J(a, b, t) = J(a+b, 0, t), which is the x = 0 slice of the full comparison
+(proof in ``check_associativity``).  Quotients, subquotients, duals (via the
+DFT) and quasi-characters are implemented so that every structural claim
+about these spaces can be checked exhaustively at finite scale.
 
 Elements of Z/n1 x ... x Z/nk are tuples ordered mixed-radix
 lexicographically (C order); functions and measures are flat arrays in that
@@ -481,14 +484,34 @@ class AssociativityCheck:
 
 
 def check_associativity(structure, tol: float = 1e-11) -> AssociativityCheck:
-    """Compare (dx * dy) * dz with dx * (dy * dz) for every triple, as measures.
+    """Compare (d0 * da) * db with d0 * (da * db) for every (a, b), as measures.
 
-    The extension of * to measures is the definitional double sum, evaluated
-    in the two association orders; commutativity is checked on all pairs.
-    Every kind runs as the mixed product c(x,y) T_{x+y} mu: the second kind
-    at u = 1, the first kind at mu = delta_0, whose measure axis collapses to
-    the one point x + y + z.  The triples are taken one x at a time, so no
-    array is larger than |G|^3.
+    Every kind runs as the mixed product c(x,y) T_{x+y} mu with
+    c(x,y) = u(x) u(y) / u(x+y): the second kind at u = 1, the first kind at
+    mu = delta_0, whose measure axis collapses to the one point a + b.  The
+    extension of * to measures is the definitional double sum.  By c's
+    symmetry both association orders of (dx * dy) * dz evaluate through one
+    tensor, computed as one BLAS contraction:
+
+        core[s, z, t] = sum_w mu(w - s) c(w, z) mu(t - w - z),
+        (dx * dy) * dz at t = c(x, y) core[x+y, z, t],
+        dx * (dy * dz) at t = c(y, z) core[y+z, x, t].
+
+    Put J(s, z, t) = core[s, z, t] / (u(s) u(z)).  The two orders are then
+    u(x) u(y) u(z) J(x+y, z, t) and u(x) u(y) u(z) J(y+z, x, t), and u > 0.
+    So the triple (0, a, b) associates exactly when J(a, b, t) = J(a+b, 0, t)
+    for every t, and if all triples (0, a, b) do, then every triple does:
+    J(x+y, z, t) = J(x+y+z, 0, t) = J(y+z, x, t).  The |G|^2 triples with
+    x = 0 decide all |G|^3, in |G|^3 comparisons: c(0, a) core[a, b, t]
+    against c(a, b) core[a+b, 0, t].
+
+    ``max_associativity_defect`` is the largest |difference| of the two
+    orders over the triples (0, a, b) and the points t: a real triple's
+    defect, which in exact arithmetic is zero exactly when every triple
+    associates.  For the first kind (mu = delta_0) and the second (u = 1),
+    J depends on a + b only, so their defect measures rounding alone.
+    Commutativity is checked on all pairs; ``triples_checked`` counts the
+    |G|^3 triples the result covers.
     """
     if not isinstance(structure, (GhostSpaceFirstKind, GhostSpaceSecondKind, MixedGhostSpace)):
         raise TypeError(f"cannot check associativity of {type(structure).__name__}")
@@ -499,16 +522,11 @@ def check_associativity(structure, tol: float = 1e-11) -> AssociativityCheck:
     c = (u[:, None] * u[None, :]) / u[add]
     if isinstance(structure, GhostSpaceFirstKind):
         shift_mu = np.ones((g, 1))  # T_s delta_0 on its one-point axis t = s
-        lhs_core, rhs_core = c[:, :, None], c.T[:, :, None]
+        core = c[:, :, None]
     else:
         shift_mu = structure.mu[add[group.neg_table(), :]]  # shift_mu[s, w] = mu(w - s)
-        P = shift_mu[add, :]                                # P[w, z, t] = mu(t - w - z)
-        lhs_core = np.einsum("aw,wz,wzt->azt", shift_mu, c, P)
-        rhs_core = np.einsum("bw,xw,wxt->bxt", shift_mu, c, P)
-    # lhs[y, z, t] = c(x, y) lhs_core[x+y, z, t], rhs[y, z, t] = c(y, z) rhs_core[y+z, x, t]
-    assoc = float(np.max([np.max(np.abs(c[x, :, None, None] * lhs_core[add[x]]
-                                        - c[:, :, None] * rhs_core[:, x][add]))
-                          for x in range(g)]))
+        core = np.tensordot(shift_mu, c[:, :, None] * shift_mu[add, :], axes=1)
+    assoc = float(np.max(np.abs(c[0, :, None, None] * core - c[:, :, None] * core[add, 0])))
     pair = c[:, :, None] * shift_mu[add]
     comm = float(np.max(np.abs(pair - np.transpose(pair, (1, 0, 2)))))
     return AssociativityCheck(assoc <= tol and comm <= tol, assoc, comm, g ** 3)

@@ -309,11 +309,14 @@ def _certified_lambda_min(L: np.ndarray) -> float:
     xf2 = up * sum(v * v for row in x for v in row)
     big_n = up * (max(sum(abs(v) for v in row) for row in inv) + up * (2 * n * n * _U) * xf2)
     r = up * (2 * n * _U) * math.sqrt(lf2 * xf2)
-    lam = down * (down * (1.0 - r) ** 2 / big_n - up * (2 * (n + 1) * _U) * lf2)
+    inv_term = down * (1.0 - r) ** 2 / big_n
+    err_term = up * (2 * (n + 1) * _U) * lf2
+    lam = down * (inv_term - err_term)
     if r >= 0.5 or not lam > 0.0:
         raise ToleranceUnreachable(
-            "no positive certified bound on the smallest eigenvalue; "
-            "the Gram matrix is too ill-conditioned")
+            f"no positive certified bound on the smallest eigenvalue; the Gram matrix is "
+            f"too ill-conditioned: n = {n}, ||L||_F^2 = {lf2:.6e}, r = {r:.3e}, "
+            f"(1 - r)^2 / N = {inv_term:.6e} against 2(n+1)u ||L||_F^2 = {err_term:.6e}")
     return lam
 
 

@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,7 @@ from arithcoh.errors import (
     CertificationFailed,
     DescriptorInconsistent,
     InvalidDivisor,
+    ToleranceUnreachable,
     UnsupportedField,
 )
 from arithcoh.lattice import DEFAULT_BUDGET, ThetaResult, theta_sum
@@ -426,21 +428,38 @@ def test_load_divisor_errors():
     ("qi", [700.0]), ("qi", [709.0]), ("qi", [-700.0]), ("qi", [745.0]),
     ("zeta8", [340.0, 340.0]), ("zeta8", [-340.0, -340.0]),
     ("zeta8", [700.0, 700.0]), ("zeta8", [-700.0, -700.0]),
-    ("theta", None),
+    ("theta", None), ("big_d", [0.0, 0.0]),
 ], ids=["qi+700", "qi+709", "qi-700", "qi+745", "zeta8+340", "zeta8-340",
-        "zeta8+700", "zeta8-700", "theta"])
+        "zeta8+700", "zeta8-700", "theta", "sqrt(2^53-1)"])
 def test_extreme_metrics_give_a_value_or_a_typed_error(field, xs):
     # the covolume exp(-sum x_sigma) sqrt(disc) leaves the float range here,
     # the metric does not (745 makes a subnormal weight): each input must give
-    # h0 or an ArithcohError that is not about the field descriptor
+    # h0 or an ArithcohError that is not about the field descriptor.  Over
+    # Z[sqrt(2^53 - 1)] the Gram diag(2, 2d) has condition number d, and the
+    # lambda_min bound's rounding term 2(n+1)u ||L||_F^2 = 6u (2 + 2d) = 12
+    # exceeds its main term (1 - r)^2 / N = 2: the error must carry them
+    d = 2**53 - 1
     try:
         if field == "theta":
             value = theta_sum(1e-300 * np.eye(4), None, 1e-9, budget=10**6).value
         else:
-            fld = QI if field == "qi" else make_field(zeta8_descriptor())
+            if field == "big_d":
+                fld = make_field(("quadratic", d))
+            else:
+                fld = QI if field == "qi" else make_field(zeta8_descriptor())
             value = h0(divisor_from_primes(fld, (), xs), budget=10**6).value
     except DescriptorInconsistent as exc:
         pytest.fail(f"a valid field is blamed: {exc}")
-    except ArithcohError:
+    except ArithcohError as exc:
+        if field == "big_d":
+            assert isinstance(exc, ToleranceUnreachable)
+
+            def number(name):
+                return float(re.search(re.escape(name) + r" = ([-+.e\d]+)", str(exc)).group(1))
+
+            assert number("n") == 2
+            assert number("||L||_F^2") == pytest.approx(2 + 2 * d, rel=1e-6)
+            assert number("(1 - r)^2 / N") == pytest.approx(2.0, rel=1e-6)
+            assert number("2(n+1)u ||L||_F^2") == pytest.approx(6 * (2 + 2 * d) / 2**53, rel=1e-6)
         return
     assert math.isfinite(value) and value >= 0.0

@@ -33,7 +33,7 @@ from arithcoh.ghost import (
     subgroup_from_generators,
 )
 
-from conftest import random_first_kind
+from conftest import GROUP_POOL, random_first_kind
 
 Z2 = FiniteAbelianGroup((2,))
 Z3 = FiniteAbelianGroup((3,))
@@ -451,31 +451,62 @@ def random_mixed_pair(rng, group):
     return MixedGhostSpace(group, 0.5 * (u + u[neg]), mu / mu.sum())
 
 
+def compatible_mixed_pair(rng, group):
+    """u lifted from G/H and an even probability measure mu on H = <h>, h != 0.
+
+    u is constant on the cosets of H, so c(w, z) = c(s, z) for w in s + H and
+    the product closes: J(a, b, t) = (mu * mu)(t - a - b) / u(a + b).
+    """
+    h = rng.choice([x for x in group.elements() if any(x)])
+    qgroup, proj = quotient_group_map(group, [h])
+    u = np.ones(group.size)  # H = G leaves the trivial quotient: the second kind
+    if qgroup.size > 1:
+        u = random_first_kind(rng, qgroup.cyclic_orders).u[proj]
+    on_h = [group.index(x) for x in subgroup_from_generators(group, [h])]
+    mu = np.zeros(group.size)
+    mu[on_h] = [rng.uniform(0.0, 1.0) for _ in on_h]
+    mu = 0.5 * (mu + mu[group.neg_table()])
+    return MixedGhostSpace(group, u, mu / mu.sum())
+
+
 def structure_tensor_defects(ms):
-    """Defects from K[x, y] = delta_x * delta_y, the structure tensor of the product."""
+    """Defects from K[x, y] = delta_x * delta_y, the structure tensor of the product.
+
+    Returns the associativity defect over all triples (x, y, z), the one over
+    the triples (0, y, z) alone, and the commutativity defect.
+    """
     elements = ms.group.elements()
     K = np.array([[mixed_convolve(ms.group, ms.u, ms.mu, x, y).weights for y in elements]
                   for x in elements])
     lhs = np.einsum("xyw,wzt->xyzt", K, K)  # (dx * dy) * dz
     rhs = np.einsum("yzw,xwt->xyzt", K, K)  # dx * (dy * dz)
-    return np.max(np.abs(lhs - rhs)), np.max(np.abs(K - np.transpose(K, (1, 0, 2))))
+    defect = np.abs(lhs - rhs)
+    return (np.max(defect), np.max(defect[0]),
+            np.max(np.abs(K - np.transpose(K, (1, 0, 2)))))
 
 
 def test_associativity_mixed_incompatible_pair_reports_defect():
     # for mu not supported where u is translation invariant the combined
-    # convolution genuinely fails associativity; the check must say so
+    # convolution genuinely fails associativity; the check must say so.  On
+    # Z/2 the triple (0, 1, 1) attains the exhaustive defect 9/64
     ms = MixedGhostSpace(Z2, [1.0, 0.5], [0.75, 0.25])
     report = check_associativity(ms)
     assert not report.passed
     assert report.max_associativity_defect == pytest.approx(9 / 64, abs=1e-12)
+    assert structure_tensor_defects(ms)[0] == pytest.approx(9 / 64, abs=1e-12)
+    # the report is the |G|^4 oracle's x = 0 slice, and decides pass/fail as
+    # the whole oracle does, on an incompatible and a compatible pair
     rng = random.Random(71)
-    for orders in ((2, 4), (6,), (3, 3)):
-        ms = random_mixed_pair(rng, FiniteAbelianGroup(orders))
-        report = check_associativity(ms)
-        assoc, comm = structure_tensor_defects(ms)
-        assert not report.passed
-        assert abs(report.max_associativity_defect - assoc) <= 1e-15
-        assert abs(report.max_commutativity_defect - comm) <= 1e-15
+    for orders in GROUP_POOL:
+        group = FiniteAbelianGroup(orders)
+        for ms, closes in ((random_mixed_pair(rng, group), False),
+                           (compatible_mixed_pair(rng, group), True)):
+            report = check_associativity(ms)
+            full, at_zero, comm = structure_tensor_defects(ms)
+            assert report.passed == closes == (full <= 1e-11), (orders, full)
+            assert abs(report.max_associativity_defect - at_zero) <= 1e-15
+            assert at_zero <= full
+            assert abs(report.max_commutativity_defect - comm) <= 1e-15
 
 
 def test_associativity_memory_stays_cubic():
