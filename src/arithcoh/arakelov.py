@@ -16,6 +16,7 @@ that keeps the identity falsifiable is between those two lattices.
 from __future__ import annotations
 
 import cmath
+import functools
 import json
 import math
 import sys
@@ -69,14 +70,20 @@ class ArakelovDivisor:
                     raise InvalidDivisor("prime exponents must be integers")
 
     def ideal(self) -> FractionalIdeal:
-        """Associated fractional ideal prod P^(-x_P)."""
+        """Associated fractional ideal prod P^(-x_P).
+
+        Built as N * M^-1 with N = prod P^(-e) over the negative exponents and
+        M = prod P^e over the positive ones: one inverse, none when M = O.
+        HNF bases are canonical, so the order of the products does not show
+        in the result.
+        """
         if self.explicit is not None:
             return self.explicit
-        result = unit_ideal(self.field)
-        for prime, e in self.primes:
-            if e:
-                result = ideal_mul(result, ideal_pow(prime.ideal, -e))
-        return result
+        num = [ideal_pow(prime.ideal, -e) for prime, e in self.primes if e < 0]
+        den = [ideal_pow(prime.ideal, e) for prime, e in self.primes if e > 0]
+        if den:
+            num.append(ideal_inv(functools.reduce(ideal_mul, den)))
+        return functools.reduce(ideal_mul, num) if num else unit_ideal(self.field)
 
 
 def divisor_from_primes(fld, prime_exponents, infinite) -> ArakelovDivisor:

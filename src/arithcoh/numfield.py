@@ -212,8 +212,10 @@ def ideal_inv(I: FractionalIdeal) -> FractionalIdeal:
 def ideal_pow(I: FractionalIdeal, e: int) -> FractionalIdeal:
     if e < 0:
         return ideal_pow(ideal_inv(I), -e)
-    result = unit_ideal(I.field)
-    for _ in range(e):
+    if e == 0:
+        return unit_ideal(I.field)
+    result = I
+    for _ in range(e - 1):
         result = ideal_mul(result, I)
     return result
 

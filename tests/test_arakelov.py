@@ -25,7 +25,7 @@ from arithcoh.arakelov import (
     zero_divisor,
     zeta_integrand_sweep,
 )
-from arithcoh import arakelov
+from arithcoh import arakelov, numfield
 from arithcoh.errors import (
     ArithcohError,
     CertificationFailed,
@@ -327,6 +327,50 @@ def test_verify_duality_builds_the_ideal_of_k_minus_d_as_sub_does(monkeypatch):
         assert d_seen.ideal() == D.ideal() and d_seen.infinite == D.infinite
         assert kd_seen.ideal() == kd.ideal(), (D.field.label, D)
         assert [x.hex() for x in kd_seen.infinite] == [x.hex() for x in kd.infinite]
+
+
+def test_divisor_ideal_equals_the_product_of_prime_powers():
+    # the oracle multiplies P^(-e) into O one factor at a time, inverting
+    # each prime of positive exponent
+    def oracle(D):
+        result = unit_ideal(D.field)
+        for prime, e in D.primes:
+            power = unit_ideal(D.field)
+            base = prime.ideal if e < 0 else ideal_inv(prime.ideal)
+            for _ in range(abs(e)):
+                power = ideal_mul(power, base)
+            result = ideal_mul(result, power)
+        return result
+
+    rng = random.Random(10)
+    for d in (-1, -5, 2, 5, 13):
+        F = make_field(("quadratic", d))
+        primes = [pr for p in (2, 3, 5, 7) for pr in primes_above(F, p)]
+        for _ in range(12):
+            terms = [(pr, rng.randint(-2, 2)) for pr in primes]
+            D = divisor_from_primes(F, terms, [0.0] * (F.r1 + F.r2))
+            assert D.ideal() == oracle(D), (F.label, terms)
+
+
+def test_verify_duality_makes_at_most_two_inverses(monkeypatch):
+    # one for the positive exponents of D, one for K - D
+    calls = []
+    real = numfield.ideal_inv
+
+    def counting(I):
+        calls.append(I)
+        return real(I)
+
+    monkeypatch.setattr(numfield, "ideal_inv", counting)
+    monkeypatch.setattr(arakelov, "ideal_inv", counting)
+    rng = random.Random(11)
+    F = make_field(("quadratic", -5))
+    primes = [pr for p in (2, 3, 5, 7) for pr in primes_above(F, p)]
+    for exponents in ([2, 1, -1, 2, -2, 1], [-1] * 6, [0] * 6):
+        calls.clear()
+        D = divisor_from_primes(F, list(zip(primes, exponents)), [rng.uniform(-1.0, 1.0)])
+        assert verify_duality(D, 1e-8)[0].passed
+        assert len(calls) == (2 if max(exponents) > 0 else 1)
 
 
 def test_wrong_different_fails_riemann_roch_in_degree_3():
