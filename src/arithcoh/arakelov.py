@@ -145,9 +145,13 @@ def _theta_of_divisor(D: ArakelovDivisor, log_tol: float, budget: int, center=No
     """Theta sum of the divisor lattice, with the absolute tolerance picked so
     the log-level error stays below log_tol.
 
-    theta >= max(1, 1/covolume) holds rigorously (the zero vector, resp.
+    theta >= f = max(1, 1/covolume) holds rigorously (the zero vector, resp.
     Poisson summation against the dual), which turns a relative target into
-    an absolute one in a single pass.
+    an absolute one in a single pass.  The enumerated value V is at most
+    theta, so the log error is log(theta / V) <= log1p(tail / V).  With
+    tail <= a f and a = min(log_tol, 1) / 2 <= 1/2, V >= max(1, f - tail)
+    >= (1 - a) f, so tail / V <= a / (1 - a) <= 2a <= log_tol, for every
+    log_tol > 0.
     """
     lat = embed_ideal(D.field, D.ideal(), D.infinite)
     try:
@@ -155,23 +159,26 @@ def _theta_of_divisor(D: ArakelovDivisor, log_tol: float, budget: int, center=No
     except OverflowError:  # terms are <= 1: more points than a float can count
         raise EnumerationBudgetExceeded(
             f"lattice of covolume exp({lat.log_covolume:.6g}) has over 1e308 points") from None
-    abs_tol = 0.5 * log_tol * theta_floor
+    abs_tol = 0.5 * min(log_tol, 1.0) * theta_floor
     res = theta_sum(lat.gram, center, abs_tol, budget=budget)
     return res, lat
 
 
 def h0(D: ArakelovDivisor, tol: float = 1e-9,
        budget: int = DEFAULT_BUDGET) -> CohomologyValue:
-    """h0(D) = log of the theta sum over the divisor lattice."""
+    """h0(D) = log of the theta sum over the divisor lattice.
+
+    The enumerated sum V misses at most the theta tail, so the certified
+    error of log V is log1p(tail / V) (see _theta_of_divisor).
+    """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     res, _ = _theta_of_divisor(D, tol, budget)
-    log_err = res.tail_bound / (res.value - res.tail_bound)
     value = math.log(res.value)
     if value < 0.0:  # the zero vector alone contributes 1 to the sum
         raise CertificationFailed(
             f"theta sum {res.value!r} is below 1 (tail bound {res.tail_bound:.3e})")
-    return CohomologyValue(value=value, tail_bound=log_err,
+    return CohomologyValue(value=value, tail_bound=math.log1p(res.tail_bound / res.value),
                            points_enumerated=res.points_enumerated)
 
 

@@ -20,7 +20,12 @@ class EnumerationBudgetExceeded(ArithcohError):
 
 
 class ToleranceUnreachable(ArithcohError):
-    """The enumeration radius growth stalled before the tail bound met tol."""
+    """No certified tail bound meets tol.
+
+    Raised when the smallest eigenvalue of a Gram matrix has no positive
+    certified bound, or when the tail bound at the chosen radius is not
+    below tol; the message carries the numbers.
+    """
 
 
 class CertificationFailed(ArithcohError):

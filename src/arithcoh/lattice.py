@@ -48,6 +48,10 @@ _U = 2.0 ** -53  # unit roundoff of binary64
 # terms of the one-dimensional Gaussian sum taken exactly before its
 # integral tail bound
 _LINE_SUM_TERMS = 8
+# splits eps of the tail bound that theta_sum chooses from (see there), in
+# ascending order; eps = 1/2 gives the radius of the fixed half split, the
+# smaller ones the shorter radii of tight tolerances
+_TAIL_SPLITS = (0.0625, 0.125, 0.25, 0.5)
 
 
 def _as_matrix(gram) -> np.ndarray:
@@ -82,11 +86,13 @@ class GramMatrix:
     """Symmetric positive-definite matrix of inner products.
 
     factor is the Cholesky factor of entries that validation computes; the
-    theta sum enumerates with it rather than factoring again.
+    theta sum enumerates with it rather than factoring again.  log_covolume
+    is log sqrt(det), from that factor.
     """
 
     entries: np.ndarray
     factor: np.ndarray = field(init=False, repr=False, compare=False)
+    log_covolume: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.entries, dtype=float)
@@ -103,6 +109,7 @@ class GramMatrix:
         L = cholesky(m)
         L.setflags(write=False)
         object.__setattr__(self, "factor", L)
+        object.__setattr__(self, "log_covolume", _log_covolume(L))
 
     @property
     def n(self) -> int:
@@ -122,7 +129,6 @@ class EmbeddedLattice:
 
     basis: np.ndarray
     gram: GramMatrix = field(init=False)
-    log_covolume: float = field(init=False)
 
     def __post_init__(self):
         b = np.array(self.basis, dtype=float)
@@ -131,7 +137,10 @@ class EmbeddedLattice:
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
         object.__setattr__(self, "gram", GramMatrix(b @ b.T))
-        object.__setattr__(self, "log_covolume", _log_covolume(self.gram.factor))
+
+    @property
+    def log_covolume(self) -> float:
+        return self.gram.log_covolume
 
     @property
     def covolume(self) -> float:
@@ -320,12 +329,13 @@ def _certified_lambda_min(L: np.ndarray) -> float:
     return lam
 
 
-def _gauss_line_sum(lam: float) -> float:
-    """Upper bound on S = sum over k in Z of exp(-a k^2), a = pi * lam / 2.
+def _gauss_line_sum(a: float) -> float:
+    """Upper bound on S(a) = sum over k in Z of exp(-a k^2), for a > 0.
 
-    The terms decrease in |k|, so exp(-a k^2) is at most the integral of
-    exp(-a t^2) over [k - 1, k] for every k >= 1, and with K =
-    _LINE_SUM_TERMS
+    theta_sum takes it at a = pi * eps * lam, for its tail split eps and
+    the certified smallest eigenvalue lam.  The terms decrease in |k|, so
+    exp(-a k^2) is at most the integral of exp(-a t^2) over [k - 1, k] for
+    every k >= 1, and with K = _LINE_SUM_TERMS
 
         sum_{k>=1} exp(-a k^2) <= sum_{k=1}^{K} exp(-a k^2) + int_K^inf exp(-a t^2) dt
                                 = sum_{k=1}^{K} exp(-a k^2) + (1/2) sqrt(pi/a) erfc(K sqrt(a)).
@@ -336,7 +346,6 @@ def _gauss_line_sum(lam: float) -> float:
     Rounding moves the result by a few ulps, far inside the +2 slack of the
     tail formula in theta_sum.
     """
-    a = 0.5 * math.pi * lam
     head = math.fsum(math.exp(-a * k * k) for k in range(1, _LINE_SUM_TERMS + 1))
     tail = 0.5 * math.sqrt(math.pi / a) * math.erfc(_LINE_SUM_TERMS * math.sqrt(a))
     return 1.0 + 2.0 * (head + tail)
@@ -385,19 +394,60 @@ def _exact_partials(terms: np.ndarray) -> np.ndarray:
     return np.ldexp(np.concatenate([H, L]), np.concatenate([shift, shift]))
 
 
-def _log_tail(radius: float, log_per_dim: float, n: int) -> float:
-    return -0.5 * math.pi * radius + n * log_per_dim
+def _log_tail(radius: float, log_per_dim: float, n: int, eps: float) -> float:
+    """log of exp(-pi (1 - eps) radius) (S + 2)^n, with log_per_dim = log(S + 2)."""
+    return -math.pi * (1.0 - eps) * radius + n * log_per_dim
+
+
+def _tail_split(lam: float, n: int, log_tol: float) -> tuple[float, float, float]:
+    """(radius, eps, log(S + 2)) for the eps of _TAIL_SPLITS whose radius
+    R(eps) + 1/2 is smallest (see theta_sum); the smaller eps on a tie.
+
+    S >= 1, so the radius computed with log 3 in place of log(S + 2) is a
+    lower bound, and a split whose bound does not beat the best radius so
+    far is skipped without its line sum; the choice is that of a full scan.
+    """
+    best = (math.inf, 0.0, 0.0)
+    for eps in _TAIL_SPLITS:
+        scale = math.pi * (1.0 - eps)
+        if (n * math.log(3.0) - log_tol) / scale + 0.5 >= best[0]:
+            continue
+        log_per_dim = math.log(_gauss_line_sum(math.pi * eps * lam) + 2.0)
+        radius = (n * log_per_dim - log_tol) / scale + 0.5
+        if radius < best[0]:
+            best = (radius, eps, log_per_dim)
+    return best
 
 
 def theta_sum(gram, center, tol: float,
               budget: int = DEFAULT_BUDGET) -> ThetaResult:
     """Gaussian theta sum over Z^n + center with tail certified below tol.
 
-    The tail over Q > R is bounded by exp(-pi R/2) * (S + 2)^n, where S is
-    the one-dimensional Gaussian sum at the certified smallest eigenvalue;
-    R grows until this drops below tol.  One Cholesky factor serves both
-    that eigenvalue bound and the enumeration: a GramMatrix brings the one
-    its validation computed, a raw array is factored here.
+    The tail bound splits each term.  For eps in (0, 1) and Q > R,
+    exp(-pi Q) = exp(-pi (1 - eps) Q) exp(-pi eps Q) <= exp(-pi (1 - eps) R)
+    exp(-pi eps Q), so the tail over Q > R is at most exp(-pi (1 - eps) R)
+    times the whole sum of exp(-pi eps Q(v + c)) (Banaszczyk, Math. Ann. 296,
+    1993).  With lam <= lambda_min(G), Q(x) >= lam |x|^2 and that sum is at
+    most the product over the coordinates of sum over k of
+    exp(-a (k + c_i)^2), a = pi eps lam.  With |c_i| <= 1/2 the shifted
+    terms pair off with the centred ones k >= 0 on each side, so each factor
+    is at most S(a) + 2, for any a, where S is the centred sum bounded by
+    _gauss_line_sum.  So
+
+        tail <= exp(-pi (1 - eps) R) (S(pi eps lam) + 2)^n,
+
+    which meets tol at R(eps) = (n log(S + 2) - log tol) / (pi (1 - eps));
+    the radius is R(eps) + 1/2, at least 1, for the eps of _TAIL_SPLITS
+    with the smallest such radius.  A small eps shortens the radius when
+    -log tol dominates, a larger one when S is large (a flat lattice).  The
+    choice depends on lam, n and tol only, so repeated calls stay
+    bit-identical, and eps = 1/2 among the candidates keeps the radius at
+    most that of the fixed half split.  The 1/2 margin covers the boundary
+    slack of the enumeration, at whose smaller radius the tail is bounded.
+
+    One Cholesky factor serves both that eigenvalue bound and the
+    enumeration: a GramMatrix brings the one its validation computed, and
+    its log-covolume for the point estimate; a raw array is factored here.
 
     A centred sum (center in Z^n) enumerates one half-space: the zero vector
     and, of each pair +-v, the v whose first nonzero coordinate in the
@@ -422,24 +472,27 @@ def theta_sum(gram, center, tol: float,
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    L = gram.factor if isinstance(gram, GramMatrix) else cholesky(gram)
+    if isinstance(gram, GramMatrix):
+        L, log_covolume = gram.factor, gram.log_covolume
+    else:
+        L = cholesky(gram)
+        log_covolume = _log_covolume(L)
     n = L.shape[0]
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float).reshape(n)
     c = c - np.round(c)  # theta is Z^n-periodic in the shift
     lam = _certified_lambda_min(L)
-    log_per_dim = math.log(_gauss_line_sum(lam) + 2.0)
-    radius = max(1.0, (2.0 / math.pi) * (n * log_per_dim - math.log(tol)) + 0.5)
-    tail = math.inf
-    for _ in range(200):
-        safe_radius = radius * (1.0 - 2.0 * _BOUNDARY_SLACK) - 1e-12
-        tail = math.exp(_log_tail(safe_radius, log_per_dim, n))
-        if tail <= tol:
-            break
-        radius *= 1.25
-    else:
-        raise ToleranceUnreachable(f"tail bound stalled at {tail:.3e} > tol {tol:.3e}")
+    log_tol = math.log(tol)
+    radius, eps, log_per_dim = _tail_split(lam, n, log_tol)
+    radius = max(1.0, radius)
+    safe_radius = radius * (1.0 - 2.0 * _BOUNDARY_SLACK) - 1e-12
+    log_tail = _log_tail(safe_radius, log_per_dim, n, eps)
+    if not log_tail <= log_tol:
+        raise ToleranceUnreachable(
+            f"tail bound exp({log_tail:.6g}) at radius {radius:.6g} exceeds tol "
+            f"{tol:.3e}: split eps = {eps}, n = {n}, log(S + 2) = {log_per_dim:.6g}")
+    tail = math.exp(log_tail)
     # the expected point count, ellipsoid volume over covolume, in logs
-    log_points = 0.5 * n * math.log(math.pi * radius) - math.lgamma(0.5 * n + 1) - _log_covolume(L)
+    log_points = 0.5 * n * math.log(math.pi * radius) - math.lgamma(0.5 * n + 1) - log_covolume
     if log_points > math.log(2 * budget):  # an int budget may exceed the float range
         raise EnumerationBudgetExceeded(
             f"estimated point count exceeds the budget of {budget}")

@@ -24,8 +24,12 @@ module outside ``arithcoh``.
     python tests/golden/regenerate.py --draw    # redraw the inputs, recompute, write
 
 --diff prints, per family, how many records changed and the largest |delta|
-of a changed number (points and exit codes included).  A change that
-rewrites the corpus states both in CHANGES.md.
+of a changed number (points and exit codes included), then that largest
+|delta| per leaf name: the last key on the path to a number (h0, points,
+tail_bound, ...), or its list index where no key names it, as in the
+[h0, h1, re, im] rows of ``zeta``.  A CLI stdout is read as its JSON or CSV
+first, so its numbers are named too.  A change that rewrites the corpus
+states these in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -165,15 +169,36 @@ def dump(corpus: dict) -> str:
 _NUMBER = re.compile(r"-?(?:\d+\.?\d*(?:e[-+]?\d+)?|inf|nan)")
 
 
-def _leaves(x, path=""):
+def _parsed(text: str):
+    """A CLI stdout as data: its JSON, or its CSV rows as dicts of floats."""
+    try:
+        return json.loads(text)
+    except ValueError:
+        pass
+    head, *rows = [line.split(",") for line in text.splitlines()] or [[]]
+    try:
+        return [dict(zip(head, map(float, row), strict=True)) for row in rows]
+    except ValueError:
+        return text
+
+
+def _leaves(x, path=()):
+    """(path, leaf) pairs; a path is a tuple of keys and list indices."""
+    if isinstance(x, str) and path and path[-1] == "stdout":
+        x = _parsed(x)
     if isinstance(x, dict):
         for k, v in x.items():
-            yield from _leaves(v, f"{path}.{k}")
+            yield from _leaves(v, path + (k,))
     elif isinstance(x, list):
         for i, v in enumerate(x):
-            yield from _leaves(v, f"{path}[{i}]")
+            yield from _leaves(v, path + (i,))
     else:
         yield path, x
+
+
+def _leaf_name(path) -> str:
+    keys = [k for k in path if isinstance(k, str)]
+    return keys[-1] if keys else f"[{path[-1]}]"
 
 
 def _number(x):
@@ -200,27 +225,38 @@ def _leaf_delta(a, b) -> float:
     return math.inf
 
 
-def _delta(old, new) -> float:
-    """Largest |delta| between two outputs; inf where they differ in shape."""
+def _deltas(old, new) -> dict[str, float]:
+    """Largest |delta| per leaf name between two outputs; {"shape": inf}
+    where they differ in shape."""
     old_leaves, new_leaves = dict(_leaves(old)), dict(_leaves(new))
     if old_leaves.keys() != new_leaves.keys():
-        return math.inf
-    return max((_leaf_delta(a, new_leaves[path]) for path, a in old_leaves.items()
-                if a != new_leaves[path]), default=0.0)
+        return {"shape": math.inf}
+    out: dict[str, float] = {}
+    for path, a in old_leaves.items():
+        if a != new_leaves[path]:
+            name = _leaf_name(path)
+            out[name] = max(out.get(name, 0.0), _leaf_delta(a, new_leaves[path]))
+    return out
 
 
 def diff(old: dict, new: dict) -> list[str]:
-    """Per family: changed records, their largest |delta| and their indices."""
+    """Per family: changed records, their largest |delta| and their indices,
+    then the largest |delta| per leaf name."""
     lines = []
     for family in FAMILIES:
         if len(old[family]) != len(new[family]):
             lines.append(f"{family}: {len(old[family])} records became {len(new[family])}")
             continue
-        changed = {i: _delta(a["out"], b["out"])
+        changed = {i: _deltas(a["out"], b["out"])
                    for i, (a, b) in enumerate(zip(old[family], new[family])) if a != b}
         line = f"{family}: {len(changed)} of {len(new[family])} records changed"
         if changed:
-            line += f", largest |delta| {max(changed.values()):.3g}, records {sorted(changed)}"
+            by_name: dict[str, float] = {}
+            for deltas in changed.values():
+                for name, d in deltas.items():
+                    by_name[name] = max(by_name.get(name, 0.0), d)
+            line += (f", largest |delta| {max(by_name.values()):.3g}, records {sorted(changed)}"
+                     "\n  by leaf: " + ", ".join(f"{name} {d:.3g}" for name, d in by_name.items()))
         lines.append(line)
     return lines
 

@@ -171,6 +171,22 @@ def test_h_values_reject_bad_tol():
             effectivity_v(D, [0.5], tol)
 
 
+@pytest.mark.parametrize("field", ["Q", "Q(i)", "Q(sqrt(5))", "Q(cbrt(2))"])
+def test_h0_error_is_certified_at_large_tol(field):
+    # the log error bound must hold and stay below tol for every tol > 0,
+    # not only for tol << 1; x_sigma moves the covolume both ways
+    F = {"Q": Q, "Q(i)": QI, "Q(sqrt(5))": make_field(("quadratic", 5)),
+         "Q(cbrt(2))": make_field(cbrt2_descriptor())}[field]
+    places = F.r1 + F.r2
+    for x in (-1.5, 0.0, 1.0, 3.0):
+        D = divisor_from_primes(F, (), [x] * places)
+        exact = h0(D, 1e-12).value
+        for tol in (1.0, 2.0, 4.0, 50.0, 1e6):
+            got = h0(D, tol)
+            assert 0.0 <= got.tail_bound <= tol, (x, tol, got)
+            assert abs(got.value - exact) <= got.tail_bound, (x, tol, got, exact)
+
+
 def test_h0_monotone_in_infinite_component():
     values = [h0(degree_divisor(t), 1e-10).value for t in (-2, -1, 0, 1, 2)]
     assert values == sorted(values)

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from arithcoh.errors import EnumerationBudgetExceeded, NotPositiveDefinite
+from arithcoh.errors import EnumerationBudgetExceeded, NotPositiveDefinite, ToleranceUnreachable
 from arithcoh.lattice import (
     EmbeddedLattice,
     GramMatrix,
@@ -185,6 +185,76 @@ def test_theta_tail_bound_soundness():
         v1 = math.fsum(np.exp(-math.pi * np.sort(q1)).tolist())
         v2 = math.fsum(np.exp(-math.pi * np.sort(q2)).tolist())
         assert 0.0 <= v2 - v1 < res.tail_bound
+
+
+def test_theta_tail_bound_holds_at_twice_the_radius(monkeypatch):
+    # the sum over the ball of twice the radius exceeds the value by at most
+    # tail_bound, with every tail split in play: spectra down to 1e-3 with
+    # condition numbers up to 1e4, and tolerances above 1 where a flat
+    # lattice makes a large split win
+    chosen = []
+    real = lattice._tail_split
+
+    def recording(*args):
+        split = real(*args)
+        chosen.append(split[1])
+        return split
+
+    monkeypatch.setattr(lattice, "_tail_split", recording)
+    rng = np.random.default_rng(30)
+    for n in (1, 2, 3, 4):
+        for smallest in (1e-3, 0.1, 1.0):
+            eigs = smallest * 10.0 ** np.concatenate([[0.0], rng.uniform(0.0, 4.0, n - 1)])
+            g = _gram_with_spectrum(rng, eigs) if n > 1 else np.array([[smallest]])
+            for tol in (1e-12, 1e-3, 1.0, 10.0, 1e3):
+                for center in (None, rng.uniform(-0.5, 0.5, n)):
+                    res = theta_sum(g, center, tol)
+                    c = np.zeros(n) if center is None else center
+                    _, q = _enumerate_with_norms(g, c, 2.0 * res.radius, 10**7)
+                    wide = math.fsum(np.exp(-math.pi * q).tolist())
+                    slack = 4 * lattice._U * wide  # two enumerations, each rounded
+                    assert -slack <= wide - res.value <= res.tail_bound + slack, (n, eigs, tol)
+                    # the 1/2 margin costs a factor exp(-pi (1 - eps) / 2), no more
+                    assert math.exp(-math.pi / 2) * tol * (1 - 1e-6) <= res.tail_bound <= tol \
+                        or res.radius == 1.0
+    assert set(chosen) == set(lattice._TAIL_SPLITS)
+
+
+def test_tail_split_radius_is_the_smallest_and_at_most_the_half_split():
+    # the pruned scan picks what a full scan over the splits picks, and the
+    # split 1/2 keeps every radius at most that of the fixed half split
+    def full_scan(lam, n, log_tol):
+        radii = []
+        for eps in lattice._TAIL_SPLITS:
+            log_per_dim = math.log(lattice._gauss_line_sum(math.pi * eps * lam) + 2.0)
+            radii.append(((n * log_per_dim - log_tol) / (math.pi * (1.0 - eps)) + 0.5,
+                          eps, log_per_dim))
+        return min(radii), radii[lattice._TAIL_SPLITS.index(0.5)][0]
+
+    for n in (1, 2, 3, 4, 8):
+        for lam in np.geomspace(1e-8, 1e3, 23).tolist():
+            for tol in np.geomspace(1e-300, 1e30, 34).tolist():
+                best, half = full_scan(lam, n, math.log(tol))
+                assert lattice._tail_split(lam, n, math.log(tol)) == best
+                assert best[0] <= half
+
+
+def test_gauss_line_sum_bounds_the_direct_sum():
+    for a in np.geomspace(1e-4, 10.0, 41).tolist():
+        direct = 1.0 + 2.0 * math.fsum(math.exp(-a * k * k)
+                                       for k in range(1, int(40.0 / math.sqrt(a)) + 2))
+        bound = lattice._gauss_line_sum(a)
+        # the integral replaces the terms past K = 8 with an excess below
+        # exp(-a K^2) per side
+        excess = 2.0 * math.exp(-a * lattice._LINE_SUM_TERMS ** 2)
+        assert direct <= bound <= direct + excess + 1e-13 * direct, a
+
+
+def test_theta_tail_guard_raises_with_the_numbers(monkeypatch):
+    # a boundary slack that eats the 1/2 margin leaves the tail above tol
+    monkeypatch.setattr(lattice, "_BOUNDARY_SLACK", 0.25)
+    with pytest.raises(ToleranceUnreachable, match=r"exceeds tol 1\.000e-09: split eps = "):
+        theta_sum([[1.0]], None, 1e-9)
 
 
 def test_theta_monotone_under_gram_scaling():
@@ -396,8 +466,8 @@ def test_half_space_budget_matches_full_space():
 
 
 def test_theta_peak_memory_is_bounded():
-    # about 1.4 M points; the whole point set alone would take over 30 MB
-    g = [[4e-5, 8e-6], [8e-6, 6e-5]]
+    # about 1.3 M points; the whole point set alone would take over 30 MB
+    g = [[2.4e-5, 4.8e-6], [4.8e-6, 3.6e-5]]
     for center in (None, [0.3, -0.2]):
         tracemalloc.start()
         try:
