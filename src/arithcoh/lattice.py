@@ -444,6 +444,10 @@ def theta_sum(gram, center, tol: float,
     bit-identical, and eps = 1/2 among the candidates keeps the radius at
     most that of the fixed half split.  The 1/2 margin covers the boundary
     slack of the enumeration, at whose smaller radius the tail is bounded.
+    The radius is also at least Q(c) for the shift c reduced into
+    [-1/2, 1/2]^n, so a shifted sum reaches the point v = 0 and its value
+    is positive unless that term underflows; a sum far from the lattice
+    would otherwise come out as 0, within tol but useless as a ratio.
 
     One Cholesky factor serves both that eigenvalue bound and the
     enumeration: a GramMatrix brings the one its validation computed, and
@@ -480,10 +484,11 @@ def theta_sum(gram, center, tol: float,
     n = L.shape[0]
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float).reshape(n)
     c = c - np.round(c)  # theta is Z^n-periodic in the shift
+    half = not c.any()
     lam = _certified_lambda_min(L)
     log_tol = math.log(tol)
     radius, eps, log_per_dim = _tail_split(lam, n, log_tol)
-    radius = max(1.0, radius)
+    radius = max(1.0, radius, 0.0 if half else float(np.sum((L.T @ c) ** 2)))
     safe_radius = radius * (1.0 - 2.0 * _BOUNDARY_SLACK) - 1e-12
     log_tail = _log_tail(safe_radius, log_per_dim, n, eps)
     if not log_tail <= log_tol:
@@ -496,7 +501,6 @@ def theta_sum(gram, center, tol: float,
     if log_points > math.log(2 * budget):  # an int budget may exceed the float range
         raise EnumerationBudgetExceeded(
             f"estimated point count exceeds the budget of {budget}")
-    half = not c.any()
     _, blocks = _fincke_pohst(L.T, c, radius, budget, half)
     kept = 0
 

@@ -215,6 +215,10 @@ def test_effectivity_v_examples():
     got = effectivity_v(D0, [0.5], 1e-9)
     assert got == pytest.approx(expected, abs=1e-9)
     assert got == pytest.approx(0.8409, abs=1e-3)
+    # far from the lattice v is tiny but positive: the shifted sum reaches
+    # the two nearest points at Q = e^5 / 4, beyond the tail radius
+    far = effectivity_v(degree_divisor(-2.5), [0.5], 1e-8)
+    assert far == pytest.approx(2.0 * math.exp(-math.pi * math.exp(5.0) / 4.0), rel=1e-12, abs=0.0)
 
 
 def test_serre_duality_self_dual_point():

@@ -120,6 +120,17 @@ def test_theta_shifted_1d_oracle():
     assert res.value == pytest.approx(THETA_1D_HALF_SHIFT, abs=1e-12)
 
 
+def test_shifted_theta_reaches_the_point_of_the_shift():
+    # Q = 25 at v = 0 and v = -1, far beyond the radius tol 1e-8 needs
+    res = theta_sum([[100.0]], [0.5], 1e-8)
+    assert res.radius >= 25.0 and res.points_enumerated == 2
+    assert res.value == pytest.approx(2.0 * math.exp(-25.0 * math.pi), rel=1e-14, abs=0.0)
+    g = [[60.0, 10.0], [10.0, 40.0]]
+    res = theta_sum(g, [2.4, -0.6], 1e-6)
+    assert res.value == pytest.approx(brute_force_theta(g, [0.4, 0.4], box=5), rel=1e-12)
+    assert res.value > 0.0
+
+
 def test_theta_integer_center_is_periodic():
     base = theta_sum([[1.0]], [0.0], 1e-12)
     for shift in ([1.0], [-3.0], [7.0]):
@@ -196,9 +207,8 @@ def test_theta_tail_bound_holds_at_twice_the_radius(monkeypatch):
     real = lattice._tail_split
 
     def recording(*args):
-        split = real(*args)
-        chosen.append(split[1])
-        return split
+        chosen.append(real(*args))
+        return chosen[-1]
 
     monkeypatch.setattr(lattice, "_tail_split", recording)
     rng = np.random.default_rng(30)
@@ -214,10 +224,12 @@ def test_theta_tail_bound_holds_at_twice_the_radius(monkeypatch):
                     wide = math.fsum(np.exp(-math.pi * q).tolist())
                     slack = 4 * lattice._U * wide  # two enumerations, each rounded
                     assert -slack <= wide - res.value <= res.tail_bound + slack, (n, eigs, tol)
-                    # the 1/2 margin costs a factor exp(-pi (1 - eps) / 2), no more
-                    assert math.exp(-math.pi / 2) * tol * (1 - 1e-6) <= res.tail_bound <= tol \
-                        or res.radius == 1.0
-    assert set(chosen) == set(lattice._TAIL_SPLITS)
+                    assert res.tail_bound <= tol
+                    # at the split's own radius (not raised to 1 or to Q(c)) the
+                    # 1/2 margin costs a factor exp(-pi (1 - eps) / 2), no more
+                    if res.radius == chosen[-1][0]:
+                        assert res.tail_bound >= math.exp(-math.pi / 2) * tol * (1 - 1e-6)
+    assert {eps for _, eps, _ in chosen} == set(lattice._TAIL_SPLITS)
 
 
 def test_tail_split_radius_is_the_smallest_and_at_most_the_half_split():
