@@ -255,7 +255,8 @@ def diff(old: dict, new: dict) -> list[str]:
             for deltas in changed.values():
                 for name, d in deltas.items():
                     by_name[name] = max(by_name.get(name, 0.0), d)
-            line += (f", largest |delta| {max(by_name.values()):.3g}, records {sorted(changed)}"
+            line += (f", largest |delta| {max(by_name.values(), default=0.0):.3g}, "
+                     f"records {sorted(changed)}"
                      "\n  by leaf: " + ", ".join(f"{name} {d:.3g}" for name, d in by_name.items()))
         lines.append(line)
     return lines
