@@ -125,10 +125,11 @@ def test_shifted_theta_reaches_the_point_of_the_shift():
     res = theta_sum([[100.0]], [0.5], 1e-8)
     assert res.radius >= 25.0 and res.points_enumerated == 2
     assert res.value == pytest.approx(2.0 * math.exp(-25.0 * math.pi), rel=1e-14, abs=0.0)
+    # Q(0.4, 0.4) = 19.2 at the nearest point
     g = [[60.0, 10.0], [10.0, 40.0]]
     res = theta_sum(g, [2.4, -0.6], 1e-6)
-    assert res.value == pytest.approx(brute_force_theta(g, [0.4, 0.4], box=5), rel=1e-12)
-    assert res.value > 0.0
+    full = brute_force_theta(g, [0.4, 0.4], box=5)
+    assert math.exp(-19.2 * math.pi) * (1 - 1e-12) <= res.value <= full <= res.value + res.tail_bound
 
 
 def test_theta_integer_center_is_periodic():
