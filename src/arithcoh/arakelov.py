@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (CertificationFailed, EnumerationBudgetExceeded, InvalidDivisor,
-                     UnsupportedField)
+from .errors import CertificationFailed, InvalidDivisor, UnsupportedField
 from .intmat import exact_int
 from .lattice import DEFAULT_BUDGET, theta_sum
 from .numfield import (
@@ -141,27 +140,17 @@ class CohomologyValue:
     points_enumerated: int
 
 
-def _theta_of_divisor(D: ArakelovDivisor, log_tol: float, budget: int, center=None):
-    """Theta sum of the divisor lattice, with the absolute tolerance picked so
-    the log-level error stays below log_tol.
+def _theta_of_divisor(D: ArakelovDivisor, log_tol: float, budget: int):
+    """Centred theta sum of the divisor lattice, with the relative tolerance
+    picked so the log-level error stays below log_tol.
 
-    theta >= f = max(1, 1/covolume) holds rigorously (the zero vector, resp.
-    Poisson summation against the dual), which turns a relative target into
-    an absolute one in a single pass.  The enumerated value V is at most
-    theta, so the log error is log(theta / V) <= log1p(tail / V).  With
-    tail <= a f and a = min(log_tol, 1) / 2 <= 1/2, V >= max(1, f - tail)
-    >= (1 - a) f, so tail / V <= a / (1 - a) <= 2a <= log_tol, for every
-    log_tol > 0.
+    The enumerated value V is at most theta, so the log error is
+    log(theta / V) <= log1p(tail / V).  theta_sum bounds tail / V by
+    r / (1 - r) with r <= a = min(log_tol, 1) / 2 <= 1/2, which is at most
+    2a <= log_tol, for every log_tol > 0.
     """
     lat = embed_ideal(D.field, D.ideal(), D.infinite)
-    try:
-        theta_floor = math.exp(max(0.0, -lat.log_covolume))
-    except OverflowError:  # terms are <= 1: more points than a float can count
-        raise EnumerationBudgetExceeded(
-            f"lattice of covolume exp({lat.log_covolume:.6g}) has over 1e308 points") from None
-    abs_tol = 0.5 * min(log_tol, 1.0) * theta_floor
-    res = theta_sum(lat.gram, center, abs_tol, budget=budget)
-    return res, lat
+    return theta_sum(lat.gram, None, 0.5 * min(log_tol, 1.0), budget=budget), lat
 
 
 def h0(D: ArakelovDivisor, tol: float = 1e-9,
@@ -208,14 +197,16 @@ def effectivity_v(D: ArakelovDivisor, coords, tol: float = 1e-9,
                   budget: int = DEFAULT_BUDGET) -> float:
     """Quotient effectivity: shifted over centered theta sum.
 
-    Both enumerations carry tails below tol times the denominator, so the
-    ratio is correct to ~2*tol.  Periodic under the ideal by construction.
+    The centred denominator's value plus its tail bound is the bound on
+    theta_0 that the shifted numerator's relative tolerance needs.  Both
+    tails stay below tol times the denominator, so the ratio is correct to
+    about 2 tol.  Periodic under the ideal by construction.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     den, lat = _theta_of_divisor(D, tol, budget)
-    abs_tol = 0.5 * tol * den.value
-    num = theta_sum(lat.gram, [float(c) for c in coords], abs_tol, budget=budget)
+    num = theta_sum(lat.gram, [float(c) for c in coords], 0.5 * min(tol, 1.0),
+                    budget=budget, theta0=den.value + den.tail_bound)
     return num.value / den.value
 
 

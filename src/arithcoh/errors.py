@@ -22,9 +22,9 @@ class EnumerationBudgetExceeded(ArithcohError):
 class ToleranceUnreachable(ArithcohError):
     """No certified tail bound meets tol.
 
-    Raised when the smallest eigenvalue of a Gram matrix has no positive
-    certified bound, or when the tail bound at the chosen radius is not
-    below tol; the message carries the numbers.
+    Raised when the relative tail bound of a theta sum, evaluated at the
+    radius the enumeration is sure to cover, is not below tol; the message
+    carries the numbers.
     """
 
 

@@ -44,13 +44,9 @@ _BLOCK_POINTS = 1 << 15
 # binning costs 10-20 us per call at any size, tolist + fsum about 50 ns per
 # term, and the two cross between 300 and 1,000 terms
 _BIN_MIN = 1 << 10
-_U = 2.0 ** -53  # unit roundoff of binary64
-# terms of the one-dimensional Gaussian sum taken exactly before its
-# integral tail bound
-_LINE_SUM_TERMS = 8
-# splits eps of the tail bound that theta_sum chooses from (see there), in
-# ascending order; eps = 1/2 gives the radius of the fixed half split, the
-# smaller ones the shorter radii of tight tolerances
+# splits eps of the tail bound that theta_sum chooses from (see there): the
+# small ones give the shorter radii at tight tolerances, the large ones at
+# loose tolerances or in many dimensions
 _TAIL_SPLITS = (0.0625, 0.125, 0.25, 0.5)
 
 
@@ -267,90 +263,6 @@ def enumerate_below(gram, center, radius: float,
     return V[order]
 
 
-def _certified_lambda_min(L: np.ndarray) -> float:
-    """Rigorous lower bound on the smallest eigenvalue of G from its computed
-    Cholesky factor L.
-
-    Let u = 2^-53 and let X be the inverse of L computed by forward
-    substitution, column by column.  Error analysis of both steps (Higham,
-    Accuracy and Stability of Numerical Algorithms, 2nd ed., Thms 10.3 and
-    8.5, with gamma_k = ku / (1 - ku) <= 2ku) gives:
-
-    - L L^T = G + E with |E| <= 2(n+1)u |L| |L|^T, so
-      ||E||_2 <= 2(n+1)u ||L||_F^2.
-    - Column j of X solves (L + F_j) x_j = e_j with |F_j| <= 2nu |L|, so
-      R = I - L X has ||R||_2 <= ||R||_F <= r = 2nu ||L||_F ||X||_F.  When
-      r < 1, L^-1 = X (I - R)^-1 gives ||L^-1||_2 <= ||X||_2 / (1 - r).
-    - ||X||_2^2 is the spectral radius of X^T X (about G^-1), so it is at
-      most N = ||X^T X||_inf.  The computed X^T X is off by at most
-      2nu |X|^T |X| entrywise, and each row of |X|^T |X| sums to at most
-      n ||X||_F^2 (Cauchy-Schwarz), so N <= ||fl(X^T X)||_inf + 2n^2 u ||X||_F^2.
-
-    By Weyl's inequality, lambda_min(G) >= lambda_min(L L^T) - ||E||_2 =
-    1 / ||L^-1||_2^2 - ||E||_2 >= (1 - r)^2 / N - 2(n+1)u ||L||_F^2.
-
-    L comes from LAPACK's potrf (OpenBLAS under numpy), and Thm 10.3 covers
-    its blocked order, FMA and reciprocal pivots: Lemma 8.4 holds for any
-    order of evaluation, an FMA only drops roundings, and a reciprocal adds
-    one rounding to an off-diagonal entry of row i < n, within gamma_{n+1}.
-
-    Rounding margin: each norm above is a sum of products in which each
-    term meets at most 2n^2 roundings, so its exact value is at most
-    (1 + 8n^2 u) times the computed one.  The code moves every quantity,
-    and the result, by a factor 1 +- 16n^2 u against itself, which also
-    covers the few roundings of the formula.  The bound is within a factor
-    n of lambda_min (exact for n = 1 up to the margin) until the condition
-    number nears 1/u, where it stops being positive.
-    """
-    l = L.tolist()
-    n = len(l)
-    x = [[0.0] * n for _ in range(n)]
-    for j in range(n):
-        x[j][j] = 1.0 / l[j][j]
-        for i in range(j + 1, n):
-            x[i][j] = -sum(l[i][k] * x[k][j] for k in range(j, i)) / l[i][i]
-    # X is lower triangular: (X^T X)_ij sums over k >= max(i, j)
-    inv = [[sum(x[k][i] * x[k][j] for k in range(max(i, j), n)) for j in range(n)]
-           for i in range(n)]
-    up = 1.0 + 16 * n * n * _U
-    down = 1.0 - 16 * n * n * _U
-    lf2 = up * sum(v * v for row in l for v in row)
-    xf2 = up * sum(v * v for row in x for v in row)
-    big_n = up * (max(sum(abs(v) for v in row) for row in inv) + up * (2 * n * n * _U) * xf2)
-    r = up * (2 * n * _U) * math.sqrt(lf2 * xf2)
-    inv_term = down * (1.0 - r) ** 2 / big_n
-    err_term = up * (2 * (n + 1) * _U) * lf2
-    lam = down * (inv_term - err_term)
-    if r >= 0.5 or not lam > 0.0:
-        raise ToleranceUnreachable(
-            f"no positive certified bound on the smallest eigenvalue; the Gram matrix is "
-            f"too ill-conditioned: n = {n}, ||L||_F^2 = {lf2:.6e}, r = {r:.3e}, "
-            f"(1 - r)^2 / N = {inv_term:.6e} against 2(n+1)u ||L||_F^2 = {err_term:.6e}")
-    return lam
-
-
-def _gauss_line_sum(a: float) -> float:
-    """Upper bound on S(a) = sum over k in Z of exp(-a k^2), for a > 0.
-
-    theta_sum takes it at a = pi * eps * lam, for its tail split eps and
-    the certified smallest eigenvalue lam.  The terms decrease in |k|, so
-    exp(-a k^2) is at most the integral of exp(-a t^2) over [k - 1, k] for
-    every k >= 1, and with K = _LINE_SUM_TERMS
-
-        sum_{k>=1} exp(-a k^2) <= sum_{k=1}^{K} exp(-a k^2) + int_K^inf exp(-a t^2) dt
-                                = sum_{k=1}^{K} exp(-a k^2) + (1/2) sqrt(pi/a) erfc(K sqrt(a)).
-
-    The integral exceeds the terms it replaces by less than exp(-a K^2) <= 1,
-    so the bound stays close to S both where the terms fall fast (that
-    excess vanishes) and where they do not (S is about sqrt(pi/a) and large).
-    Rounding moves the result by a few ulps, far inside the +2 slack of the
-    tail formula in theta_sum.
-    """
-    head = math.fsum(math.exp(-a * k * k) for k in range(1, _LINE_SUM_TERMS + 1))
-    tail = 0.5 * math.sqrt(math.pi / a) * math.erfc(_LINE_SUM_TERMS * math.sqrt(a))
-    return 1.0 + 2.0 * (head + tail)
-
-
 def _exact_partials(terms: np.ndarray) -> np.ndarray:
     """A few floats per binary exponent whose exact sum is that of terms.
 
@@ -394,64 +306,57 @@ def _exact_partials(terms: np.ndarray) -> np.ndarray:
     return np.ldexp(np.concatenate([H, L]), np.concatenate([shift, shift]))
 
 
-def _log_tail(radius: float, log_per_dim: float, n: int, eps: float) -> float:
-    """log of exp(-pi (1 - eps) radius) (S + 2)^n, with log_per_dim = log(S + 2)."""
-    return -math.pi * (1.0 - eps) * radius + n * log_per_dim
+def _tail_split(n: int, log_tol: float) -> tuple[float, float]:
+    """(radius, eps) for the eps of _TAIL_SPLITS whose radius R(eps) + 1/2
+    is smallest (see theta_sum); the smaller eps on a tie."""
+    return min(((-0.5 * n * math.log(eps) - log_tol) / (math.pi * (1.0 - eps)) + 0.5, eps)
+               for eps in _TAIL_SPLITS)
 
 
-def _tail_split(lam: float, n: int, log_tol: float) -> tuple[float, float, float]:
-    """(radius, eps, log(S + 2)) for the eps of _TAIL_SPLITS whose radius
-    R(eps) + 1/2 is smallest (see theta_sum); the smaller eps on a tie.
-
-    S >= 1, so the radius computed with log 3 in place of log(S + 2) is a
-    lower bound, and a split whose bound does not beat the best radius so
-    far is skipped without its line sum; the choice is that of a full scan.
-    """
-    best = (math.inf, 0.0, 0.0)
-    for eps in _TAIL_SPLITS:
-        scale = math.pi * (1.0 - eps)
-        if (n * math.log(3.0) - log_tol) / scale + 0.5 >= best[0]:
-            continue
-        log_per_dim = math.log(_gauss_line_sum(math.pi * eps * lam) + 2.0)
-        radius = (n * log_per_dim - log_tol) / scale + 0.5
-        if radius < best[0]:
-            best = (radius, eps, log_per_dim)
-    return best
-
-
-def theta_sum(gram, center, tol: float,
-              budget: int = DEFAULT_BUDGET) -> ThetaResult:
-    """Gaussian theta sum over Z^n + center with tail certified below tol.
+def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
+              theta0: float | None = None) -> ThetaResult:
+    """Gaussian theta sum over Z^n + center with its tail certified below tol
+    times the centred sum theta_0(G).
 
     The tail bound splits each term.  For eps in (0, 1) and Q > R,
     exp(-pi Q) = exp(-pi (1 - eps) Q) exp(-pi eps Q) <= exp(-pi (1 - eps) R)
     exp(-pi eps Q), so the tail over Q > R is at most exp(-pi (1 - eps) R)
-    times the whole sum of exp(-pi eps Q(v + c)) (Banaszczyk, Math. Ann. 296,
-    1993).  With lam <= lambda_min(G), Q(x) >= lam |x|^2 and that sum is at
-    most the product over the coordinates of sum over k of
-    exp(-a (k + c_i)^2), a = pi eps lam.  With |c_i| <= 1/2 the shifted
-    terms pair off with the centred ones k >= 0 on each side, so each factor
-    is at most S(a) + 2, for any a, where S is the centred sum bounded by
-    _gauss_line_sum.  So
+    theta_c(eps G) (Banaszczyk, Math. Ann. 296, 1993).  Poisson summation
+    writes theta_c(G) as covol(G)^-1 times the sum over the dual lattice of
+    exp(-pi Q*(w)) exp(2 pi i <w, c>), with Q* the dual form: positive terms
+    times characters of modulus 1.  So theta_c(G) <= theta_0(G) for every
+    shift c, and theta_0(eps G) = eps^(-n/2) covol(G)^-1 sum exp(-pi Q*(w) /
+    eps) <= eps^(-n/2) theta_0(G), since each dual term shrinks for
+    eps <= 1.  Together
 
-        tail <= exp(-pi (1 - eps) R) (S(pi eps lam) + 2)^n,
+        tail <= r theta_0(G),   r = eps^(-n/2) exp(-pi (1 - eps) R),
 
-    which meets tol at R(eps) = (n log(S + 2) - log tol) / (pi (1 - eps));
-    the radius is R(eps) + 1/2, at least 1, for the eps of _TAIL_SPLITS
-    with the smallest such radius.  A small eps shortens the radius when
-    -log tol dominates, a larger one when S is large (a flat lattice).  The
-    choice depends on lam, n and tol only, so repeated calls stay
-    bit-identical, and eps = 1/2 among the candidates keeps the radius at
-    most that of the fixed half split.  The 1/2 margin covers the boundary
-    slack of the enumeration, at whose smaller radius the tail is bounded.
-    The radius is also at least Q(c) for the shift c reduced into
-    [-1/2, 1/2]^n, so a shifted sum reaches the point v = 0 and its value
-    is positive unless that term underflows; a sum far from the lattice
-    would otherwise come out as 0, within tol but useless as a ratio.
+    with no eigenvalue of G in it.  r meets tol at
+    R(eps) = (n/2 log(1/eps) - log tol) / (pi (1 - eps)); the radius is
+    R(eps) + 1/2, at least 1, for the eps of _TAIL_SPLITS with the smallest
+    such radius.  A small eps shortens the radius when -log tol dominates, a
+    larger one when n does.  The choice depends on n and tol only, so
+    repeated calls stay bit-identical.  The 1/2 margin covers the boundary
+    slack of the enumeration, at whose smaller radius r is evaluated.  The
+    radius is also at least Q(c) for the shift c reduced into [-1/2, 1/2]^n,
+    so a shifted sum reaches the point v = 0 and its value is positive unless
+    that term underflows; a sum far from the lattice would otherwise come out
+    as 0, within tol but useless as a ratio.
 
-    One Cholesky factor serves both that eigenvalue bound and the
-    enumeration: a GramMatrix brings the one its validation computed, and
-    its log-covolume for the point estimate; a raw array is factored here.
+    tol is relative, in (0, 1).  A centred sum bounds theta_0 from its own
+    value V: theta_0 <= V + r theta_0, so theta_0 <= V / (1 - r) and it
+    reports tail_bound = r V / (1 - r).  A shifted sum cannot see theta_0,
+    so the caller passes theta0, an upper bound on it (the value plus
+    tail_bound of a centred call on the same Gram), and it reports
+    tail_bound = r theta0.
+
+    Poisson summation appears only in this proof.  The value is always the
+    direct sum over the lattice points of the ball, never a sum over the
+    dual, so a verifier that compares the theta sums of D and of K - D
+    compares two direct enumerations.
+
+    A GramMatrix brings the Cholesky factor its validation computed, and its
+    log-covolume for the point estimate; a raw array is factored here.
 
     A centred sum (center in Z^n) enumerates one half-space: the zero vector
     and, of each pair +-v, the v whose first nonzero coordinate in the
@@ -474,8 +379,8 @@ def theta_sum(gram, center, tol: float,
     bit-identical, and tolist + fsum, the costly step per float, sees far
     fewer floats.
     """
-    if not tol > 0.0:
-        raise ValueError("tol must be positive")
+    if not 0.0 < tol < 1.0:
+        raise ValueError("tol is relative to the centred sum and must lie in (0, 1)")
     if isinstance(gram, GramMatrix):
         L, log_covolume = gram.factor, gram.log_covolume
     else:
@@ -485,17 +390,17 @@ def theta_sum(gram, center, tol: float,
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float).reshape(n)
     c = c - np.round(c)  # theta is Z^n-periodic in the shift
     half = not c.any()
-    lam = _certified_lambda_min(L)
+    if not half and not (theta0 is not None and 0.0 < theta0 < math.inf):
+        raise ValueError("a shifted sum needs theta0, a positive finite bound on the centred sum")
     log_tol = math.log(tol)
-    radius, eps, log_per_dim = _tail_split(lam, n, log_tol)
+    radius, eps = _tail_split(n, log_tol)
     radius = max(1.0, radius, 0.0 if half else float(np.sum((L.T @ c) ** 2)))
     safe_radius = radius * (1.0 - 2.0 * _BOUNDARY_SLACK) - 1e-12
-    log_tail = _log_tail(safe_radius, log_per_dim, n, eps)
-    if not log_tail <= log_tol:
+    log_r = -0.5 * n * math.log(eps) - math.pi * (1.0 - eps) * safe_radius
+    if not log_r <= log_tol:
         raise ToleranceUnreachable(
-            f"tail bound exp({log_tail:.6g}) at radius {radius:.6g} exceeds tol "
-            f"{tol:.3e}: split eps = {eps}, n = {n}, log(S + 2) = {log_per_dim:.6g}")
-    tail = math.exp(log_tail)
+            f"relative tail bound exp({log_r:.6g}) at radius {radius:.6g} exceeds tol "
+            f"{tol:.3e}: split eps = {eps}, n = {n}")
     # the expected point count, ellipsoid volume over covolume, in logs
     log_points = 0.5 * n * math.log(math.pi * radius) - math.lgamma(0.5 * n + 1) - log_covolume
     if log_points > math.log(2 * budget):  # an int budget may exceed the float range
@@ -516,6 +421,8 @@ def theta_sum(gram, center, tol: float,
             yield (_exact_partials(terms) if terms.size > _BIN_MIN else terms).tolist()
 
     value = math.fsum(itertools.chain.from_iterable(term_lists()))
+    r = math.exp(log_r)
+    tail = r * value / (1.0 - r) if half else r * theta0
     points = 2 * kept + 1 if half else kept
     return ThetaResult(value=value, tail_bound=tail,
                        points_enumerated=points, radius=radius)
@@ -534,9 +441,10 @@ def lll_reduce_rows(basis, delta: float = 0.75) -> np.ndarray:
     """LLL-reduce the row basis (integer row operations only, same lattice).
 
     Skew bases of dense ideal lattices make the Gram matrix ill-conditioned,
-    which hurts both the certified tail radius and the enumeration; reducing
-    first keeps them proportionate.  The iteration cap is a safety valve: an
-    unreduced basis is still a correct basis.
+    which swells the upper levels of the enumeration with candidates that
+    lead to no point; reducing first keeps them proportionate.  The
+    iteration cap is a safety valve: an unreduced basis is still a correct
+    basis.
     """
     b = np.array(basis, dtype=float)
     n = b.shape[0]

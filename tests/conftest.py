@@ -8,6 +8,7 @@ import random
 import numpy as np
 
 from arithcoh.ghost import FiniteAbelianGroup, GhostSpaceFirstKind, idft, quotient_group_map
+from arithcoh.lattice import theta_sum
 
 # group shapes with |G| <= 16 used by the randomized ghost suites
 GROUP_POOL = [
@@ -137,3 +138,10 @@ def random_first_kind(rng: random.Random, orders=None,
     u = (idft(base_group, w * base_group.size)).real
     u = u / u[0]
     return GhostSpaceFirstKind(group, u[proj])
+
+
+def centred_theta_bound(gram, tol: float) -> float:
+    """Upper bound on the centred theta sum of gram, the theta0 of a shifted
+    theta_sum: value plus tail_bound of a centred call at tol."""
+    res = theta_sum(gram, None, tol)
+    return res.value + res.tail_bound

@@ -46,7 +46,7 @@ from arithcoh.numfield import (
     unit_ideal,
 )
 
-from conftest import brute_force_theta, random_first_kind, random_pd_gram
+from conftest import brute_force_theta, centred_theta_bound, random_first_kind, random_pd_gram
 
 IDENTITY_TOL = 1e-8
 RR_FIELDS = (-1, -5, 2, 5, 13)
@@ -212,7 +212,7 @@ def test_criterion_6_oracle_equivalence():
         n = rng.choice([1, 2])
         gram = random_pd_gram(rng, n)
         center = [rng.uniform(-0.5, 0.5) for _ in range(n)]
-        got = theta_sum(gram, center, 1e-10).value
+        got = theta_sum(gram, center, 1e-10, theta0=centred_theta_bound(gram, 1e-10)).value
         worst = max(worst, abs(got - brute_force_theta(gram, center)))
     Q = make_field("rational")
     v_half = effectivity_v(zero_divisor(Q), [0.5], 1e-9)

@@ -2,7 +2,10 @@
 
 import importlib
 import importlib.util
+import inspect
 from pathlib import Path
+
+from arithcoh.lattice import theta_sum
 
 SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
@@ -21,3 +24,8 @@ def test_every_traced_name_resolves():
         if not callable(holder):
             missing.append(f"{module}.{qualname}")
     assert not missing, f"bench/spans.py patches names arithcoh no longer has: {missing}"
+
+
+def test_theta_sum_keeps_the_parameters_the_trace_binds():
+    # the theta span of bench/spans.py binds gram, center and tol by name
+    assert {"gram", "center", "tol"} <= set(inspect.signature(theta_sum).parameters)

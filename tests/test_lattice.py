@@ -3,7 +3,6 @@
 import math
 import random
 import tracemalloc
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -19,13 +18,12 @@ from arithcoh.lattice import (
 )
 from arithcoh import lattice
 from arithcoh.lattice import (
-    _certified_lambda_min,
     _enumerate_with_norms,
     _exact_partials,
     _fincke_pohst,
 )
 
-from conftest import brute_force_points, brute_force_theta, random_pd_gram
+from conftest import brute_force_points, brute_force_theta, centred_theta_bound, random_pd_gram
 
 # direct 1-D summation oracle, frozen: sum over |k| <= 50 of exp(-pi k^2)
 THETA_1D_CENTERED = 1.086434811213308
@@ -116,18 +114,18 @@ def test_theta_centered_1d_oracle():
 
 
 def test_theta_shifted_1d_oracle():
-    res = theta_sum([[1.0]], [0.5], 1e-12)
+    res = theta_sum([[1.0]], [0.5], 1e-12, theta0=centred_theta_bound([[1.0]], 1e-12))
     assert res.value == pytest.approx(THETA_1D_HALF_SHIFT, abs=1e-12)
 
 
 def test_shifted_theta_reaches_the_point_of_the_shift():
     # Q = 25 at v = 0 and v = -1, far beyond the radius tol 1e-8 needs
-    res = theta_sum([[100.0]], [0.5], 1e-8)
+    res = theta_sum([[100.0]], [0.5], 1e-8, theta0=centred_theta_bound([[100.0]], 1e-8))
     assert res.radius >= 25.0 and res.points_enumerated == 2
     assert res.value == pytest.approx(2.0 * math.exp(-25.0 * math.pi), rel=1e-14, abs=0.0)
     # Q(0.4, 0.4) = 19.2 at the nearest point
     g = [[60.0, 10.0], [10.0, 40.0]]
-    res = theta_sum(g, [2.4, -0.6], 1e-6)
+    res = theta_sum(g, [2.4, -0.6], 1e-6, theta0=centred_theta_bound(g, 1e-6))
     full = brute_force_theta(g, [0.4, 0.4], box=5)
     assert math.exp(-19.2 * math.pi) * (1 - 1e-12) <= res.value <= full <= res.value + res.tail_bound
 
@@ -141,11 +139,20 @@ def test_theta_integer_center_is_periodic():
 
 
 def test_theta_rejects_bad_tol():
-    for tol in (0.0, -1.0, math.nan):
+    # tol is relative to the centred sum: one of 1 or more certifies nothing
+    for tol in (0.0, -1.0, math.nan, 1.0, 10.0, math.inf):
         with pytest.raises(ValueError):
             theta_sum([[1.0]], [0.0], tol)
-    with pytest.raises(ValueError):
-        theta_sum([[1.0]], None, math.nan)
+        with pytest.raises(ValueError):
+            theta_sum([[1.0]], None, tol)
+        with pytest.raises(ValueError):
+            theta_sum([[1.0]], [0.5], tol, theta0=2.0)
+    # a shifted sum needs a positive finite bound on the centred one
+    for theta0 in (None, math.nan, 0.0, -1.0, math.inf):
+        with pytest.raises(ValueError, match="theta0"):
+            theta_sum([[1.0]], [0.5], 1e-9, theta0=theta0)
+    # the shift is reduced mod Z^n first: an integer one is centred
+    assert theta_sum([[1.0]], [2.0], 1e-9) == theta_sum([[1.0]], None, 1e-9)
 
 
 def test_theta_uses_the_factor_of_a_gram_matrix(monkeypatch):
@@ -157,11 +164,13 @@ def test_theta_uses_the_factor_of_a_gram_matrix(monkeypatch):
         assert np.array_equal(gram.factor, cholesky(gram.entries))
         assert not gram.factor.flags.writeable
         for center in (None, [0.3] * n):
-            cases.append((gram, center, theta_sum(gram.entries, center, 1e-10)))
+            theta0 = centred_theta_bound(gram.entries, 1e-10)
+            cases.append((gram, center, theta0,
+                          theta_sum(gram.entries, center, 1e-10, theta0=theta0)))
     factored = []
     monkeypatch.setattr(lattice, "cholesky", lambda g: factored.append(g) or cholesky(g))
-    for gram, center, expected in cases:
-        assert theta_sum(gram, center, 1e-10) == expected
+    for gram, center, theta0, expected in cases:
+        assert theta_sum(gram, center, 1e-10, theta0=theta0) == expected
     assert factored == []
     theta_sum(cases[0][0].entries, None, 1e-10)
     assert len(factored) == 1  # a raw array is factored once per call
@@ -181,7 +190,7 @@ def test_theta_oracle_equivalence_randomized():
         n = rng.choice([1, 2])
         g = random_pd_gram(rng, n)
         center = [rng.uniform(-0.5, 0.5) for _ in range(n)]
-        res = theta_sum(g, center, 1e-10)
+        res = theta_sum(g, center, 1e-10, theta0=centred_theta_bound(g, 1e-10))
         assert abs(res.value - brute_force_theta(g, center)) < 1e-9
 
 
@@ -201,9 +210,8 @@ def test_theta_tail_bound_soundness():
 
 def test_theta_tail_bound_holds_at_twice_the_radius(monkeypatch):
     # the sum over the ball of twice the radius exceeds the value by at most
-    # tail_bound, with every tail split in play: spectra down to 1e-3 with
-    # condition numbers up to 1e4, and tolerances above 1 where a flat
-    # lattice makes a large split win
+    # tail_bound, centred and shifted, with every tail split in play: n = 1-4,
+    # smallest eigenvalues 1e-3 to 1, condition numbers 1, 1e4 and 1e12
     chosen = []
     real = lattice._tail_split
 
@@ -213,54 +221,70 @@ def test_theta_tail_bound_holds_at_twice_the_radius(monkeypatch):
 
     monkeypatch.setattr(lattice, "_tail_split", recording)
     rng = np.random.default_rng(30)
+    seen = set()
     for n in (1, 2, 3, 4):
         for smallest in (1e-3, 0.1, 1.0):
-            eigs = smallest * 10.0 ** np.concatenate([[0.0], rng.uniform(0.0, 4.0, n - 1)])
-            g = _gram_with_spectrum(rng, eigs) if n > 1 else np.array([[smallest]])
-            for tol in (1e-12, 1e-3, 1.0, 10.0, 1e3):
-                for center in (None, rng.uniform(-0.5, 0.5, n)):
-                    res = theta_sum(g, center, tol)
-                    c = np.zeros(n) if center is None else center
-                    _, q = _enumerate_with_norms(g, c, 2.0 * res.radius, 10**7)
-                    wide = math.fsum(np.exp(-math.pi * q).tolist())
-                    slack = 4 * lattice._U * wide  # two enumerations, each rounded
-                    assert -slack <= wide - res.value <= res.tail_bound + slack, (n, eigs, tol)
-                    assert res.tail_bound <= tol
-                    # at the split's own radius (not raised to 1 or to Q(c)) the
-                    # 1/2 margin costs a factor exp(-pi (1 - eps) / 2), no more
-                    if res.radius == chosen[-1][0]:
-                        assert res.tail_bound >= math.exp(-math.pi / 2) * tol * (1 - 1e-6)
-    assert {eps for _, eps, _ in chosen} == set(lattice._TAIL_SPLITS)
+            for cond in (1.0, 1e4, 1e12) if n > 1 else (1.0,):
+                g = _gram_with_spectrum(rng, smallest * np.geomspace(1.0, cond, n))
+                # the ball of radius 24 (twice the largest radius below) must
+                # stay cheap to enumerate: at most about 3e5 points
+                log_points = (0.5 * n * math.log(24.0 * math.pi) - math.lgamma(0.5 * n + 1)
+                              - 0.5 * np.linalg.slogdet(g)[1])
+                if log_points > math.log(3e5):
+                    continue
+                seen.add((n, smallest, cond))
+                for tol in (1e-12, 1e-6, 1e-3, 0.1, 0.5):
+                    theta0 = centred_theta_bound(g, tol)
+                    # a shift with Q(c) <= 4 keeps the radius near the split's
+                    # own, where the bound is tightest; on a stiff axis a shift
+                    # in [-1/2, 1/2]^n has Q(c) near 1e9, and the radius would
+                    # follow it (the Q(c) floor, tested on its own above)
+                    shift = rng.uniform(-0.5, 0.5, n)
+                    shift *= min(1.0, 2.0 / math.sqrt(shift @ g @ shift))
+                    for center in (None, shift):
+                        res = theta_sum(g, center, tol, theta0=theta0)
+                        c = np.zeros(n) if center is None else center
+                        _, q = _enumerate_with_norms(g, c, 2.0 * res.radius, 10**7)
+                        wide = math.fsum(np.exp(-math.pi * q).tolist())
+                        slack = 4 * 2.0 ** -53 * wide  # two enumerations, each rounded
+                        assert -slack <= wide - res.value <= res.tail_bound + slack, (n, g, tol)
+                        # r, the bound relative to theta_0: tail = r V / (1 - r)
+                        # centred, r theta0 shifted
+                        r = res.tail_bound / (theta0 if center is not None
+                                              else res.value + res.tail_bound)
+                        # r is eps^(-n/2) exp(-pi (1 - eps) R) at the radius
+                        # the enumeration is sure to cover
+                        eps = chosen[-1][1]
+                        safe = res.radius * (1 - 2 * lattice._BOUNDARY_SLACK) - 1e-12
+                        assert r == pytest.approx(
+                            eps ** (-n / 2) * math.exp(-math.pi * (1 - eps) * safe), rel=1e-9)
+                        assert r <= tol * (1 + 1e-12)
+                        # at the split's own radius (not raised to 1 or to Q(c)) the
+                        # 1/2 margin costs a factor exp(-pi (1 - eps) / 2), no more
+                        if res.radius == chosen[-1][0]:
+                            assert r >= math.exp(-math.pi / 2) * tol * (1 - 1e-6)
+    assert {eps for _, eps in chosen} == set(lattice._TAIL_SPLITS)
+    assert {n for n, _, _ in seen} == {1, 2, 3, 4}
+    assert {s for _, s, _ in seen} == {1e-3, 0.1, 1.0}
+    assert {c for _, _, c in seen} == {1.0, 1e4, 1e12}
 
 
 def test_tail_split_radius_is_the_smallest_and_at_most_the_half_split():
-    # the pruned scan picks what a full scan over the splits picks, and the
-    # split 1/2 keeps every radius at most that of the fixed half split
-    def full_scan(lam, n, log_tol):
-        radii = []
-        for eps in lattice._TAIL_SPLITS:
-            log_per_dim = math.log(lattice._gauss_line_sum(math.pi * eps * lam) + 2.0)
-            radii.append(((n * log_per_dim - log_tol) / (math.pi * (1.0 - eps)) + 0.5,
-                          eps, log_per_dim))
-        return min(radii), radii[lattice._TAIL_SPLITS.index(0.5)][0]
+    # the relative bound r = eps^(-n/2) exp(-pi (1 - eps) R) of the chosen
+    # split meets tol at R = radius - 1/2, and no split of _TAIL_SPLITS,
+    # the half split 1/2 among them, meets it at a smaller R
+    def log_bound(eps, n, R):
+        return -0.5 * n * math.log(eps) - math.pi * (1.0 - eps) * R
 
-    for n in (1, 2, 3, 4, 8):
-        for lam in np.geomspace(1e-8, 1e3, 23).tolist():
-            for tol in np.geomspace(1e-300, 1e30, 34).tolist():
-                best, half = full_scan(lam, n, math.log(tol))
-                assert lattice._tail_split(lam, n, math.log(tol)) == best
-                assert best[0] <= half
-
-
-def test_gauss_line_sum_bounds_the_direct_sum():
-    for a in np.geomspace(1e-4, 10.0, 41).tolist():
-        direct = 1.0 + 2.0 * math.fsum(math.exp(-a * k * k)
-                                       for k in range(1, int(40.0 / math.sqrt(a)) + 2))
-        bound = lattice._gauss_line_sum(a)
-        # the integral replaces the terms past K = 8 with an excess below
-        # exp(-a K^2) per side
-        excess = 2.0 * math.exp(-a * lattice._LINE_SUM_TERMS ** 2)
-        assert direct <= bound <= direct + excess + 1e-13 * direct, a
+    for n in range(1, 9):
+        for tol in np.geomspace(1e-300, 0.5, 61).tolist():
+            log_tol = math.log(tol)
+            radius, eps = lattice._tail_split(n, log_tol)
+            assert eps in lattice._TAIL_SPLITS
+            slack = 1e-12 * abs(log_tol)
+            assert abs(log_bound(eps, n, radius - 0.5) - log_tol) <= slack, (n, tol)
+            for other in lattice._TAIL_SPLITS:
+                assert log_bound(other, n, radius - 0.5) >= log_tol - slack, (n, tol, other)
 
 
 def test_theta_tail_guard_raises_with_the_numbers(monkeypatch):
@@ -282,7 +306,8 @@ def test_theta_monotone_under_gram_scaling():
 
 def test_theta_deterministic():
     g = [[1.3, 0.4], [0.4, 2.1]]
-    runs = [theta_sum(g, [0.2, -0.1], 1e-11) for _ in range(3)]
+    runs = [theta_sum(g, [0.2, -0.1], 1e-11, theta0=centred_theta_bound(g, 1e-11))
+            for _ in range(3)]
     assert len({r.value for r in runs}) == 1
     assert len({r.points_enumerated for r in runs}) == 1
 
@@ -321,58 +346,10 @@ def test_embedded_lattice_validation():
     assert lat.covolume == pytest.approx(6.0, rel=1e-15)
 
 
-def _below_lambda_min_2x2(g, lam) -> bool:
-    """lam <= (a + c)/2 - sqrt(((a - c)/2)^2 + b^2), decided in exact arithmetic."""
-    a, b, c = Fraction(float(g[0][0])), Fraction(float(g[1][0])), Fraction(float(g[1][1]))
-    t = (a + c) / 2 - Fraction(lam)
-    return t >= 0 and t * t >= ((a - c) / 2) ** 2 + b * b
-
-
-def _exactly_positive_definite(m) -> bool:
-    """Every pivot of Gaussian elimination is > 0, in exact arithmetic."""
-    a = [list(row) for row in m]
-    n = len(a)
-    for k in range(n):
-        if a[k][k] <= 0:
-            return False
-        for i in range(k + 1, n):
-            f = a[i][k] / a[k][k]
-            for j in range(k, n):
-                a[i][j] -= f * a[k][j]
-    return True
-
-
 def _gram_with_spectrum(rng: np.random.Generator, eigenvalues) -> np.ndarray:
     q, _ = np.linalg.qr(rng.normal(size=(len(eigenvalues), len(eigenvalues))))
     g = q @ np.diag(eigenvalues) @ q.T
     return 0.5 * (g + g.T)
-
-
-def test_lambda_bound_adversarial_start_vector():
-    # eigenvalues 0.05 and 0.06; the lambda_min eigenvector (1, -1) is
-    # orthogonal to a power method's start vector (1, 1)
-    g = np.array([[0.055, 0.005], [0.005, 0.055]])
-    lam = _certified_lambda_min(cholesky(g))
-    assert _below_lambda_min_2x2(g, lam)
-    assert lam > 0.045
-
-
-def test_lambda_bound_is_a_lower_bound_up_to_condition_1e8():
-    rng = np.random.default_rng(20)
-    for _ in range(300):
-        n = int(rng.integers(2, 5))
-        smallest = 10.0 ** rng.uniform(-4.0, 2.0)
-        eigs = smallest * 10.0 ** np.concatenate([[0.0], rng.uniform(0.0, 8.0, n - 1)])
-        g = _gram_with_spectrum(rng, eigs)
-        lam = _certified_lambda_min(cholesky(g))
-        if n == 2:
-            assert _below_lambda_min_2x2(g, lam)
-        exact = [[Fraction(float(v)) for v in row] for row in g]
-        for i in range(n):
-            exact[i][i] -= Fraction(lam)
-        assert _exactly_positive_definite(exact)
-        # not vacuous: within the factor n of the infinity-norm bound
-        assert lam >= 0.99 * np.linalg.eigvalsh(g)[0] / n
 
 
 def _random_gram(rng: random.Random, n: int) -> np.ndarray:
@@ -406,16 +383,18 @@ def test_block_size_does_not_change_results(monkeypatch):
     rng = random.Random(8)
     cases = [(_random_gram(rng, n), center)
              for n in (1, 2, 3, 4) for center in (None, [0.3, -0.45, 0.1, 0.2][:n])]
-    before = [(theta_sum(g, c, 1e-10), _enumerate_with_norms(g, np.zeros(g.shape[0]), 9.0, 10**8))
-              for g, c in cases]
+    theta0 = [centred_theta_bound(g, 1e-10) for g, _ in cases]
+    before = [(theta_sum(g, c, 1e-10, theta0=t0),
+               _enumerate_with_norms(g, np.zeros(g.shape[0]), 9.0, 10**8))
+              for (g, c), t0 in zip(cases, theta0)]
     # blocks of 7 candidates split rows of the last level between blocks;
     # _BIN_MIN = 0 sends each such block, and each full one, through the
     # exact partials
     for block, bin_min in ((7, lattice._BIN_MIN), (7, 0), (lattice._BLOCK_POINTS, 0)):
         monkeypatch.setattr(lattice, "_BLOCK_POINTS", block)
         monkeypatch.setattr(lattice, "_BIN_MIN", bin_min)
-        for (g, c), (res, (V, Q)) in zip(cases, before):
-            assert theta_sum(g, c, 1e-10) == res
+        for (g, c), t0, (res, (V, Q)) in zip(cases, theta0, before):
+            assert theta_sum(g, c, 1e-10, theta0=t0) == res
             V2, Q2 = _enumerate_with_norms(g, np.zeros(g.shape[0]), 9.0, 10**8)
             assert np.array_equal(V2, V) and np.array_equal(Q2, Q)
 
@@ -479,12 +458,13 @@ def test_half_space_budget_matches_full_space():
 
 
 def test_theta_peak_memory_is_bounded():
-    # about 1.3 M points; the whole point set alone would take over 30 MB
-    g = [[2.4e-5, 4.8e-6], [4.8e-6, 3.6e-5]]
+    # about 1.15 M points; the whole point set alone would take over 25 MB
+    g = [[1.92e-5, 3.84e-6], [3.84e-6, 2.88e-5]]
+    theta0 = centred_theta_bound(g, 1e-9)
     for center in (None, [0.3, -0.2]):
         tracemalloc.start()
         try:
-            res = theta_sum(g, center, 1e-9)
+            res = theta_sum(g, center, 1e-9, theta0=theta0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
