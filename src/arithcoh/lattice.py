@@ -99,7 +99,25 @@ class GramMatrix:
         scale = float(np.max(np.abs(m)))
         if scale == 0.0 or float(np.max(np.abs(m - m.T))) > _SYM_RTOL * scale:
             raise NotPositiveDefinite("matrix is not symmetric to 1e-12 relative")
-        m = 0.5 * (m + m.T)
+        self._factor(0.5 * (m + m.T))
+
+    @classmethod
+    def _of_basis(cls, b: np.ndarray) -> "GramMatrix":
+        """The Gram matrix b b^T of a square basis b with n >= 1.
+
+        numpy computes b @ b.T by a symmetric rank-k update, which fills one
+        triangle and mirrors it, so the product is exactly symmetric and
+        needs neither the symmetry check nor the symmetrising step.  An
+        overflowed entry is still rejected.
+        """
+        m = b @ b.T
+        if not np.all(np.isfinite(m)):
+            raise NotPositiveDefinite("Gram matrix has a non-finite entry")
+        gram = object.__new__(cls)
+        gram._factor(m)
+        return gram
+
+    def _factor(self, m: np.ndarray) -> None:
         m.setflags(write=False)
         object.__setattr__(self, "entries", m)
         L = cholesky(m)
@@ -128,11 +146,11 @@ class EmbeddedLattice:
 
     def __post_init__(self):
         b = np.array(self.basis, dtype=float)
-        if b.ndim != 2 or b.shape[0] != b.shape[1]:
-            raise NotPositiveDefinite("lattice basis must be a square matrix")
+        if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 1:
+            raise NotPositiveDefinite("lattice basis must be a square matrix with n >= 1")
         b.setflags(write=False)
         object.__setattr__(self, "basis", b)
-        object.__setattr__(self, "gram", GramMatrix(b @ b.T))
+        object.__setattr__(self, "gram", GramMatrix._of_basis(b))
 
     @property
     def log_covolume(self) -> float:
@@ -222,7 +240,10 @@ def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int,
 
 def _last_level(s, lo, counts, total: int, T, uii, ci, bound: float):
     # the blocks of _fincke_pohst, split by candidate index, so that one row
-    # may span several blocks
+    # may span several blocks; a level that fits one block is that block
+    if total <= _BLOCK_POINTS:
+        yield (0, counts) + _expand(s, lo, counts, total, T, uii, ci, bound)
+        return
     ends = np.cumsum(counts)
     for a in range(0, total, _BLOCK_POINTS):
         b = min(a + _BLOCK_POINTS, total)
@@ -337,11 +358,15 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
     such radius.  A small eps shortens the radius when -log tol dominates, a
     larger one when n does.  The choice depends on n and tol only, so
     repeated calls stay bit-identical.  The 1/2 margin covers the boundary
-    slack of the enumeration, at whose smaller radius r is evaluated.  The
-    radius is also at least Q(c) for the shift c reduced into [-1/2, 1/2]^n,
-    so a shifted sum reaches the point v = 0 and its value is positive unless
-    that term underflows; a sum far from the lattice would otherwise come out
-    as 0, within tol but useless as a ratio.
+    slack of the enumeration, at whose smaller radius r is evaluated.  A
+    shifted sum whose radius falls short of Q(c), for the shift c reduced
+    into [-1/2, 1/2]^n, raises it to the smaller of Q(c) and Q at the
+    nearest-plane point of an LLL-reduced basis (_nearest_plane_q).  So it
+    reaches a lattice point, and its value is positive unless that term
+    underflows; a sum far from the lattice would otherwise come out as 0,
+    within tol but useless as a ratio.  Q(c) alone can lie far above the
+    nearest point on an ill-conditioned Gram, and its ball then holds
+    millions of points.
 
     tol is relative, in (0, 1).  A centred sum bounds theta_0 from its own
     value V: theta_0 <= V + r theta_0, so theta_0 <= V / (1 - r) and it
@@ -394,7 +419,11 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
         raise ValueError("a shifted sum needs theta0, a positive finite bound on the centred sum")
     log_tol = math.log(tol)
     radius, eps = _tail_split(n, log_tol)
-    radius = max(1.0, radius, 0.0 if half else float(np.sum((L.T @ c) ** 2)))
+    radius = max(1.0, radius)
+    if not half:
+        q_c = float(np.sum((L.T @ c) ** 2))
+        if q_c > radius:
+            radius = max(radius, min(q_c, _nearest_plane_q(L, c)))
     safe_radius = radius * (1.0 - 2.0 * _BOUNDARY_SLACK) - 1e-12
     log_r = -0.5 * n * math.log(eps) - math.pi * (1.0 - eps) * safe_radius
     if not log_r <= log_tol:
@@ -426,6 +455,28 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
     points = 2 * kept + 1 if half else kept
     return ThetaResult(value=value, tail_bound=tail,
                        points_enumerated=points, radius=radius)
+
+
+def _nearest_plane_q(L: np.ndarray, c: np.ndarray) -> float:
+    """Q(v + c) = ||L^T (v + c)||^2 at an integer v near -c: Babai's nearest
+    plane (Combinatorica 6, 1986) on an LLL reduction of the basis rows of L.
+
+    The reduced rows are B = M L, M unimodular.  A point x = v + c is
+    M^T (y + z) with v = M^T y and z = M^-T c, and Q(x) = ||R (y + z)||^2 for
+    the triangular factor R of B B^T.  The coordinates y_i are rounded from
+    the last down, each against the plane the later ones fix.  However M is
+    rounded, v is an integer vector and Q is taken in L's own coordinates, so
+    the value is Q at a lattice point.  On a reduced basis that point's
+    distance is within a factor 2^(n/2) of the nearest one's.
+    """
+    B = lll_reduce_rows(L)
+    M = np.round(np.linalg.solve(L.T, B.T).T)
+    R = cholesky(B @ B.T).T
+    z = np.linalg.solve(M.T, c)
+    y = np.zeros_like(z)
+    for i in range(z.size - 1, -1, -1):
+        y[i] = np.round(-z[i] - R[i, i + 1:] @ (y[i + 1:] + z[i + 1:]) / R[i, i])
+    return float(np.sum((L.T @ (M.T @ y + c)) ** 2))
 
 
 def dual_lattice(lat: EmbeddedLattice) -> EmbeddedLattice:

@@ -3,11 +3,16 @@
 The rational field and quadratic fields are computed from scratch; any other
 field enters through a descriptor file carrying its degree, signature,
 discriminant, integral-basis embeddings and different, which this module
-cross-validates rather than recomputes.  Ideal arithmetic is exact: products
-and inverses are integer HNF bases, and an inverse is taken by trace duality,
-I^-1 = (I * O^v)^v with O^v the inverse different.  O^v is computed once per
-field, from the trace form alone, when the descriptor is built; so is the
-covolume self-check.  Only the embeddings are floating point.
+cross-validates rather than recomputes.  Ideal arithmetic is exact and runs
+on Python ints only: products and inverses are integer HNF bases
+(intmat.lattice_normalize), and an inverse is taken by trace duality,
+I^-1 = (I * O^v)^v with O^v the inverse different.  The trace dual of
+J = A / den is den adj(A)^T adj(T) / (det A det T): adj(A) comes from
+back-substitution on the triangular HNF A, and the field stores its trace
+form T as adj T and det T.  O^v, the trace dual of O, is computed once per
+field from the trace form alone when the descriptor is built; so is the
+covolume self-check.  The norm of an ideal is the product of its HNF pivots
+over den^n.  Only the embeddings are floating point.
 
 Conventions fixed here because descriptor files depend on them:
   * archimedean places are ordered real-first (ascending value of the
@@ -52,12 +57,27 @@ class NumberFieldDescriptor:
     label: str
     quad_d: int | None = None  # squarefree d for built-in quadratic fields
     different: "FractionalIdeal | None" = None
+    # the nonzero entries of mult_table as (i, j, ((k, c_ijk), ...)), for elem_mul
+    mul_terms: tuple = field(init=False, repr=False, compare=False)
+    # the trace form T_ij = Tr(w_i w_j) as adj T and det T, with det T > 0:
+    # T^-1 = trace_adj / trace_det
+    trace_adj: tuple = field(init=False, repr=False, compare=False)
+    trace_det: int = field(init=False, repr=False, compare=False)
     # O^v = {x : Tr(xO) in Z}, from the trace form: the descriptor's different
     # does not enter it
     codifferent: "FractionalIdeal" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_covolume(self)
+        self.mul_terms = tuple((i, j, tuple((k, c) for k, c in enumerate(row) if c))
+                               for i, row_i in enumerate(self.mult_table)
+                               for j, row in enumerate(row_i))
+        basis = [tuple(int(i == j) for j in range(self.n)) for i in range(self.n)]
+        form = [[elem_trace(self, elem_mul(self, x, y)) for y in basis] for x in basis]
+        det = intmat.det_int(form)
+        self.trace_adj = tuple(tuple(x if det > 0 else -x for x in r)
+                               for r in intmat.adjugate(form))
+        self.trace_det = abs(det)
         self.codifferent = _trace_dual(unit_ideal(self))
 
     @property
@@ -91,8 +111,10 @@ class FractionalIdeal:
 
     @classmethod
     def from_rows(cls, fld: NumberFieldDescriptor, rows, den: int = 1) -> "FractionalIdeal":
-        frac_rows = [[Fraction(x) / den for x in r] for r in rows]
-        lat_num, lat_den = intmat.fraction_rows_to_lattice(frac_rows)
+        frac_rows = [[Fraction(x) for x in r] for r in rows]
+        scale = math.lcm(*(x.denominator for r in frac_rows for x in r))
+        lat_num, lat_den = intmat.lattice_normalize(
+            [[int(x * scale) for x in r] for r in frac_rows], scale * den)
         if len(lat_num) != fld.n:
             raise DescriptorInconsistent("ideal basis is not full rank")
         return cls(fld, tuple(tuple(r) for r in lat_num), lat_den)
@@ -101,8 +123,8 @@ class FractionalIdeal:
         return [[Fraction(x, self.den) for x in r] for r in self.num]
 
     def norm(self) -> Fraction:
-        return abs(Fraction(intmat.det_int([list(r) for r in self.num]),
-                            self.den ** self.field.n))
+        """Index [O : I], the product of the HNF pivots over den^n."""
+        return Fraction(math.prod(r[i] for i, r in enumerate(self.num)), self.den ** self.field.n)
 
     def __mul__(self, other):
         return ideal_mul(self, other)
@@ -131,22 +153,12 @@ class PrimeIdeal:
 
 
 def elem_mul(fld: NumberFieldDescriptor, x, y) -> tuple:
-    n = fld.n
-    out = [0] * n
-    table = fld.mult_table
-    for i in range(n):
-        xi = x[i]
-        if not xi:
-            continue
-        for j in range(n):
-            yj = y[j]
-            if not yj:
-                continue
-            coeff = xi * yj
-            row = table[i][j]
-            for k in range(n):
-                if row[k]:
-                    out[k] += coeff * row[k]
+    out = [0] * fld.n
+    for i, j, terms in fld.mul_terms:
+        coeff = x[i] * y[j]
+        if coeff:
+            for k, c in terms:
+                out[k] += coeff * c
     return tuple(out)
 
 
@@ -185,16 +197,27 @@ def unit_ideal(fld: NumberFieldDescriptor) -> FractionalIdeal:
 def ideal_mul(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
     if I.field is not J.field:
         raise ValueError("ideals live over different fields")
-    rows = [list(elem_mul(I.field, x, y)) for x in I.num for y in J.num]
+    rows = [elem_mul(I.field, x, y) for x in I.num for y in J.num]
     num, den = intmat.lattice_normalize(rows, I.den * J.den)
     return FractionalIdeal(I.field, tuple(tuple(r) for r in num), den)
 
 
 def _trace_dual(J: FractionalIdeal) -> FractionalIdeal:
-    """{x : Tr(xJ) in Z}: the dot-product dual of J's basis times the trace form."""
+    """{x : Tr(xJ) in Z} for J = A / den with A in HNF.
+
+    With x = y W over the integral basis W, Tr(x * row_i(A) W) / den is
+    (y T A^T)_i / den, so the dual is den (A^-1)^T T^-1 =
+    den adj(A)^T adj(T) / (det A det T): adj(A) by back-substitution on the
+    triangular A, adj(T) and det T stored by the field.
+    """
     fld = J.field
-    rows = [[elem_trace(fld, bw) for bw in _mult_matrix(fld, b)] for b in J.num]
-    num, den = intmat.lattice_dual(rows, J.den)
+    n = fld.n
+    adj, det = intmat.triangular_adjugate(J.num)
+    t_adj = fld.trace_adj
+    # adj(A) is upper triangular: only k <= i contributes to row i
+    rows = [[J.den * sum(adj[k][i] * t_adj[k][j] for k in range(i + 1)) for j in range(n)]
+            for i in range(n)]
+    num, den = intmat.lattice_normalize(rows, det * fld.trace_det)
     return FractionalIdeal(fld, tuple(tuple(r) for r in num), den)
 
 
@@ -461,7 +484,8 @@ def embed_ideal(fld: NumberFieldDescriptor, I: FractionalIdeal, x_inf) -> Embedd
     the HNF basis of a high-norm ideal is.
     """
     w = infinite_weights(fld, x_inf)
-    coords = np.array([[float(x) for x in row] for row in I.basis_rows()])
+    # int / int is correctly rounded, as float(Fraction) is
+    coords = np.array([[x / I.den for x in row] for row in I.num])
     lat = EmbeddedLattice(lll_reduce_rows((coords @ fld.integral_basis_embeddings) * np.sqrt(w)))
     nrm = I.norm()
     expected = math.log(nrm.numerator) - math.log(nrm.denominator) + \

@@ -57,6 +57,39 @@ def zeta8_descriptor():
         lambda k: [cmath.exp(1j * math.pi * j * k / 4.0) for j in (1, 3)])
 
 
+def hnf_sorting_loop(rows):
+    """Oracle: row HNF by the sort-and-divide loop hnf_rows used before it
+    switched to extended-gcd steps; the same canonical basis, zero rows
+    dropped."""
+    mat = [[int(x) for x in r] for r in rows]
+    n = len(mat[0])
+    row = 0
+    for col in range(n):
+        while True:
+            idxs = [i for i in range(row, len(mat)) if mat[i][col] != 0]
+            if len(idxs) <= 1:
+                break
+            idxs.sort(key=lambda i: abs(mat[i][col]))
+            i0 = idxs[0]
+            for i in idxs[1:]:
+                q = mat[i][col] // mat[i0][col]
+                mat[i] = [a - q * b for a, b in zip(mat[i], mat[i0])]
+        idxs = [i for i in range(row, len(mat)) if mat[i][col] != 0]
+        if not idxs:
+            continue
+        i0 = idxs[0]
+        mat[row], mat[i0] = mat[i0], mat[row]
+        if mat[row][col] < 0:
+            mat[row] = [-a for a in mat[row]]
+        p = mat[row][col]
+        for i in range(row):
+            q = mat[i][col] // p
+            if q:
+                mat[i] = [a - q * b for a, b in zip(mat[i], mat[row])]
+        row += 1
+    return mat[:row]
+
+
 def random_pd_gram(rng: random.Random, n: int):
     """Random positive-definite Gram matrix with entries in [0.2, 5]."""
     if n == 1:

@@ -24,7 +24,7 @@ from arithcoh.arakelov import (
     zero_divisor,
     zeta_integrand_sweep,
 )
-from arithcoh import arakelov, numfield
+from arithcoh import arakelov, intmat, numfield
 from arithcoh.errors import (
     ArithcohError,
     CertificationFailed,
@@ -408,6 +408,39 @@ def test_verify_duality_makes_at_most_two_inverses(monkeypatch):
         D = divisor_from_primes(F, list(zip(primes, exponents)), [rng.uniform(-1.0, 1.0)])
         assert verify_duality(D, 1e-8)[0].passed
         assert len(calls) == (2 if max(exponents) > 0 else 1)
+
+
+def test_verify_duality_runs_on_integers_only(monkeypatch):
+    # the ideals of D and K - D come from integer HNFs and back-substitution:
+    # with the Fraction and determinant helpers made to raise, verify passes
+    rng = random.Random(21)
+    divisors = []
+    for d in (-1, -5, 2, 5, 13):
+        F = make_field(("quadratic", d))
+        primes = [pr for p in (2, 3, 5, 7) for pr in primes_above(F, p)]
+        places = F.r1 + F.r2
+        for _ in range(3):
+            terms = [(pr, rng.randint(-1, 1)) for pr in primes]
+            divisors.append(divisor_from_primes(
+                F, terms, [0.5 * math.log(F.abs_discriminant) / places + rng.uniform(-0.5, 0.5)
+                           for _ in range(places)]))
+    for descriptor in (cbrt2_descriptor, zeta7_plus_descriptor, zeta8_descriptor):
+        F = make_field(descriptor())
+        pad = (0,) * (F.n - 3)
+        a, b = ELEMENT_PAIRS[0]
+        ideal = ideal_mul(principal_ideal(F, a + pad), ideal_inv(principal_ideal(F, b + pad)))
+        places = F.r1 + F.r2
+        divisors.append(divisor_from_ideal(
+            F, ideal, [0.5 * math.log(F.abs_discriminant) / places] * places))
+
+    def forbidden(*args):
+        raise AssertionError("the ideal layer took a Fraction or Bareiss path")
+
+    for name in ("inv_fraction", "fraction_rows_to_lattice", "lattice_dual", "det_int"):
+        monkeypatch.setattr(intmat, name, forbidden)
+    for D in divisors:
+        rr, sd = verify_duality(D, 1e-8)
+        assert rr.passed and sd.passed, (D.field.label, rr.delta, sd.delta)
 
 
 def test_wrong_different_fails_riemann_roch_in_degree_3():

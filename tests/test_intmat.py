@@ -3,7 +3,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 from arithcoh.intmat import (
+    adjugate,
     det_int,
     diagonalize_int,
     hnf_rows,
@@ -12,7 +15,10 @@ from arithcoh.intmat import (
     lattice_intersection,
     lattice_normalize,
     lattice_sum,
+    triangular_adjugate,
 )
+
+from conftest import hnf_sorting_loop
 
 
 def random_unimodular(rng, n):
@@ -56,6 +62,50 @@ def test_hnf_shape_and_invariance():
         mixed = matmul_int(random_unimodular(rng, n), base)
         assert hnf_rows(mixed) == h
         assert abs(det_int(h)) == abs(det_int(base))
+
+
+def test_hnf_equals_the_sorting_loop():
+    # 2,000 random matrices of 1 to 16 rows and 1 to 4 columns, small and
+    # large entries, with zero rows and rank-deficient ones mixed in
+    rng = random.Random(12)
+    kinds = set()
+    for _ in range(2000):
+        n, m = rng.randint(1, 4), rng.randint(1, 16)
+        k = rng.choice([1, 3, 30, 10**6])
+        rows = [[rng.randint(-k, k) for _ in range(n)] for _ in range(m)]
+        if rng.random() < 0.2:
+            rows[rng.randrange(m)] = [0] * n
+        if rng.random() < 0.2:  # one column a multiple of another
+            j, j2 = rng.randrange(n), rng.randrange(n)
+            q = rng.randint(-3, 3)
+            rows = [r[:j2] + [q * r[j]] + r[j2 + 1:] for r in rows]
+        h = hnf_rows(rows)
+        assert h == hnf_sorting_loop(rows), rows
+        full = len(h) == n
+        kinds.add((full, any(not any(r) for r in rows)))
+        if full:
+            assert lattice_normalize(rows, 1) == (h, 1)
+        else:
+            with pytest.raises(ValueError, match="not full rank"):
+                lattice_normalize(rows, 1)
+    assert kinds == {(True, True), (True, False), (False, True), (False, False)}
+    assert hnf_rows([[0, 0], [0, 0]]) == []
+
+
+def test_triangular_adjugate_and_adjugate():
+    rng = random.Random(14)
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        mat = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
+        det = det_int(mat)
+        scalar = [[det * int(i == j) for j in range(n)] for i in range(n)]
+        assert matmul_int(mat, adjugate(mat)) == scalar
+        h = hnf_rows(mat)
+        if len(h) == n:
+            adj, d = triangular_adjugate(h)
+            assert d == abs(det) and d == det_int(h)
+            assert matmul_int(h, adj) == matmul_int(adj, h) == \
+                [[d * int(i == j) for j in range(n)] for i in range(n)]
 
 
 def test_det_matches_cofactor_expansion():

@@ -62,8 +62,10 @@ def test_non_finite_gram_is_not_positive_definite():
 
 
 def test_gram_matrix_validation():
-    with pytest.raises(NotPositiveDefinite):
+    with pytest.raises(NotPositiveDefinite, match="not symmetric"):
         GramMatrix(np.array([[1.0, 0.5], [0.4, 1.0]]))
+    with pytest.raises(NotPositiveDefinite, match="not symmetric"):
+        GramMatrix(np.array([[2.0, 1.0], [1.0 + 1e-9, 2.0]]))
     with pytest.raises(NotPositiveDefinite):
         GramMatrix(np.zeros((0, 0)))
     g = GramMatrix(np.array([[2.0, 1.0], [1.0, 2.0]]))
@@ -344,6 +346,75 @@ def test_embedded_lattice_validation():
     lat = EmbeddedLattice(np.array([[2.0, 0.0], [1.0, 3.0]]))
     assert lat.log_covolume == pytest.approx(math.log(6.0), abs=1e-15)
     assert lat.covolume == pytest.approx(6.0, rel=1e-15)
+
+
+def test_embedded_lattice_gram_is_exactly_symmetric():
+    # the Gram of a basis skips the symmetry check and the symmetrising step;
+    # it must still equal, bit for bit, what a validated GramMatrix makes of
+    # b b^T, factor and log-covolume included
+    rng = np.random.default_rng(40)
+    for n in (1, 2, 3, 4, 5):
+        for _ in range(200):
+            b = rng.normal(size=(n, n)) * np.exp(rng.uniform(-5.0, 5.0, size=(n, 1)))
+            lat = EmbeddedLattice(b)
+            g = lat.gram.entries
+            assert np.array_equal(g, g.T)
+            checked = GramMatrix(b @ b.T)
+            assert np.array_equal(g, checked.entries)
+            assert np.array_equal(lat.gram.factor, checked.factor)
+            assert lat.log_covolume == checked.log_covolume
+            assert not g.flags.writeable and not lat.gram.factor.flags.writeable
+
+
+def test_embedded_lattice_rejects_an_overflowed_gram():
+    # numpy warns of the overflow in b b^T, as it did before the Gram of a
+    # basis skipped its checks; the typed error is what must not change
+    for basis in ([[1e200, 0.0], [0.0, 1.0]], [[1e155, 1e155], [0.0, 1.0]], [[np.inf]]):
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotPositiveDefinite):
+            EmbeddedLattice(np.array(basis))
+    with pytest.raises(NotPositiveDefinite):
+        EmbeddedLattice(np.zeros((0, 0)))
+
+
+def test_shifted_theta_floor_at_the_nearest_plane_point():
+    # a rotated Gram of spectrum (1e-3, 1e3, 1e9): a shift reduced into
+    # [-1/2, 1/2]^3 lies at Q(c) of 1e4 to 1e8, where a ball holds up to
+    # millions of points; the floor at the nearest-plane point of the reduced
+    # basis keeps the ball to a few points and still reaches one
+    rng = np.random.default_rng(33)
+    g = _gram_with_spectrum(rng, [1e-3, 1e3, 1e9])
+    U = cholesky(g).T
+    soft = np.linalg.eigh(g)[1][:, 0]
+    theta0 = centred_theta_bound(g, 1e-6)
+    shifts = []
+    for _ in range(4):
+        # a random shift, and one within Q <= 1.6 of the lattice point 0
+        # whose coordinates run to tens: far along the eigenvalue 1e-3
+        u = rng.normal(size=3)
+        u *= rng.uniform(0.0, 0.3) / np.linalg.norm(u)
+        shifts += [rng.uniform(-0.5, 0.5, 3),
+                   rng.uniform(5.0, 30.0) * soft + np.linalg.solve(U, u)]
+    positive = 0
+    for center in shifts:
+        reduced = center - np.round(center)
+        assert float(np.sum((U @ reduced) ** 2)) > 1e4
+        tracemalloc.start()
+        try:
+            res = theta_sum(g, center, 1e-6, theta0=theta0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert 1 <= res.points_enumerated <= 10
+        assert peak < 2**20
+        V, q = _enumerate_with_norms(g, center, res.radius, 10**6)
+        assert res.value == math.fsum(np.exp(-math.pi * q).tolist())
+        # the radius is Q at a lattice point, the nearest one here
+        assert q.min() <= res.radius * (1 + 1e-9)
+        near = float(np.sum((U @ center) ** 2))
+        if near <= 1.6:
+            assert res.value >= math.exp(-math.pi * near) * (1 - 1e-9) > 0.0
+            positive += 1
+    assert positive == 4
 
 
 def _gram_with_spectrum(rng: np.random.Generator, eigenvalues) -> np.ndarray:

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from arithcoh.errors import DescriptorInconsistent, InvalidFieldSpec, UnsupportedField
+from arithcoh import numfield
 from arithcoh.intmat import det_int, inv_fraction
 from arithcoh.lattice import dual_lattice
 from arithcoh.numfield import (
@@ -27,7 +28,12 @@ from arithcoh.numfield import (
     unit_ideal,
 )
 
-from conftest import cbrt2_descriptor, zeta7_plus_descriptor, zeta8_descriptor
+from conftest import (
+    cbrt2_descriptor,
+    hnf_sorting_loop,
+    zeta7_plus_descriptor,
+    zeta8_descriptor,
+)
 
 SQUAREFREE_50 = [d for d in range(-50, 51)
                  if d not in (0, 1) and all(d % (q * q) for q in range(2, 8))]
@@ -50,6 +56,60 @@ def trace_dual_of_ring(F):
     basis = [[int(i == j) for j in range(F.n)] for i in range(F.n)]
     form = [[elem_trace(F, elem_mul(F, x, y)) for y in basis] for x in basis]
     return FractionalIdeal.from_rows(F, inv_fraction(form))
+
+
+def fraction_ideal(F, frac_rows):
+    """Oracle: the ideal spanned by rational rows, as the Fraction path built
+    it: common denominator, sorting-loop HNF, content divided out."""
+    den = math.lcm(*(Fraction(x).denominator for r in frac_rows for x in r))
+    basis = hnf_sorting_loop([[int(x * den) for x in r] for r in frac_rows])
+    g = math.gcd(den, *(x for r in basis for x in r))
+    return FractionalIdeal(F, tuple(tuple(x // g for x in r) for r in basis), den // g)
+
+
+def fraction_trace_dual(I):
+    """Oracle: {x : Tr(xI) in Z} as the dot-product dual, by a Fraction
+    Gauss-Jordan, of the rows Tr(b_i w_j) of I's basis times the trace form."""
+    F = I.field
+    basis = [[int(i == j) for j in range(F.n)] for i in range(F.n)]
+    rows = [[elem_trace(F, elem_mul(F, b, w)) for w in basis] for b in I.num]
+    inv = inv_fraction(rows)
+    return fraction_ideal(F, [[I.den * inv[j][i] for j in range(F.n)] for i in range(F.n)])
+
+
+def product_oracle(I, J):
+    """Oracle: I * J as the span of the n^2 products, from the mult table."""
+    F = I.field
+    table = F.mult_table
+    rows = [[Fraction(sum(x[i] * y[j] * table[i][j][k] for i in range(F.n) for j in range(F.n)),
+                      I.den * J.den) for k in range(F.n)]
+            for x in I.num for y in J.num]
+    return fraction_ideal(F, rows)
+
+
+def test_integer_ideal_layer_matches_the_fraction_path():
+    # over Q, the five rr_quadratic fields and the three fields of degree 3
+    # and 4: the trace dual by back-substitution, the inverse, the product
+    # and the pivot norm agree with the Fraction path and the old HNF
+    rng = random.Random(19)
+    fields = [make_field("rational")] + \
+        [make_field(("quadratic", d)) for d in (-1, -5, 2, 5, 13)] + \
+        [make_field(descriptor()) for descriptor in HIGHER_DEGREE]
+    with_den = 0
+    for F in fields:
+        ideals = ratio_ideals(F, rng, 6) + [unit_ideal(F), F.codifferent, F.different]
+        if F.n <= 2:
+            ideals += [ideal_pow(pr.ideal, e) for p in (2, 3, 5, 7)
+                       for pr in primes_above(F, p) for e in (-2, -1, 1, 2)]
+        assert F.codifferent == fraction_trace_dual(unit_ideal(F))
+        for I in ideals:
+            with_den += I.den > 1
+            assert numfield._trace_dual(I) == fraction_trace_dual(I), (F.label, I)
+            assert ideal_inv(I) == fraction_trace_dual(product_oracle(I, F.codifferent))
+            assert I.norm() == Fraction(abs(det_int([list(r) for r in I.num])), I.den ** F.n)
+            J = rng.choice(ideals)
+            assert ideal_mul(I, J) == product_oracle(I, J), (F.label, I, J)
+    assert with_den >= 40
 
 
 def test_rational_field():
