@@ -113,8 +113,6 @@ def triangular_adjugate(rows: list[list[int]]) -> tuple[list[list[int]], int]:
 def adjugate(mat: list[list[int]]) -> list[list[int]]:
     """Adjugate of a square integer matrix, from its cofactors."""
     n = len(mat)
-    if n == 1:
-        return [[1]]
 
     def minor(i, j):
         return [r[:j] + r[j + 1:] for k, r in enumerate(mat) if k != i]

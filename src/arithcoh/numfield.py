@@ -123,7 +123,7 @@ class FractionalIdeal:
         return [[Fraction(x, self.den) for x in r] for r in self.num]
 
     def norm(self) -> Fraction:
-        """Index [O : I], the product of the HNF pivots over den^n."""
+        """N(I), [O : I] for integral I: the product of the HNF pivots over den^n."""
         return Fraction(math.prod(r[i] for i, r in enumerate(self.num)), self.den ** self.field.n)
 
     def __mul__(self, other):
