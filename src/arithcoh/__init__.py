@@ -21,7 +21,6 @@ from .arakelov import (
     h0,
     h1,
     load_divisor,
-    load_divisor_file,
     sub,
     verify_duality,
     verify_riemann_roch,
@@ -57,7 +56,6 @@ from .ghost import (
     dual_ghost,
     idft,
     load_ghost,
-    load_ghost_file,
     mixed_convolve,
     quasi_characters,
     quotient_by_ghost,
@@ -83,7 +81,6 @@ from .numfield import (
     ideal_mul,
     ideal_norm,
     ideal_pow,
-    load_field_file,
     make_field,
     primes_above,
     principal_ideal,

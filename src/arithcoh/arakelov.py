@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import cmath
 import functools
-import json
 import math
 import sys
 from dataclasses import dataclass
@@ -297,10 +296,6 @@ def zeta_integrand_sweep(fld: NumberFieldDescriptor, s: complex, t_grid,
     return rows
 
 
-# ---------------------------------------------------------------------------
-# divisor descriptor files
-
-
 def load_divisor(fld: NumberFieldDescriptor, obj: dict) -> ArakelovDivisor:
     """Parse {finite: [{p, index, exponent}] | {ideal: ...}, infinite: [...]}"""
     if not isinstance(obj, dict) or "infinite" not in obj:
@@ -341,12 +336,3 @@ def load_divisor(fld: NumberFieldDescriptor, obj: dict) -> ArakelovDivisor:
             raise InvalidDivisor(f"no prime of index {index} above {p}")
         terms.append((above[index], e))
     return divisor_from_primes(fld, terms, infinite)
-
-
-def load_divisor_file(fld: NumberFieldDescriptor, path) -> ArakelovDivisor:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidDivisor(f"divisor file is not valid JSON: {exc}") from exc
-    return load_divisor(fld, obj)

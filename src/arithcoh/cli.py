@@ -2,9 +2,11 @@
 
 Reports go to standard output as JSON (CSV for sweeps with --format csv);
 everything else, including timing, goes to standard error so stdout stays
-machine-parseable and byte-stable across runs.  Exit codes: 0 all requested
-checks passed, 1 usage error, 2 invalid input or a failed verification,
-3 enumeration budget / tolerance exhausted.
+machine-parseable and byte-stable across runs.  Each input file is read
+once: the descriptor and the sha256 in the report come from the same bytes.
+Exit codes: 0 all requested checks passed, 1 usage error, 2 invalid input
+(an unreadable file included) or a failed verification, 3 enumeration
+budget / tolerance exhausted.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from . import arakelov, ghost, numfield
 from .errors import (
     ArithcohError,
     EnumerationBudgetExceeded,
+    InvalidDivisor,
     InvalidFieldSpec,
     InvalidGhostSpace,
     ToleranceUnreachable,
@@ -30,15 +33,30 @@ from .lattice import DEFAULT_BUDGET
 _USAGE_EXIT = 1
 _INVALID_EXIT = 2
 _BUDGET_EXIT = 3
+# the input kind a typed error names, as in "field file is not valid JSON"
+_KIND = {InvalidFieldSpec: "field", InvalidDivisor: "divisor", InvalidGhostSpace: "ghost"}
 
 
-def _digest(path: str) -> str:
+def _read(path: str, error: type[ArithcohError]) -> tuple[object, str]:
+    """The parsed JSON of the file at path and the sha256 of the same bytes.
+
+    The file is opened once.  An OSError propagates (exit 2); bytes that are
+    not UTF-8 JSON raise ``error``, the typed error of the input's kind.
+    """
     with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
+        data = fh.read()
+    try:
+        obj = json.loads(data.decode("utf-8"))
+    except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        raise error(f"{_KIND[error]} file is not valid JSON: {exc}") from exc
+    return obj, hashlib.sha256(data).hexdigest()
 
 
-def _emit(report: dict) -> None:
+def _report(command: str, results, ok: bool, **extra) -> int:
+    """Write the JSON report envelope to stdout; the exit code of ok."""
+    report = {"command": command, "results": results, "pass": ok, **extra}
     sys.stdout.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    return 0 if ok else _INVALID_EXIT
 
 
 def _log(msg: str) -> None:
@@ -50,50 +68,48 @@ def _coh_dict(v: arakelov.CohomologyValue) -> dict:
             "points_enumerated": v.points_enumerated}
 
 
+def _field(args):
+    obj, field_sha = _read(args.field, InvalidFieldSpec)
+    return numfield.make_field(obj), field_sha
+
+
+def _divisor(args):
+    """The divisor of --field and --divisor, and the digests of both files."""
+    fld, field_sha = _field(args)
+    obj, divisor_sha = _read(args.divisor, InvalidDivisor)
+    return arakelov.load_divisor(fld, obj), {"field": field_sha, "divisor": divisor_sha}
+
+
 def _cmd_field_info(args) -> int:
-    fld = numfield.load_field_file(args.field)
+    fld, field_sha = _field(args)
     deg_k = arakelov.degree(arakelov.canonical_divisor(fld))
     lat = numfield.embed_ideal(fld, numfield.unit_ideal(fld),
                                [0.0] * (fld.r1 + fld.r2))
     expected = math.sqrt(fld.abs_discriminant)
     check_ok = abs(lat.covolume - expected) <= 1e-8 * expected
-    _emit({
-        "command": "field-info",
-        "inputs": {"field": _digest(args.field)},
-        "results": {
-            "degree": fld.n,
-            "signature": [fld.r1, fld.r2],
-            "abs_discriminant": fld.abs_discriminant,
-            "different": {"numerator_basis": [list(r) for r in fld.different.num],
-                          "denominator": fld.different.den,
-                          "norm": str(fld.different.norm())},
-            "deg_canonical": deg_k,
-            "covolume_check": {"covolume": lat.covolume, "expected": expected,
-                               "passed": check_ok},
-        },
-        "pass": check_ok,
-    })
-    return 0 if check_ok else _INVALID_EXIT
+    return _report("field-info", {
+        "degree": fld.n,
+        "signature": [fld.r1, fld.r2],
+        "abs_discriminant": fld.abs_discriminant,
+        "different": {"numerator_basis": [list(r) for r in fld.different.num],
+                      "denominator": fld.different.den,
+                      "norm": str(fld.different.norm())},
+        "deg_canonical": deg_k,
+        "covolume_check": {"covolume": lat.covolume, "expected": expected,
+                           "passed": check_ok},
+    }, check_ok, inputs={"field": field_sha})
 
 
-def _cmd_h(args, which: str) -> int:
-    fld = numfield.load_field_file(args.field)
-    D = arakelov.load_divisor_file(fld, args.divisor)
-    fn = arakelov.h0 if which == "h0" else arakelov.h1
+def _cmd_h(args) -> int:
+    D, inputs = _divisor(args)
+    fn = arakelov.h0 if args.command == "h0" else arakelov.h1
     value = fn(D, tol=args.tol, budget=args.budget)
-    _emit({
-        "command": which,
-        "inputs": {"field": _digest(args.field), "divisor": _digest(args.divisor)},
-        "tol": args.tol,
-        "results": {which: _coh_dict(value), "degree": arakelov.degree(D)},
-        "pass": True,
-    })
-    return 0
+    return _report(args.command, {args.command: _coh_dict(value), "degree": arakelov.degree(D)},
+                   True, inputs=inputs, tol=args.tol)
 
 
 def _cmd_verify(args) -> int:
-    fld = numfield.load_field_file(args.field)
-    D = arakelov.load_divisor_file(fld, args.divisor)
+    D, inputs = _divisor(args)
     results: dict = {"degree": arakelov.degree(D)}
     ok = True
     rr, sd = arakelov.verify_duality(D, tol=args.tol, budget=args.budget)
@@ -111,15 +127,7 @@ def _cmd_verify(args) -> int:
             "passed": sd.passed,
         }
         ok = ok and sd.passed
-    _emit({
-        "command": "verify",
-        "what": args.what,
-        "inputs": {"field": _digest(args.field), "divisor": _digest(args.divisor)},
-        "tol": args.tol,
-        "results": results,
-        "pass": ok,
-    })
-    return 0 if ok else _INVALID_EXIT
+    return _report("verify", results, ok, what=args.what, inputs=inputs, tol=args.tol)
 
 
 def _tolerance(text: str) -> float:
@@ -168,19 +176,13 @@ def _cmd_zeta_sweep(args) -> int:
         step = (args.t_max - args.t_min) / (args.steps - 1)
         grid = [args.t_min + i * step for i in range(args.steps)]
     rows = arakelov.zeta_integrand_sweep(fld, s, grid, tol=args.tol, budget=args.budget)
-    if args.format == "csv":
-        sys.stdout.write("t,h0,h1,integrand_re,integrand_im\n")
-        for r in rows:
-            sys.stdout.write(f"{r.t!r},{r.h0!r},{r.h1!r},{r.value.real!r},{r.value.imag!r}\n")
-    else:
-        _emit({
-            "command": "zeta-sweep",
-            "s": {"re": s.real, "im": s.imag},
-            "results": [{"t": r.t, "h0": r.h0, "h1": r.h1,
-                         "integrand_re": r.value.real, "integrand_im": r.value.imag}
-                        for r in rows],
-            "pass": True,
-        })
+    if args.format == "json":
+        return _report("zeta-sweep", [{"t": r.t, "h0": r.h0, "h1": r.h1,
+                                       "integrand_re": r.value.real, "integrand_im": r.value.imag}
+                                      for r in rows], True, s={"re": s.real, "im": s.imag})
+    sys.stdout.write("t,h0,h1,integrand_re,integrand_im\n")
+    for r in rows:
+        sys.stdout.write(f"{r.t!r},{r.h0!r},{r.h1!r},{r.value.real!r},{r.value.imag!r}\n")
     return 0
 
 
@@ -199,77 +201,67 @@ def _parse_generators(text: str) -> list[tuple[int, ...]]:
 
 
 def _cmd_ghost(args) -> int:
-    structure = ghost.load_ghost_file(args.ghost_file)
-    inputs = {"ghost": _digest(args.ghost_file)}
+    obj, ghost_sha = _read(args.ghost_file, InvalidGhostSpace)
+    structure = ghost.load_ghost(obj)
+    command, inputs = f"ghost-{args.action}", {"ghost": ghost_sha}
+    first = isinstance(structure, ghost.GhostSpaceFirstKind)
+    if args.action == "assoc":
+        report = ghost.check_associativity(structure)
+        return _report(command, {
+            "max_associativity_defect": report.max_associativity_defect,
+            "max_commutativity_defect": report.max_commutativity_defect,
+            "triples_checked": report.triples_checked,
+        }, report.passed, inputs=inputs)
+    if args.action == "check" and not first:
+        return _report(command, {"kind": "second", "dimension": ghost.dim_second(structure)},
+                       True, inputs=inputs)
     if args.action == "check":
-        if isinstance(structure, ghost.GhostSpaceFirstKind):
-            # the constructor already validated; rerun for the full report
-            report = ghost.check_first_kind(structure.group, structure.u)
-            _emit({
-                "command": "ghost-check", "inputs": inputs,
-                "results": {
-                    "kind": "first",
-                    "dimension": ghost.dim_first(structure),
-                    "dft_min": report.dft_min,
-                    "unit_subgroup": [list(x) for x in report.unit_subgroup],
-                },
-                "pass": report.passed,
-            })
-            return 0 if report.passed else _INVALID_EXIT
-        _emit({
-            "command": "ghost-check", "inputs": inputs,
-            "results": {"kind": "second", "dimension": ghost.dim_second(structure)},
-            "pass": True,
-        })
-        return 0
+        # the constructor already validated; rerun for the full report
+        report = ghost.check_first_kind(structure.group, structure.u)
+        return _report(command, {
+            "kind": "first",
+            "dimension": ghost.dim_first(structure),
+            "dft_min": report.dft_min,
+            "unit_subgroup": [list(x) for x in report.unit_subgroup],
+        }, report.passed, inputs=inputs)
+    if not first:
+        what = "dualization is" if args.action == "dual" else "subquotients are"
+        raise InvalidGhostSpace(f"{what} implemented for first-kind descriptors")
     if args.action == "dual":
-        if not isinstance(structure, ghost.GhostSpaceFirstKind):
-            raise InvalidGhostSpace("dualization is implemented for first-kind descriptors")
         dual = ghost.dual_ghost(structure)
         dim_primal = ghost.dim_first(structure)
         dim_dual = ghost.dim_second(dual)
         ok = abs(dim_primal - dim_dual) <= 1e-12
-        _emit({
-            "command": "ghost-dual", "inputs": inputs,
-            "results": {"dual_mu": dual.mu.tolist(), "dim_primal": dim_primal,
-                        "dim_dual": dim_dual, "dims_match": ok},
-            "pass": ok,
-        })
-        return 0 if ok else _INVALID_EXIT
-    if args.action == "quotient":
-        if not isinstance(structure, ghost.GhostSpaceFirstKind):
-            raise InvalidGhostSpace("subquotients are implemented for first-kind descriptors")
-        sq = ghost.sub_quotient_first(structure.group, structure.u, args.subgroup)
-        # dimension additivity with the counting measures: dim G_u = dim H_u + dim (G/H)_v
-        dim_h = math.log(math.fsum(
-            float(structure.u[structure.group.index(x)]) for x in sq.subgroup))
-        additive = abs(ghost.dim_first(structure) - dim_h
-                       - ghost.dim_first(sq.space)) <= 1e-12
-        _emit({
-            "command": "ghost-quotient", "inputs": inputs,
-            "subgroup_generators": ";".join(",".join(map(str, g)) for g in args.subgroup),
-            "results": {
-                "quotient_orders": list(sq.quotient_group.cyclic_orders),
-                "subgroup_order": len(sq.subgroup),
-                "v": sq.space.u.tolist(),
-                "dim_quotient": ghost.dim_first(sq.space),
-                "dimension_additive": additive,
-            },
-            "pass": additive,
-        })
-        return 0 if additive else _INVALID_EXIT
-    # assoc
-    report = ghost.check_associativity(structure)
-    _emit({
-        "command": "ghost-assoc", "inputs": inputs,
-        "results": {
-            "max_associativity_defect": report.max_associativity_defect,
-            "max_commutativity_defect": report.max_commutativity_defect,
-            "triples_checked": report.triples_checked,
-        },
-        "pass": report.passed,
-    })
-    return 0 if report.passed else _INVALID_EXIT
+        return _report(command, {"dual_mu": dual.mu.tolist(), "dim_primal": dim_primal,
+                                 "dim_dual": dim_dual, "dims_match": ok}, ok, inputs=inputs)
+    sq = ghost.sub_quotient_first(structure.group, structure.u, args.subgroup)
+    # dimension additivity with the counting measures: dim G_u = dim H_u + dim (G/H)_v
+    dim_h = math.log(math.fsum(
+        float(structure.u[structure.group.index(x)]) for x in sq.subgroup))
+    additive = abs(ghost.dim_first(structure) - dim_h - ghost.dim_first(sq.space)) <= 1e-12
+    return _report(command, {
+        "quotient_orders": list(sq.quotient_group.cyclic_orders),
+        "subgroup_order": len(sq.subgroup),
+        "v": sq.space.u.tolist(),
+        "dim_quotient": ghost.dim_first(sq.space),
+        "dimension_additive": additive,
+    }, additive, inputs=inputs,
+        subgroup_generators=";".join(",".join(map(str, g)) for g in args.subgroup))
+
+
+_OPTIONS = {
+    "field": {"required": True, "help": "field descriptor JSON file"},
+    "divisor": {"required": True, "help": "divisor descriptor JSON file"},
+    "tol": {"type": _tolerance, "default": 1e-9, "help": "h-value tolerance"},
+    "budget": {"type": _positive_int, "default": DEFAULT_BUDGET,
+               "help": "lattice enumeration point cap"},
+}
+
+
+def _add_options(p, *names) -> None:
+    """Declare the options shared between subcommands, in the order named."""
+    for name in names:
+        p.add_argument(f"--{name}", **_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -278,38 +270,35 @@ def build_parser() -> argparse.ArgumentParser:
         description="Arithmetic cohomology of Arakelov divisors and ghost-space checks")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, divisor=True):
-        p.add_argument("--field", required=True, help="field descriptor JSON file")
-        if divisor:
-            p.add_argument("--divisor", required=True, help="divisor descriptor JSON file")
-        p.add_argument("--tol", type=_tolerance, default=1e-9, help="h-value tolerance")
-        p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET,
-                       help="lattice enumeration point cap")
-
     p = sub.add_parser("field-info", help="print field data and run the covolume self-check")
-    p.add_argument("--field", required=True)
+    _add_options(p, "field")
+    p.set_defaults(run=_cmd_field_info)
 
-    add_common(sub.add_parser("h0", help="compute h0 of a divisor"))
-    add_common(sub.add_parser("h1", help="compute h1 of a divisor"))
+    for name in ("h0", "h1"):
+        p = sub.add_parser(name, help=f"compute {name} of a divisor")
+        _add_options(p, "field", "divisor", "tol", "budget")
+        p.set_defaults(run=_cmd_h)
 
     p = sub.add_parser("verify", help="verify Riemann-Roch and/or Serre duality")
-    add_common(p)
+    _add_options(p, "field", "divisor", "tol", "budget")
     p.add_argument("--what", choices=["rr", "duality", "both"], default="both")
+    p.set_defaults(run=_cmd_verify)
 
     p = sub.add_parser("zeta-sweep", help="zeta integrand along the degree line over Q")
     p.add_argument("--s", default="0.5", help="complex parameter, e.g. '0.5' or '0.5+0.3j'")
     p.add_argument("--t-min", type=_finite, default=-3.0)
     p.add_argument("--t-max", type=_finite, default=3.0)
     p.add_argument("--steps", type=_positive_int, default=13)
-    p.add_argument("--tol", type=_tolerance, default=1e-9)
-    p.add_argument("--budget", type=_positive_int, default=DEFAULT_BUDGET)
+    _add_options(p, "tol", "budget")
     p.add_argument("--format", choices=["json", "csv"], default="json")
+    p.set_defaults(run=_cmd_zeta_sweep)
 
     p = sub.add_parser("ghost", help="finite-group ghost-space operations")
     p.add_argument("action", choices=["check", "dual", "quotient", "assoc"])
     p.add_argument("ghost_file", help="ghost-space descriptor JSON file")
     p.add_argument("--subgroup", type=_parse_generators, default=[],
                    help="subgroup generators, e.g. '2' or '1,0;0,3'")
+    p.set_defaults(run=_cmd_ghost)
 
     return parser
 
@@ -323,20 +312,11 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else _USAGE_EXIT
     start = time.perf_counter()
     try:
-        if args.command == "field-info":
-            code = _cmd_field_info(args)
-        elif args.command in ("h0", "h1"):
-            code = _cmd_h(args, args.command)
-        elif args.command == "verify":
-            code = _cmd_verify(args)
-        elif args.command == "zeta-sweep":
-            code = _cmd_zeta_sweep(args)
-        else:
-            code = _cmd_ghost(args)
+        code = args.run(args)
     except (EnumerationBudgetExceeded, ToleranceUnreachable) as exc:
         _log(f"error: {type(exc).__name__}: {exc}")
         return _BUDGET_EXIT
-    except FileNotFoundError as exc:
+    except OSError as exc:
         _log(f"error: {exc}")
         return _INVALID_EXIT
     except ArithcohError as exc:

@@ -34,7 +34,6 @@ chi_a(x) = exp(2 pi i sum a_j x_j / n_j).
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -532,10 +531,6 @@ def check_associativity(structure, tol: float = 1e-11) -> AssociativityCheck:
     return AssociativityCheck(assoc <= tol and comm <= tol, assoc, comm, g ** 3)
 
 
-# ---------------------------------------------------------------------------
-# descriptor files
-
-
 def load_ghost(obj: dict):
     """Parse {cyclic_orders, u} or {cyclic_orders, mu} (mixed-radix order)."""
     if not isinstance(obj, dict) or "cyclic_orders" not in obj:
@@ -547,15 +542,9 @@ def load_ghost(obj: dict):
     group = FiniteAbelianGroup(orders)
     if ("u" in obj) == ("mu" in obj):
         raise InvalidGhostSpace("ghost descriptor needs exactly one of 'u' or 'mu'")
-    if "u" in obj:
-        return GhostSpaceFirstKind(group, np.asarray(obj["u"], dtype=float))
-    return GhostSpaceSecondKind(group, np.asarray(obj["mu"], dtype=float))
-
-
-def load_ghost_file(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidGhostSpace(f"ghost file is not valid JSON: {exc}") from exc
-    return load_ghost(obj)
+    key = "u" if "u" in obj else "mu"
+    try:
+        values = np.asarray(obj[key], dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise InvalidGhostSpace(f"'{key}' must be a list of reals") from exc
+    return (GhostSpaceFirstKind if key == "u" else GhostSpaceSecondKind)(group, values)

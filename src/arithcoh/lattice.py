@@ -48,6 +48,8 @@ _BIN_MIN = 1 << 10
 # small ones give the shorter radii at tight tolerances, the large ones at
 # loose tolerances or in many dimensions
 _TAIL_SPLITS = (0.0625, 0.125, 0.25, 0.5)
+# the Lovasz condition of lll_reduce_rows: |b*_k|^2 >= (delta - mu^2) |b*_k-1|^2
+_LLL_DELTA = 0.75
 
 
 def _as_matrix(gram) -> np.ndarray:
@@ -110,7 +112,8 @@ class GramMatrix:
         needs neither the symmetry check nor the symmetrising step.  An
         overflowed entry is still rejected.
         """
-        m = b @ b.T
+        with np.errstate(over="ignore"):  # an overflow is rejected just below
+            m = b @ b.T
         if not np.all(np.isfinite(m)):
             raise NotPositiveDefinite("Gram matrix has a non-finite entry")
         gram = object.__new__(cls)
@@ -488,19 +491,25 @@ def dual_lattice(lat: EmbeddedLattice) -> EmbeddedLattice:
     return EmbeddedLattice(np.linalg.inv(lat.basis).T)
 
 
-def lll_reduce_rows(basis, delta: float = 0.75) -> np.ndarray:
+def lll_reduce_rows(basis) -> np.ndarray:
     """LLL-reduce the row basis (integer row operations only, same lattice).
 
     Skew bases of dense ideal lattices make the Gram matrix ill-conditioned,
     which swells the upper levels of the enumeration with candidates that
     lead to no point; reducing first keeps them proportionate.  The
     iteration cap is a safety valve: an unreduced basis is still a correct
-    basis.
+    basis.  Rows whose largest entry reaches 2^k, k = (1024 - bits(n)) / 2,
+    could overflow in a dot product; they are reduced at the exact scale
+    2^-e that brings that entry below 2^k, and scaled back.  Smaller bases
+    keep e = 0: scaling them down further would flush their small entries,
+    not gain range.
     """
     b = np.array(basis, dtype=float)
     n = b.shape[0]
     if n < 2:
         return b
+    scale = 2.0 ** max(math.frexp(abs(b).max())[1] - (1024 - n.bit_length()) // 2, 0)
+    b /= scale
 
     def gso(mat):
         star = mat.copy()
@@ -524,9 +533,9 @@ def lll_reduce_rows(basis, delta: float = 0.75) -> np.ndarray:
                 # b* stays; row k of mu moves by q times row j (unit diagonal)
                 b[k] = b[k] - q * b[j]
                 mu[k, :j + 1] -= q * mu[j, :j + 1]
-        if norms[k] >= (delta - mu[k, k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (_LLL_DELTA - mu[k, k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[[k - 1, k]] = b[[k, k - 1]]
             k = max(k - 1, 1)
-    return b
+    return b * scale

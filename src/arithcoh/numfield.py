@@ -26,7 +26,6 @@ Conventions fixed here because descriptor files depend on them:
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -35,7 +34,7 @@ from math import isqrt
 import numpy as np
 
 from . import intmat
-from .errors import DescriptorInconsistent, InvalidFieldSpec, UnsupportedField
+from .errors import DescriptorInconsistent, InvalidDivisor, InvalidFieldSpec, UnsupportedField
 from .lattice import EmbeddedLattice, lll_reduce_rows
 
 _MULT_INT_TOL = 1e-6
@@ -43,6 +42,10 @@ _COVOL_RTOL = 1e-8
 # a quadratic field's embeddings are floats made from d, and 2^53 is where
 # d stops being an exact float
 _QUAD_D_BOUND = 2 ** 53
+# Miller-Rabin on the prime bases up to 37 decides primality below _MR_BOUND
+# (Sorenson and Webster, Math. Comp. 86 (2017), 985-1003)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BOUND = 318_665_857_834_031_151_167_461
 
 
 @dataclass
@@ -113,8 +116,11 @@ class FractionalIdeal:
     def from_rows(cls, fld: NumberFieldDescriptor, rows, den: int = 1) -> "FractionalIdeal":
         frac_rows = [[Fraction(x) for x in r] for r in rows]
         scale = math.lcm(*(x.denominator for r in frac_rows for x in r))
-        lat_num, lat_den = intmat.lattice_normalize(
-            [[int(x * scale) for x in r] for r in frac_rows], scale * den)
+        try:
+            lat_num, lat_den = intmat.lattice_normalize(
+                [[int(x * scale) for x in r] for r in frac_rows], scale * den)
+        except ValueError as exc:  # no rows, or rank below their length
+            raise DescriptorInconsistent(f"ideal basis rejected: {exc}") from exc
         if len(lat_num) != fld.n:
             raise DescriptorInconsistent("ideal basis is not full rank")
         return cls(fld, tuple(tuple(r) for r in lat_num), lat_den)
@@ -346,6 +352,8 @@ def _make_custom(desc: dict) -> NumberFieldDescriptor:
         diff_rows = [[intmat.exact_int(x) for x in row] for row in desc["different_basis"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidFieldSpec(f"malformed custom field descriptor: {exc}") from exc
+    if not all(map(math.isfinite, emb_flat)):
+        raise InvalidFieldSpec("custom field embeddings must be finite reals")
     if r1 + 2 * r2 != n:
         raise DescriptorInconsistent(f"signature ({r1}, {r2}) does not satisfy r1 + 2*r2 = {n}")
     if delta <= 0 or n < 1 or len(emb_flat) != n * n:
@@ -409,26 +417,53 @@ def make_field(spec) -> NumberFieldDescriptor:
     raise InvalidFieldSpec(f"unrecognized field spec {spec!r}")
 
 
-def load_field_file(path) -> NumberFieldDescriptor:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise InvalidFieldSpec(f"field file is not valid JSON: {exc}") from exc
-    return make_field(obj)
-
-
 # ---------------------------------------------------------------------------
 # prime splitting (built-in fields only)
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    for q in range(2, isqrt(p) + 1):
-        if p % q == 0:
+    """Deterministic Miller-Rabin (Cohen, Alg. 8.2.2) on the bases _MR_BASES."""
+    if p < 2 or any(p % q == 0 for q in _MR_BASES):
+        return p in _MR_BASES
+    if p >= _MR_BOUND:
+        raise InvalidDivisor(f"p = {p} is not below {_MR_BOUND}, where primality is decided")
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
     return True
+
+
+def _sqrt_mod(n: int, p: int) -> int | None:
+    """A square root of n modulo an odd prime p, None for a non-residue:
+    Tonelli-Shanks (Cohen, Alg. 1.5.1)."""
+    n %= p
+    if n == 0:
+        return 0
+    if pow(n, (p - 1) // 2, p) != 1:
+        return None
+    q, e = p - 1, 0
+    while q % 2 == 0:
+        q, e = q // 2, e + 1
+    z = next(z for z in range(2, p) if pow(z, (p - 1) // 2, p) == p - 1)
+    # invariant: x^2 = n b, and y has order 2^r, which b's order divides
+    y, r, x, b = pow(z, q, p), e, pow(n, (q + 1) // 2, p), pow(n, q, p)
+    while b != 1:
+        m, t = 0, b
+        while t != 1:
+            t, m = t * t % p, m + 1
+        t = pow(y, 1 << (r - m - 1), p)
+        y, r, x, b = t * t % p, m, x * t % p, b * t * t % p
+    return x
 
 
 def primes_above(fld: NumberFieldDescriptor, p: int) -> list[PrimeIdeal]:
@@ -442,7 +477,12 @@ def primes_above(fld: NumberFieldDescriptor, p: int) -> list[PrimeIdeal]:
             "custom fields carry no splitting data; specify divisors by explicit ideal bases")
     d = fld.quad_d
     a, b = (1, (d - 1) // 4) if d % 4 == 1 else (0, d)
-    roots = [r for r in range(p) if (r * r - a * r - b) % p == 0]
+    # the roots of x^2 - a x - b are (a +- sqrt(a^2 + 4 b)) / 2 for odd p
+    if p == 2:
+        roots = [r for r in range(2) if (r * r - a * r - b) % 2 == 0]
+    else:
+        root, half = _sqrt_mod(a * a + 4 * b, p), (p + 1) // 2
+        roots = [] if root is None else sorted({(a + root) * half % p, (a - root) * half % p})
     if not roots:
         ideal = principal_ideal(fld, (p, 0))
         return [PrimeIdeal(p, 0, p * p, 2, 1, ideal)]

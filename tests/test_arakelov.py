@@ -538,6 +538,16 @@ def test_load_divisor_errors():
             load_divisor(QI, {"finite": {"ideal": ideal}, "infinite": [0.0]})
 
 
+def test_h0_near_the_float_limit_gives_a_typed_error():
+    # x_sigma = -354 scales the basis of P, P above 11, past 2^511: LLL ran
+    # into NaN there, it now reduces at an exact scale 2^-e and the Gram's
+    # overflow is reported
+    F = make_field(("quadratic", 5))
+    for P in primes_above(F, 11):
+        with pytest.raises(ArithcohError):
+            h0(divisor_from_primes(F, [(P, -1)], [-354.0, -354.0]))
+
+
 @pytest.mark.parametrize("field, xs", [
     ("qi", [700.0]), ("qi", [709.0]), ("qi", [-700.0]), ("qi", [745.0]),
     ("zeta8", [340.0, 340.0]), ("zeta8", [-340.0, -340.0]),

@@ -1,8 +1,14 @@
 """CLI behavior: reports, exit codes, golden-file determinism."""
 
+import builtins
 import json
 import math
+import os
+import subprocess
+import sys
 import time
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -294,3 +300,112 @@ def test_reports_are_byte_identical(files, capsys):
     first = [run(capsys, argv)[1] for argv in battery]
     second = [run(capsys, argv)[1] for argv in battery]
     assert first == second
+
+
+_CUSTOM_QI = {"degree": 2, "r1": 0, "r2": 1, "abs_discriminant": 4,
+              "embeddings": [1.0, 0.0, 0.0, 1.0], "different_basis": [[2, 0], [0, 2]]}
+
+
+def _ideal_divisor(basis):
+    return {"finite": {"ideal": {"numerator_basis": basis}}, "infinite": [0.0]}
+
+
+_MALFORMED = {
+    "field-d-str": ("field", {"type": "quadratic", "d": "x"}),
+    "field-no-d": ("field", {"type": "quadratic"}),
+    "field-list": ("field", [1]),
+    "field-degree-str": ("field", {**_CUSTOM_QI, "degree": "2"}),
+    "field-embeddings-str": ("field", {**_CUSTOM_QI, "embeddings": ["a"] * 4}),
+    "field-embeddings-nan": ("field", {**_CUSTOM_QI, "embeddings": [math.nan, 0.0, 0.0, 1.0]}),
+    "field-different-int": ("field", {**_CUSTOM_QI, "different_basis": 5}),
+    "divisor-rank-1": ("divisor", _ideal_divisor([[1, 0], [2, 0]])),
+    "divisor-ragged": ("divisor", _ideal_divisor([[1, 0], [2]])),
+    "divisor-zero": ("divisor", _ideal_divisor([[0, 0], [0, 0]])),
+    "divisor-no-rows": ("divisor", _ideal_divisor([])),
+    "divisor-basis-str": ("divisor", _ideal_divisor("x")),
+    "divisor-infinite-str": ("divisor", {"finite": [], "infinite": ["a"]}),
+    "divisor-infinite-dict": ("divisor", {"finite": [], "infinite": {"x": 1}}),
+    "divisor-p-str": ("divisor", {"finite": [{"p": "2", "exponent": 1}], "infinite": [0.0]}),
+    # past the bound where primality is decided; trial division hung on it
+    "divisor-p-huge": ("divisor", {"finite": [{"p": 10 ** 30 + 57, "exponent": 1}],
+                                   "infinite": [0.0]}),
+    "divisor-finite-str": ("divisor", {"finite": "x", "infinite": [0.0]}),
+    "divisor-list": ("divisor", [0.0]),
+    "ghost-u-str": ("ghost", {"cyclic_orders": [2], "u": ["a", 1]}),
+    "ghost-u-dict": ("ghost", {"cyclic_orders": [2], "u": {"x": 1}}),
+    "ghost-mu-str": ("ghost", {"cyclic_orders": [2], "mu": ["a", 1]}),
+    "ghost-mu-null": ("ghost", {"cyclic_orders": [2], "mu": None}),
+    "ghost-orders-str": ("ghost", {"cyclic_orders": "12", "u": [1.0, 0.5]}),
+    "ghost-orders-float": ("ghost", {"cyclic_orders": [2.5], "u": [1.0, 0.5]}),
+    "ghost-no-orders": ("ghost", {"u": [1.0, 0.5]}),
+    **{f"{kind}-{name}": (kind, content)
+       for kind in ("field", "divisor", "ghost")
+       for name, content in (("not-json", "{"), ("not-utf8", b'{"type": "\xff"}'),
+                             ("directory", "<dir>"), ("missing", "<missing>"))},
+}
+
+
+@pytest.mark.parametrize("kind, content", _MALFORMED.values(), ids=_MALFORMED.keys())
+def test_malformed_input_is_one_error_line(files, capsys, tmp_path, kind, content):
+    path = tmp_path / f"bad_{kind}.json"
+    if content == "<dir>":
+        path.mkdir()
+    elif isinstance(content, bytes):
+        path.write_bytes(content)
+    elif isinstance(content, str):
+        if content != "<missing>":
+            path.write_text(content)
+    else:
+        path.write_text(json.dumps(content))
+    path = str(path)
+    if kind == "ghost":
+        argvs = [["ghost", action, path] for action in ("check", "dual", "quotient", "assoc")]
+    else:
+        field, divisor = (path, files["div_qi"]) if kind == "field" else (files["gaussian"], path)
+        argvs = [["h0", "--field", field, "--divisor", divisor],
+                 ["verify", "--field", field, "--divisor", divisor]]
+        if kind == "field":
+            argvs.append(["field-info", "--field", field])
+    for argv in argvs:
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (2, ""), argv
+        assert "Traceback" not in err
+        if isinstance(content, bytes) or content == "{":
+            assert f"{kind} file is not valid JSON" in err
+        assert [line for line in err.splitlines() if line.startswith("error: ")] == \
+            err.splitlines(), err
+
+
+def test_each_input_file_is_opened_once(files, capsys, monkeypatch):
+    opened = Counter()
+    real_open = builtins.open
+
+    def counting_open(file, *args, **kwargs):
+        opened[str(file)] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(builtins, "open", counting_open)
+    quotient = files["write"]("ghost4.json", {"cyclic_orders": [4], "u": [1.0, 0.5, 0.5, 0.5]})
+    divisor = ["--field", files["gaussian"], "--divisor", files["div_qi"]]
+    for argv in (["field-info", "--field", files["gaussian"]], ["h0", *divisor],
+                 ["h1", *divisor], ["verify", *divisor],
+                 ["ghost", "check", files["ghost_ok"]], ["ghost", "dual", files["ghost_ok"]],
+                 ["ghost", "quotient", quotient, "--subgroup", "2"],
+                 ["ghost", "assoc", files["ghost_ok"]]):
+        opened.clear()
+        code, _, _ = run(capsys, argv)
+        assert code == 0, argv
+        inputs = [a for a in argv if a.endswith(".json")]
+        assert {path: opened[path] for path in inputs} == {path: 1 for path in inputs}, argv
+
+
+def test_module_entry_point_matches_main(files, capsys):
+    argv = ["field-info", "--field", files["gaussian"]]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    proc = subprocess.run([sys.executable, "-m", "arithcoh.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+    code, out, _ = run(capsys, argv)
+    assert code == 0 and (proc.returncode, proc.stdout) == (code, out)
+    assert json.loads(out)["command"] == "field-info"

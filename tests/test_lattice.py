@@ -14,6 +14,7 @@ from arithcoh.lattice import (
     cholesky,
     dual_lattice,
     enumerate_below,
+    lll_reduce_rows,
     theta_sum,
 )
 from arithcoh import lattice
@@ -366,11 +367,22 @@ def test_embedded_lattice_gram_is_exactly_symmetric():
             assert not g.flags.writeable and not lat.gram.factor.flags.writeable
 
 
+def test_lll_reduction_commutes_with_a_power_of_2():
+    # rows near the float limit are reduced at an exact scale 2^-e: the same
+    # steps as at a scale where no dot product overflows, and no warning
+    rng = random.Random(7)
+    for _ in range(200):
+        n = rng.randint(2, 5)
+        basis = np.array([[rng.uniform(-30.0, 30.0) for _ in range(n)] for _ in range(n)])
+        reduced = lll_reduce_rows(basis)
+        for k in (400, 505, 512, 600, 1000 - 5 * n):
+            assert np.array_equal(lll_reduce_rows(np.ldexp(basis, k)), np.ldexp(reduced, k))
+
+
 def test_embedded_lattice_rejects_an_overflowed_gram():
-    # numpy warns of the overflow in b b^T, as it did before the Gram of a
-    # basis skipped its checks; the typed error is what must not change
+    # the overflow in b b^T is rejected by a typed error, not a warning
     for basis in ([[1e200, 0.0], [0.0, 1.0]], [[1e155, 1e155], [0.0, 1.0]], [[np.inf]]):
-        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NotPositiveDefinite):
+        with pytest.raises(NotPositiveDefinite):
             EmbeddedLattice(np.array(basis))
     with pytest.raises(NotPositiveDefinite):
         EmbeddedLattice(np.zeros((0, 0)))

@@ -8,7 +8,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from arithcoh.errors import DescriptorInconsistent, InvalidFieldSpec, UnsupportedField
+from arithcoh.errors import (
+    DescriptorInconsistent,
+    InvalidDivisor,
+    InvalidFieldSpec,
+    UnsupportedField,
+)
 from arithcoh import numfield
 from arithcoh.intmat import det_int, inv_fraction
 from arithcoh.lattice import dual_lattice
@@ -21,7 +26,6 @@ from arithcoh.numfield import (
     ideal_mul,
     ideal_norm,
     ideal_pow,
-    load_field_file,
     make_field,
     primes_above,
     principal_ideal,
@@ -179,7 +183,8 @@ def test_primes_above_gaussian():
 def test_primes_multiply_to_p():
     for d in (-1, -5, 2, 5, 13):
         F = make_field(("quadratic", d))
-        for p in (2, 3, 5, 7):
+        # and primes far past where a scan of the residues could finish
+        for p in (2, 3, 5, 7, 10 ** 9 + 7, 10 ** 9 + 9, 2 ** 61 - 1, 10 ** 18 + 3, 10 ** 18 + 9):
             above = primes_above(F, p)
             prod = unit_ideal(F)
             for prime in above:
@@ -191,6 +196,45 @@ def test_primes_above_requires_prime():
     Qi = make_field(("quadratic", -1))
     with pytest.raises(ValueError):
         primes_above(Qi, 6)
+
+
+def _sieve(n: int) -> list[int]:
+    flags = [True] * n
+    for q in range(2, math.isqrt(n) + 1):
+        if flags[q]:
+            flags[q * q::q] = [False] * len(range(q * q, n, q))
+    return [q for q in range(2, n) if flags[q]]
+
+
+def test_primes_above_equal_the_root_scan():
+    # the roots of x^2 - a x - b mod p by scanning every residue, index by index
+    for d in (-1, -5, 2, 5, 13):
+        F = make_field(("quadratic", d))
+        a, b = (1, (d - 1) // 4) if d % 4 == 1 else (0, d)
+        for p in _sieve(3000):
+            roots = [r for r in range(p) if (r * r - a * r - b) % p == 0]
+            above = primes_above(F, p)
+            if not roots:
+                assert [(P.residue_norm, P.ideal) for P in above] == \
+                    [(p * p, principal_ideal(F, (p, 0)))], (d, p)
+                continue
+            assert [P.ideal for P in above] == [
+                FractionalIdeal.from_rows(F, [[p, 0], [0, p], [-r, 1], [b, a - r]])
+                for r in roots], (d, p)
+            assert [P.index for P in above] == list(range(len(roots)))
+
+
+def test_primality_is_decided_exactly_below_the_bound():
+    n = 20000
+    assert [q for q in range(-3, n) if numfield._is_prime(q)] == _sieve(n)
+    # a strong pseudoprime to every prime base up to 23, and primes that
+    # trial division could not reach
+    assert not numfield._is_prime(3825123056546413051)
+    assert numfield._is_prime(2 ** 61 - 1) and numfield._is_prime(10 ** 18 + 3)
+    # the bound is the least composite that passes all twelve bases
+    assert numfield._MR_BOUND == 399165290221 * 798330580441
+    with pytest.raises(InvalidDivisor, match="primality"):
+        numfield._is_prime(numfield._MR_BOUND)
 
 
 def test_ideal_identities_gaussian():
@@ -333,11 +377,8 @@ def custom_descriptor_from(d):
     }
 
 
-def test_custom_descriptor_roundtrip(tmp_path):
-    desc = custom_descriptor_from(2)
-    path = tmp_path / "field.json"
-    path.write_text(json.dumps(desc))
-    F = load_field_file(path)
+def test_custom_descriptor_roundtrip():
+    F = make_field(json.loads(json.dumps(custom_descriptor_from(2))))
     assert F.abs_discriminant == 8
     assert F.signature == (2, 0)
     lat = embed_ideal(F, unit_ideal(F), [0.0, 0.0])
