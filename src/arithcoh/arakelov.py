@@ -39,6 +39,15 @@ from .numfield import (
     unit_ideal,
 )
 
+# n log 2^1024 caps sum |e| log N(P) over the exponents of each sign of a
+# prime-exponent divisor, so that the two exact ideal products of ideal()
+# stay cheap.  Such divisors exist only over Q and quadratic fields
+# (primes_above), so n <= 2 wherever the cap is read.  One product beyond it
+# has an HNF entry above 2^1024 or below 2^-1024, out of the float range or
+# subnormal; the two signs may cancel (2^700 3^-442 is near 1), and an ideal
+# that is still too large meets the typed errors of embed_ideal and LLL
+_LOG_FLOAT_RANGE = 1024 * math.log(2)
+
 
 @dataclass(frozen=True)
 class ArakelovDivisor:
@@ -63,9 +72,20 @@ class ArakelovDivisor:
             raise InvalidDivisor(f"infinite components {self.infinite} give metric weights "
                                  "that are not normal positive finite floats")
         if self.primes is not None:
-            for _, e in self.primes:
+            sides = [0.0, 0.0]  # sum |e| log N(P) over e <= 0 and over e > 0
+            for prime, e in self.primes:
                 if not isinstance(e, int):
                     raise InvalidDivisor("prime exponents must be integers")
+                try:
+                    sides[e > 0] += abs(e) * math.log(prime.residue_norm)
+                except OverflowError:  # an exponent beyond the float range
+                    sides[e > 0] = math.inf
+            size = max(sides)
+            bound = self.field.n * _LOG_FLOAT_RANGE
+            if size > bound:
+                raise InvalidDivisor(
+                    f"prime exponents of one sign give sum |e| log N(P) = {size:.6g}, beyond "
+                    f"the cap {bound:.6g} = {self.field.n} * 1024 log 2 on exact ideal powers")
 
     def ideal(self) -> FractionalIdeal:
         """Associated fractional ideal prod P^(-x_P).

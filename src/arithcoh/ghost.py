@@ -22,7 +22,8 @@ check compares the triples (0, a, b) only, in |G|^3 work and memory: with
 J(s, z, t) = (sum_w mu(w - s) c(w, z) mu(t - w - z)) / (u(s) u(z)) and
 c(x, y) = u(x) u(y) / u(x+y), the product is associative exactly when
 J(a, b, t) = J(a+b, 0, t), which is the x = 0 slice of the full comparison
-(proof in ``check_associativity``).  Quotients, subquotients, duals (via the
+(proof in ``check_associativity``).  It reads commutativity off c alone, in
+|G|^2 work, since add is symmetric.  Quotients, subquotients, duals (via the
 DFT) and quasi-characters are implemented so that every structural claim
 about these spaces can be checked exhaustively at finite scale.
 
@@ -61,14 +62,14 @@ class FiniteAbelianGroup:
 
     @property
     def size(self) -> int:
-        return int(np.prod(self.cyclic_orders, dtype=np.int64))
+        return math.prod(self.cyclic_orders)
 
     @property
     def rank(self) -> int:
         return len(self.cyclic_orders)
 
     def elements(self) -> list[tuple[int, ...]]:
-        return [tuple(int(v) for v in x) for x in np.ndindex(*self.cyclic_orders)]
+        return [tuple(x) for x in self.coords_matrix().tolist()]
 
     def index(self, x) -> int:
         return int(np.ravel_multi_index(self.element(x), self.cyclic_orders))
@@ -91,23 +92,21 @@ class FiniteAbelianGroup:
 
     def coords_matrix(self) -> np.ndarray:
         """(size, rank) int array of all elements in index order."""
-        return np.array(self.elements(), dtype=np.int64).reshape(self.size, self.rank)
+        return np.indices(self.cyclic_orders, dtype=np.int64).reshape(self.rank, self.size).T
+
+    def _flat_index(self, coords: np.ndarray) -> np.ndarray:
+        """Index of each coordinate vector along the last axis, taken mod the orders."""
+        reduced = coords % self.cyclic_orders
+        return np.ravel_multi_index(tuple(reduced[..., j] for j in range(self.rank)),
+                                    self.cyclic_orders)
 
     def add_table(self) -> np.ndarray:
         """add_table[i, j] = index of element_i + element_j."""
         coords = self.coords_matrix()
-        orders = np.array(self.cyclic_orders, dtype=np.int64)
-        sums = (coords[:, None, :] + coords[None, :, :]) % orders
-        return np.ravel_multi_index(
-            tuple(sums[:, :, j] for j in range(self.rank)),
-            self.cyclic_orders).reshape(self.size, self.size)
+        return self._flat_index(coords[:, None, :] + coords).reshape(self.size, self.size)
 
     def neg_table(self) -> np.ndarray:
-        coords = self.coords_matrix()
-        orders = np.array(self.cyclic_orders, dtype=np.int64)
-        negs = (-coords) % orders
-        return np.ravel_multi_index(
-            tuple(negs[:, j] for j in range(self.rank)), self.cyclic_orders).reshape(self.size)
+        return self._flat_index(-self.coords_matrix()).reshape(self.size)
 
     def character_table(self) -> np.ndarray:
         """chi[a, x] = exp(2 pi i sum_j a_j x_j / n_j)."""
@@ -184,8 +183,8 @@ def check_first_kind(group: FiniteAbelianGroup, u) -> FirstKindCheck:
         return fail("{u = 1} is not closed under addition")
     if np.max(np.abs(u[add[idx]] - u)) > _UNIT_TOL:
         return fail("u is not constant on the cosets of {u = 1}")
-    elements = group.elements()
-    return FirstKindCheck(True, None, dft_min, tuple(elements[i] for i in idx), True)
+    unit_subgroup = tuple(tuple(x) for x in group.coords_matrix()[idx].tolist())
+    return FirstKindCheck(True, None, dft_min, unit_subgroup, True)
 
 
 @dataclass(frozen=True)
@@ -509,8 +508,16 @@ def check_associativity(structure, tol: float = 1e-11) -> AssociativityCheck:
     defect, which in exact arithmetic is zero exactly when every triple
     associates.  For the first kind (mu = delta_0) and the second (u = 1),
     J depends on a + b only, so their defect measures rounding alone.
-    Commutativity is checked on all pairs; ``triples_checked`` counts the
-    |G|^3 triples the result covers.
+
+    ``max_commutativity_defect`` is the largest |dx * dy - dy * dx| over all
+    pairs and points t, found in |G|^2 work.  add is symmetric, so
+    (dx * dy)(t) - (dy * dx)(t) = (c(x, y) - c(y, x)) mu(t - x - y), and each
+    row of shift_mu is a permutation of mu (all ones for the first kind, on
+    its one-point axis), so the largest difference is max |c - c^T| times
+    max |shift_mu|.  In floats c is symmetric bit for bit, as IEEE
+    multiplication commutes, so the defect reads 0 unless c overflows to a
+    non-finite entry.  ``triples_checked`` counts the |G|^3 triples the
+    result covers.
     """
     if not isinstance(structure, (GhostSpaceFirstKind, GhostSpaceSecondKind, MixedGhostSpace)):
         raise TypeError(f"cannot check associativity of {type(structure).__name__}")
@@ -525,9 +532,12 @@ def check_associativity(structure, tol: float = 1e-11) -> AssociativityCheck:
     else:
         shift_mu = structure.mu[add[group.neg_table(), :]]  # shift_mu[s, w] = mu(w - s)
         core = np.tensordot(shift_mu, c[:, :, None] * shift_mu[add, :], axes=1)
-    assoc = float(np.max(np.abs(c[0, :, None, None] * core - c[:, :, None] * core[add, 0])))
-    pair = c[:, :, None] * shift_mu[add]
-    comm = float(np.max(np.abs(pair - np.transpose(pair, (1, 0, 2)))))
+    lhs = core * c[0, :, None, None]
+    rhs = core[add, 0]
+    rhs *= c[:, :, None]
+    lhs -= rhs
+    assoc = float(np.max(np.abs(lhs, out=lhs)))
+    comm = float(np.max(np.abs(c - c.T))) * float(np.max(np.abs(shift_mu)))
     return AssociativityCheck(assoc <= tol and comm <= tol, assoc, comm, g ** 3)
 
 

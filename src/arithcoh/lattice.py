@@ -48,6 +48,9 @@ _BIN_MIN = 1 << 10
 # small ones give the shorter radii at tight tolerances, the large ones at
 # loose tolerances or in many dimensions
 _TAIL_SPLITS = (0.0625, 0.125, 0.25, 0.5)
+# candidate bounds of a level must lie below this in size, so that they and
+# every count hi - lo + 1 fit in int64
+_MAX_REACH = 2.0 ** 62
 # the Lovasz condition of lll_reduce_rows: |b*_k|^2 >= (delta - mu^2) |b*_k-1|^2
 _LLL_DELTA = 0.75
 
@@ -188,12 +191,19 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V: np.ndarray,
     s = (V + center[i + 1:]) @ U[i, i + 1:]
     rad = np.sqrt(np.maximum(bound - T, 0.0))
     uii = U[i, i]
-    lo = np.ceil((-rad - s) / uii - center[i] - _BOUNDARY_SLACK).astype(np.int64)
-    hi = np.floor((rad - s) / uii - center[i] + _BOUNDARY_SLACK).astype(np.int64)
+    lo = np.ceil((-rad - s) / uii - center[i] - _BOUNDARY_SLACK)
+    hi = np.floor((rad - s) / uii - center[i] + _BOUNDARY_SLACK)
+    # the largest |bound|, as hi >= lo - 1; 0 when no row is left
+    reach = float(np.maximum(hi, -lo).max(initial=0.0))
+    if not reach < _MAX_REACH:  # a nan fails too
+        raise EnumerationBudgetExceeded(
+            f"coordinate {i} has a candidate bound of {reach:.6g}, beyond 2^62: "
+            "the metric spans too wide a range")
+    lo, hi = lo.astype(np.int64), hi.astype(np.int64)
     if half:
         lo[0] = max(lo[0], 0 if i else 1)
     counts = np.maximum(hi - lo + 1, 0)
-    total = int(counts.sum())
+    total = int(counts.sum(dtype=float))  # exact below 2^53, and an int64 sum could wrap
     if (2 * total + (1 if i == 0 else -1) if half else total) > budget:
         raise EnumerationBudgetExceeded(
             f"enumeration needs more than {budget} points; the metric is too flat")
@@ -502,13 +512,18 @@ def lll_reduce_rows(basis) -> np.ndarray:
     could overflow in a dot product; they are reduced at the exact scale
     2^-e that brings that entry below 2^k, and scaled back.  Smaller bases
     keep e = 0: scaling them down further would flush their small entries,
-    not gain range.
+    not gain range.  A non-finite entry, or a Gram-Schmidt norm that is not
+    positive and finite (numerically dependent rows), raises
+    NotPositiveDefinite.
     """
     b = np.array(basis, dtype=float)
     n = b.shape[0]
     if n < 2:
         return b
-    scale = 2.0 ** max(math.frexp(abs(b).max())[1] - (1024 - n.bit_length()) // 2, 0)
+    top = float(abs(b).max())
+    if not top < math.inf:  # a nan fails too
+        raise NotPositiveDefinite("the basis has an entry beyond the float range")
+    scale = 2.0 ** max(math.frexp(top)[1] - (1024 - n.bit_length()) // 2, 0)
     b /= scale
 
     def gso(mat):
@@ -519,7 +534,12 @@ def lll_reduce_rows(basis) -> np.ndarray:
             for j in range(i):
                 mu[i, j] = float(mat[i] @ star[j]) / norms[j]
                 star[i] = star[i] - mu[i, j] * star[j]
-            norms[i] = float(star[i] @ star[i])
+            norm = float(star[i] @ star[i])
+            if not 0.0 < norm < math.inf:
+                raise NotPositiveDefinite(
+                    f"Gram-Schmidt norm {norm:.6g} of row {i} is not positive and finite: "
+                    "the rows are numerically dependent")
+            norms[i] = norm
         return mu, norms
 
     k = 1

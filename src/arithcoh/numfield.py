@@ -524,9 +524,18 @@ def embed_ideal(fld: NumberFieldDescriptor, I: FractionalIdeal, x_inf) -> Embedd
     the HNF basis of a high-norm ideal is.
     """
     w = infinite_weights(fld, x_inf)
-    # int / int is correctly rounded, as float(Fraction) is
-    coords = np.array([[x / I.den for x in row] for row in I.num])
-    lat = EmbeddedLattice(lll_reduce_rows((coords @ fld.integral_basis_embeddings) * np.sqrt(w)))
+    try:  # int / int is correctly rounded, as float(Fraction) is
+        coords = np.array([[x / I.den for x in row] for row in I.num])
+    except OverflowError:
+        top = max(abs(x) for row in I.num for x in row)
+        raise InvalidDivisor(
+            f"the ideal's basis has an entry of about 2^{top.bit_length() - I.den.bit_length()}, "
+            "beyond the float range") from None
+    # an entry that overflows is rejected by lll_reduce_rows, or for n = 1 by
+    # the Gram matrix's own check
+    with np.errstate(over="ignore"):
+        basis = (coords @ fld.integral_basis_embeddings) * np.sqrt(w)
+    lat = EmbeddedLattice(lll_reduce_rows(basis))
     nrm = I.norm()
     expected = math.log(nrm.numerator) - math.log(nrm.denominator) + \
         0.5 * math.log(fld.abs_discriminant) - math.fsum(float(t) for t in x_inf)

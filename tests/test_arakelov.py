@@ -29,11 +29,14 @@ from arithcoh.errors import (
     ArithcohError,
     CertificationFailed,
     DescriptorInconsistent,
+    EnumerationBudgetExceeded,
     InvalidDivisor,
+    NotPositiveDefinite,
     UnsupportedField,
 )
 from arithcoh.lattice import DEFAULT_BUDGET, ThetaResult, theta_sum
 from arithcoh.numfield import (
+    FractionalIdeal,
     embed_ideal,
     ideal_inv,
     ideal_mul,
@@ -546,6 +549,92 @@ def test_h0_near_the_float_limit_gives_a_typed_error():
     for P in primes_above(F, 11):
         with pytest.raises(ArithcohError):
             h0(divisor_from_primes(F, [(P, -1)], [-354.0, -354.0]))
+
+
+def test_h0_never_returns_a_value_from_out_of_range_bounds():
+    # the Gram spans e^1200, the bounds of one coordinate reach 1e115, and
+    # their int64 cast gave h0 = 0 from 1 point with two warnings
+    with pytest.raises(EnumerationBudgetExceeded, match="coordinate 0"):
+        h0(divisor_from_primes(make_field(("quadratic", 2)), (), [-300.0, 300.0]))
+
+
+def test_h0_on_numerically_dependent_rows_is_not_positive_definite():
+    # the LLL of this basis met a zero Gram-Schmidt norm and ended in an
+    # untyped ValueError (NaN to integer)
+    F = make_field(zeta8_descriptor())
+    with pytest.raises(NotPositiveDefinite, match="Gram-Schmidt norm"):
+        h0(divisor_from_primes(F, (), [-354.0, -100.0]))
+
+
+def test_prime_exponents_are_capped_before_any_ideal_product(monkeypatch):
+    # ideal_pow(P, 10^5) took seconds and 10^6 hung: the cap on
+    # sum |e| log N(P) is read before any product
+    monkeypatch.setattr(arakelov, "ideal_pow", None)
+    P = primes_above(QI, 2)[0]
+    capped = r"sum \|e\| log N\(P\) = .* beyond the cap 1419\.5"
+    for e in (10**5, -10**6, 10**400):
+        with pytest.raises(InvalidDivisor, match=capped):
+            divisor_from_primes(QI, [(P, e)], [0.0])
+    with pytest.raises(InvalidDivisor, match="beyond the cap 709"):
+        divisor_from_primes(Q, [(primes_above(Q, 3)[0], 647)], [0.0])
+    # the exponents of one sign add up: 1400 log 2 + 442 log 9 = 1941 > 1419.5
+    with pytest.raises(InvalidDivisor, match=capped):
+        divisor_from_primes(QI, [(P, 1400), (primes_above(QI, 3)[0], 442)], [0.0])
+
+
+def test_prime_exponents_at_the_cap_keep_their_value():
+    # (1 + i)^-1025 has norm 2^-1025, past 2^-1024, and x_sigma = -709 brings
+    # its lattice back to covolume e^-1.15: the cap n log 2^1024 keeps its value
+    P = primes_above(QI, 2)[0]
+    assert h0(divisor_from_primes(QI, [(P, 1025)], [-709.0])).value.hex() == \
+        (0.7868545642375768).hex()
+    D = divisor_from_primes(QI, [(P, 2048)], [0.0])  # 2048 log 2 is the cap itself
+    assert D.primes[0][1] == 2048
+    # (1 + i)^1400 3^-442 = 2^700 3^-442 is near 1: each sign is under the
+    # cap, though sum |e| log N(P) over both signs is 1941 > 1419.5
+    D = divisor_from_primes(QI, [(P, -1400), (primes_above(QI, 3)[0], 442)], [0.0])
+    assert h0(D).value.hex() == (0.2054264148077151).hex()
+    assert verify_riemann_roch(D).passed
+
+
+def test_an_ideal_beyond_the_float_range_is_a_typed_error():
+    # P^500, P above 11 over Q(sqrt 5), is under the cap, and its HNF entry
+    # 11^500 has no float: x / den raised an untyped OverflowError
+    F = make_field(("quadratic", 5))
+    with pytest.raises(InvalidDivisor, match="float range"):
+        h0(divisor_from_primes(F, [(primes_above(F, 11)[0], -500)], [0.0, 0.0]))
+    with pytest.raises(InvalidDivisor, match="2\\^1328"):
+        embed_ideal(QI, FractionalIdeal.from_rows(QI, [[10**400, 0], [0, 10**400]]), [0.0])
+    # 13^150 is a float, but the metric scales it past 2^1024: the product
+    # overflowed with a warning
+    F = make_field(("quadratic", 2))
+    with pytest.raises(NotPositiveDefinite, match="float range"):
+        h0(divisor_from_primes(F, [(primes_above(F, 13)[0], -150)], [-135.0, -337.0]))
+
+
+def test_extreme_divisor_grid_gives_a_value_or_a_typed_error():
+    # seeded x_sigma near the ends of the float range and prime exponents up
+    # to 10^6, warnings as errors: every case is an h0 or an ArithcohError
+    rng = random.Random(2024)
+    fields = [QI] + [make_field(("quadratic", d)) for d in (2, 5, -5)] + \
+        [make_field(zeta8_descriptor()), make_field(cbrt2_descriptor())]
+    outcomes = {}
+    for _ in range(200):
+        F = rng.choice(fields)
+        top = 709.0 if F.r2 else 354.0
+        xs = [rng.choice((1.0, -1.0)) * rng.uniform(100.0, top) for _ in range(F.r1 + F.r2)]
+        terms = []
+        if F.n == 2:
+            e = rng.choice((1, -1)) * rng.choice((1, 3, 12, 40, 10**4, 10**6))
+            terms = [(rng.choice(primes_above(F, rng.choice((2, 3, 5, 7, 11)))), e)]
+        try:
+            value = h0(divisor_from_primes(F, terms, xs), budget=10**5).value
+            assert math.isfinite(value) and value >= 0.0
+            kind = "value"
+        except ArithcohError as exc:
+            kind = type(exc).__name__
+        outcomes[kind] = outcomes.get(kind, 0) + 1
+    assert outcomes.get("value", 0) > 0 and len(outcomes) > 2, outcomes
 
 
 @pytest.mark.parametrize("field, xs", [

@@ -66,6 +66,34 @@ def test_dft_inverse_roundtrip():
         assert np.max(np.abs(idft(g, dft(g, f)) - f)) < 1e-10
 
 
+def test_group_tables_follow_ndindex_order():
+    for orders in [()] + GROUP_POOL:
+        group = FiniteAbelianGroup(orders)
+        expected = list(np.ndindex(*orders))
+        assert type(group.size) is int and group.size == len(expected)
+        assert group.elements() == expected
+        assert all(type(v) is int for x in group.elements() for v in x)
+        coords = group.coords_matrix()
+        assert coords.dtype == np.int64 and coords.shape == (group.size, group.rank)
+        assert coords.tolist() == [list(x) for x in expected]
+
+
+def test_commutativity_premises_hold_bit_for_bit():
+    # check_associativity reads the commutativity defect off c alone: add is
+    # symmetric, and so is c(x, y) = u(x) u(y) / u(x + y), bit for bit
+    rng = random.Random(29)
+    for orders in [()] + GROUP_POOL:
+        group = FiniteAbelianGroup(orders)
+        add = group.add_table()
+        assert np.array_equal(add, add.T)
+        for _ in range(3):
+            u = np.exp(np.array([rng.uniform(-200.0, 200.0) for _ in range(group.size)]))
+            c = (u[:, None] * u[None, :]) / u[add]
+            assert c.tobytes() == np.ascontiguousarray(c.T).tobytes()
+        uniform = GhostSpaceSecondKind(group, np.full(group.size, 1.0 / group.size))
+        assert check_associativity(uniform).max_commutativity_defect == 0.0
+
+
 def test_check_first_kind_trivial():
     report = check_first_kind(Z4, np.ones(4))
     assert report.passed

@@ -86,6 +86,8 @@ def test_enumerate_skew_2d():
 def test_enumerate_shifted_center():
     got = enumerate_below([[1.0]], [0.5], 0.3).ravel().tolist()
     assert got == [-1, 0]
+    # no integer v_1 has |v_1 + 0.5| <= 0.32: the lower level gets no rows
+    assert enumerate_below(np.eye(2), [0.5, 0.5], 0.1).shape == (0, 2)
 
 
 def test_enumerate_rejects_negative_radius():
@@ -377,6 +379,31 @@ def test_lll_reduction_commutes_with_a_power_of_2():
         reduced = lll_reduce_rows(basis)
         for k in (400, 505, 512, 600, 1000 - 5 * n):
             assert np.array_equal(lll_reduce_rows(np.ldexp(basis, k)), np.ldexp(reduced, k))
+
+
+def test_lll_rejects_numerically_dependent_rows():
+    # a zero Gram-Schmidt norm was a divisor: NaN, warnings, then an untyped
+    # ValueError
+    for basis in ([[1.0, 2.0], [2.0, 4.0]], [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 1.0, 0.0]],
+                  [[3.0, 1.0], [0.0, 0.0]]):
+        with pytest.raises(NotPositiveDefinite, match="Gram-Schmidt norm"):
+            lll_reduce_rows(np.array(basis))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(NotPositiveDefinite, match="float range"):
+            lll_reduce_rows(np.array([[bad, 0.0], [0.0, 1.0]]))
+
+
+def test_level_bounds_beyond_int64_exceed_the_budget():
+    # the Gram of the zero divisor over Q(sqrt 2) at x_sigma = (-300, 300),
+    # rounded, and a diagonal one: the bounds of v_0 reach 1e115 and 1e150,
+    # and their cast to int64 gave 0 candidates and h0 = 0 with a warning
+    for gram in ([[3.3e-229, -1.4e-229], [-1.4e-229, 2.4e229]], np.diag([1e-300, 1e300])):
+        with pytest.raises(EnumerationBudgetExceeded, match="coordinate 0"):
+            theta_sum(gram, None, 1e-9)
+    # bounds near 2^61 on each of seven rows: the int64 sum of their counts
+    # wrapped, and np.arange of a negative total raised a ValueError
+    with pytest.raises(EnumerationBudgetExceeded, match="more than 100000000 points"):
+        theta_sum(np.diag([1.7e-36, 1.0, 1.0 / 1.7e-36]), None, 1e-9)
 
 
 def test_embedded_lattice_rejects_an_overflowed_gram():
