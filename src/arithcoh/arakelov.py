@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationFailed, InvalidDivisor, UnsupportedField
+from .errors import CertificationFailed, InvalidDivisor
 from .intmat import exact_int
 from .lattice import DEFAULT_BUDGET, theta_sum
 from .numfield import (
@@ -35,6 +35,7 @@ from .numfield import (
     ideal_mul,
     ideal_pow,
     infinite_weights,
+    make_field,
     primes_above,
     unit_ideal,
 )
@@ -299,12 +300,15 @@ class ZetaRow:
     value: complex  # exp(s*h0 + (1-s)*h1)
 
 
-def zeta_integrand_sweep(fld: NumberFieldDescriptor, s: complex, t_grid,
-                         tol: float = 1e-9,
+def zeta_integrand_sweep(s: complex, t_grid, tol: float = 1e-9,
                          budget: int = DEFAULT_BUDGET) -> list[ZetaRow]:
-    """Integrand e^{s h0(D_t) + (1-s) h1(D_t)} along the degree line over Q."""
-    if fld.label != "Q":
-        raise UnsupportedField("the zeta integrand sweep is only defined over the rationals")
+    """Integrand e^{s h0(D_t) + (1-s) h1(D_t)} along the degree line over Q.
+
+    D_t is the divisor of Q with no finite part and x_infinity = t, one row
+    per t in t_grid.  Tate's integrand lives over Q alone, so the sweep
+    builds Q itself and takes no field.
+    """
+    fld = make_field("rational")
     s = complex(s)
     rows = []
     for t in t_grid:

@@ -169,13 +169,12 @@ def _cmd_zeta_sweep(args) -> int:
         _log("error: --t-max must be >= --t-min")
         return _USAGE_EXIT
     s = _parse_complex(args.s)
-    fld = numfield.make_field("rational")
     if args.steps == 1:
         grid = [args.t_min]
     else:
         step = (args.t_max - args.t_min) / (args.steps - 1)
         grid = [args.t_min + i * step for i in range(args.steps)]
-    rows = arakelov.zeta_integrand_sweep(fld, s, grid, tol=args.tol, budget=args.budget)
+    rows = arakelov.zeta_integrand_sweep(s, grid, tol=args.tol, budget=args.budget)
     if args.format == "json":
         return _report("zeta-sweep", [{"t": r.t, "h0": r.h0, "h1": r.h1,
                                        "integrand_re": r.value.real, "integrand_im": r.value.imag}

@@ -3,16 +3,21 @@
 The rational field and quadratic fields are computed from scratch; any other
 field enters through a descriptor file carrying its degree, signature,
 discriminant, integral-basis embeddings and different, which this module
-cross-validates rather than recomputes.  Ideal arithmetic is exact and runs
-on Python ints only: products and inverses are integer HNF bases
-(intmat.lattice_normalize), and an inverse is taken by trace duality,
-I^-1 = (I * O^v)^v with O^v the inverse different.  The trace dual of
-J = A / den is den adj(A)^T adj(T) / (det A det T): adj(A) comes from
-back-substitution on the triangular HNF A, and the field stores its trace
-form T as adj T and det T.  O^v, the trace dual of O, is computed once per
-field from the trace form alone when the descriptor is built; so is the
-covolume self-check.  The norm of an ideal is the product of its HNF pivots
-over den^n.  Only the embeddings are floating point.
+cross-validates rather than recomputes.  A field is known by its structure:
+Q is the field of degree 1, however it was built, and a built-in quadratic
+field splits primes by w^2 = b + a*w, read from its multiplication table.  A
+descriptor's label is optional and only for display.
+
+Ideal arithmetic is exact and runs on Python ints only: products and
+inverses are integer HNF bases (intmat.lattice_normalize), and an inverse is
+taken by trace duality, I^-1 = (I * O^v)^v with O^v the inverse different.
+The trace dual of J = A / den is den adj(A)^T adj(T) / (det A det T): adj(A)
+comes from back-substitution on the triangular HNF A, and the field stores
+its trace form T_ij = Tr(w_i w_j), the traces of its multiplication table,
+as adj T and det T.  O^v, the trace dual of O, is computed once per field
+from the trace form alone when the descriptor is built; so is the covolume
+self-check.  The norm of an ideal is the product of its HNF pivots over
+den^n.  Only the embeddings are floating point.
 
 Conventions fixed here because descriptor files depend on them:
   * archimedean places are ordered real-first (ascending value of the
@@ -57,8 +62,8 @@ class NumberFieldDescriptor:
     abs_discriminant: int
     integral_basis_embeddings: np.ndarray  # rows = basis elements, n coords
     mult_table: tuple  # mult_table[i][j] = integer coords of w_i * w_j
-    label: str
-    quad_d: int | None = None  # squarefree d for built-in quadratic fields
+    label: str  # for display only
+    quad_d: int | None = None  # squarefree d, marking a built-in quadratic field
     different: "FractionalIdeal | None" = None
     # the nonzero entries of mult_table as (i, j, ((k, c_ijk), ...)), for elem_mul
     mul_terms: tuple = field(init=False, repr=False, compare=False)
@@ -75,8 +80,7 @@ class NumberFieldDescriptor:
         self.mul_terms = tuple((i, j, tuple((k, c) for k, c in enumerate(row) if c))
                                for i, row_i in enumerate(self.mult_table)
                                for j, row in enumerate(row_i))
-        basis = [tuple(int(i == j) for j in range(self.n)) for i in range(self.n)]
-        form = [[elem_trace(self, elem_mul(self, x, y)) for y in basis] for x in basis]
+        form = [[elem_trace(self, w) for w in row] for row in self.mult_table]
         det = intmat.det_int(form)
         self.trace_adj = tuple(tuple(x if det > 0 else -x for x in r)
                                for r in intmat.adjugate(form))
@@ -132,9 +136,6 @@ class FractionalIdeal:
         """N(I), [O : I] for integral I: the product of the HNF pivots over den^n."""
         return Fraction(math.prod(r[i] for i, r in enumerate(self.num)), self.den ** self.field.n)
 
-    def __mul__(self, other):
-        return ideal_mul(self, other)
-
     def __repr__(self):
         return f"Ideal({self.num}/{self.den})"
 
@@ -177,18 +178,16 @@ def elem_trace(fld: NumberFieldDescriptor, x):
     return tr
 
 
-def _mult_matrix(fld: NumberFieldDescriptor, x) -> list[list]:
-    """Rows are the coordinates of x * w_i over the integral basis."""
-    n = fld.n
-    basis = [tuple(int(i == j) for j in range(n)) for i in range(n)]
-    return [list(elem_mul(fld, x, e)) for e in basis]
-
-
 def principal_ideal(fld: NumberFieldDescriptor, coords) -> FractionalIdeal:
+    """(x) for x given by its coordinates over the integral basis, as the
+    span of the products x * w_i."""
     coords = tuple(Fraction(c) for c in coords)
+    if len(coords) != fld.n:
+        raise ValueError(f"expected {fld.n} coordinates, got {len(coords)}")
     if all(c == 0 for c in coords):
         raise ValueError("zero element does not generate a fractional ideal")
-    return FractionalIdeal.from_rows(fld, _mult_matrix(fld, coords))
+    return FractionalIdeal.from_rows(fld, [elem_mul(fld, coords, w)
+                                           for w in unit_ideal(fld).num])
 
 
 def unit_ideal(fld: NumberFieldDescriptor) -> FractionalIdeal:
@@ -329,19 +328,6 @@ def _make_quadratic(d: int) -> NumberFieldDescriptor:
     return fld
 
 
-def _complex_pair_products(emb: np.ndarray, r1: int, r2: int,
-                           i: int, j: int) -> np.ndarray:
-    """Embedding coordinates of basis-element product w_i * w_j."""
-    out = np.empty(emb.shape[1])
-    out[:r1] = emb[i, :r1] * emb[j, :r1]
-    for k in range(r2):
-        re_i, im_i = emb[i, r1 + 2 * k], emb[i, r1 + 2 * k + 1]
-        re_j, im_j = emb[j, r1 + 2 * k], emb[j, r1 + 2 * k + 1]
-        out[r1 + 2 * k] = re_i * re_j - im_i * im_j
-        out[r1 + 2 * k + 1] = re_i * im_j + im_i * re_j
-    return out
-
-
 def _make_custom(desc: dict) -> NumberFieldDescriptor:
     try:
         n = intmat.exact_int(desc["degree"])
@@ -364,25 +350,29 @@ def _make_custom(desc: dict) -> NumberFieldDescriptor:
     except np.linalg.LinAlgError as exc:
         raise DescriptorInconsistent("embedding matrix is singular") from exc
     # the integral basis must be multiplicatively closed over Z; recover the
-    # multiplication table from the embeddings and insist it rounds to ints
+    # multiplication table from the embeddings and insist it rounds to ints.
+    # With each complex place as Re + i*Im, all products w_i * w_j are one
+    # broadcast, taken back to the (Re, Im) layout of the embeddings.
+    z = np.concatenate([emb[:, :r1], emb[:, r1::2] + 1j * emb[:, r1 + 1::2]], axis=1)
+    zz = z[:, None, :] * z[None, :, :]
+    prod = np.empty((n, n, n))
+    prod[..., :r1] = zz[..., :r1].real
+    prod[..., r1::2] = zz[..., r1:].real
+    prod[..., r1 + 1::2] = zz[..., r1:].imag
+    coords = prod @ emb_inv
+    rounded = np.round(coords)
     scale = float(np.max(np.abs(emb)))
-    table = []
-    for i in range(n):
-        row_i = []
-        for j in range(n):
-            prod = _complex_pair_products(emb, r1, r2, i, j)
-            coords = prod @ emb_inv
-            rounded = np.round(coords)
-            if np.max(np.abs(coords - rounded)) > _MULT_INT_TOL or \
-               np.max(np.abs(rounded @ emb - prod)) > _MULT_INT_TOL * max(scale, 1.0):
-                raise DescriptorInconsistent(
-                    f"product of basis elements {i} and {j} has non-integral coordinates; "
-                    "embeddings do not describe a ring of integers")
-            row_i.append(tuple(int(x) for x in rounded))
-        table.append(tuple(row_i))
+    bad = (np.max(np.abs(coords - rounded), axis=2) > _MULT_INT_TOL) | \
+        (np.max(np.abs(rounded @ emb - prod), axis=2) > _MULT_INT_TOL * max(scale, 1.0))
+    if bad.any():
+        i, j = np.argwhere(bad)[0]
+        raise DescriptorInconsistent(
+            f"product of basis elements {i} and {j} has non-integral coordinates; "
+            "embeddings do not describe a ring of integers")
+    table = tuple(tuple(tuple(map(int, w)) for w in row) for row in rounded.tolist())
     fld = NumberFieldDescriptor(
         degree=n, signature=(r1, r2), abs_discriminant=delta,
-        integral_basis_embeddings=emb, mult_table=tuple(table),
+        integral_basis_embeddings=emb, mult_table=table,
         label=desc.get("label", f"custom_deg{n}"), quad_d=None)
     fld.different = FractionalIdeal.from_rows(fld, diff_rows)
     return fld
@@ -393,7 +383,9 @@ def make_field(spec) -> NumberFieldDescriptor:
 
     Descriptor dicts are either {"type": "rational"}, {"type": "quadratic",
     "d": ...}, or the custom schema {degree, r1, r2, abs_discriminant,
-    embeddings, different_basis}.
+    embeddings, different_basis} with an optional label, which is only for
+    display.  Any field of degree 1 is Q: primes_above splits over it however
+    it was built.
     """
     if spec == "rational":
         return _make_rational()
@@ -418,7 +410,7 @@ def make_field(spec) -> NumberFieldDescriptor:
 
 
 # ---------------------------------------------------------------------------
-# prime splitting (built-in fields only)
+# prime splitting (Q, and the built-in quadratic fields)
 
 
 def _is_prime(p: int) -> bool:
@@ -470,13 +462,12 @@ def primes_above(fld: NumberFieldDescriptor, p: int) -> list[PrimeIdeal]:
     """Primes above p in a deterministic order (ascending defining root)."""
     if not _is_prime(p):
         raise ValueError(f"{p} is not a rational prime")
-    if fld.label == "Q":
+    if fld.n == 1:
         return [PrimeIdeal(p, 0, p, 1, 1, principal_ideal(fld, (p,)))]
     if fld.quad_d is None:
         raise UnsupportedField(
             "custom fields carry no splitting data; specify divisors by explicit ideal bases")
-    d = fld.quad_d
-    a, b = (1, (d - 1) // 4) if d % 4 == 1 else (0, d)
+    b, a = fld.mult_table[1][1]  # w^2 = b + a*w
     # the roots of x^2 - a x - b are (a +- sqrt(a^2 + 4 b)) / 2 for odd p
     if p == 2:
         roots = [r for r in range(2) if (r * r - a * r - b) % 2 == 0]

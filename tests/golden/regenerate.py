@@ -28,8 +28,9 @@ of a changed number (points and exit codes included), then that largest
 |delta| per leaf name: the last key on the path to a number (h0, points,
 tail_bound, ...), or its list index where no key names it, as in the
 [h0, h1, re, im] rows of ``zeta``.  A CLI stdout is read as its JSON or CSV
-first, so its numbers are named too.  A change that rewrites the corpus
-states these in CHANGES.md.
+first, so its numbers are named too.  It exits 1 when any record changed
+and 0 otherwise, so it can gate a script.  A change that rewrites the
+corpus states these in CHANGES.md.
 """
 
 from __future__ import annotations
@@ -114,7 +115,7 @@ def _h(fields, inp):
 
 
 def _zeta(fields, inp):
-    rows = zeta_integrand_sweep(fields["Q"], complex(*_floats(inp["s"])), _floats(inp["t"]))
+    rows = zeta_integrand_sweep(complex(*_floats(inp["s"])), _floats(inp["t"]))
     return [[r.h0, r.h1, r.value.real, r.value.imag] for r in rows]
 
 
@@ -330,7 +331,8 @@ def draw() -> dict:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--diff", action="store_true",
-                        help="report the records whose output changed; write nothing")
+                        help="report the records whose output changed, write nothing, "
+                             "and exit 1 if any did")
     parser.add_argument("--draw", action="store_true",
                         help="redraw the inputs before recomputing the outputs")
     args = parser.parse_args(argv)
@@ -339,9 +341,10 @@ def main(argv=None) -> int:
         for rec, out in zip(corpus[family], outputs(corpus, family)):
             rec["out"] = out
     if args.diff:
-        print("\n".join(diff(load(), corpus)))
-    else:
-        CORPUS.write_text(dump(corpus))
+        old = load()
+        print("\n".join(diff(old, corpus)))
+        return int(any(old[family] != corpus[family] for family in FAMILIES))
+    CORPUS.write_text(dump(corpus))
     return 0
 
 

@@ -97,6 +97,28 @@ def test_h0_and_h1_reports(files, capsys):
         0.08290152003105464, abs=1e-10)
 
 
+def test_h0_prime_term_reads_the_field_structure_not_its_label(files, capsys):
+    gaussian_as_q = files["write"]("qi_as_q.json", {
+        "degree": 2, "r1": 0, "r2": 1, "abs_discriminant": 4,
+        "embeddings": [1.0, 0.0, 0.0, 1.0], "different_basis": [[2, 0], [0, 2]],
+        "label": "Q"})
+    code, out, err = run(capsys, ["h0", "--field", gaussian_as_q, "--divisor", files["div_qi"]])
+    assert (code, out) == (2, "")
+    assert "UnsupportedField" in err and "Traceback" not in err
+
+    rationals = files["write"]("rationals.json", {
+        "degree": 1, "r1": 1, "r2": 0, "abs_discriminant": 1, "embeddings": [1.0],
+        "different_basis": [[1]], "label": "rationals"})
+    div = files["write"]("div3q.json", {"finite": [{"p": 3, "exponent": 1}],
+                                        "infinite": [0.0]})
+    results = []
+    for field in (rationals, files["rational"]):
+        code, out, _ = run(capsys, ["h0", "--field", field, "--divisor", div])
+        assert code == 0
+        results.append(json.loads(out)["results"]["h0"])
+    assert results[0] == results[1]
+
+
 def test_h0_budget_exhaustion_exit_code(files, capsys):
     code, _, err = run(capsys, ["h0", "--field", files["rational"],
                                 "--divisor", files["div0_q"], "--budget", "3"])
@@ -257,6 +279,11 @@ def test_ghost_check_invalid_exits_2(files, capsys):
     code, _, err = run(capsys, ["ghost", "check", files["ghost_bad"]])
     assert code == 2
     assert "InvalidGhostSpace" in err
+    # second kind: even, of mass 1 and positive-definite, but mu(1) < 0
+    negative = files["write"]("ghostneg.json", {"cyclic_orders": [3], "mu": [1.2, -0.1, -0.1]})
+    code, out, err = run(capsys, ["ghost", "check", negative])
+    assert (code, out) == (2, "")
+    assert "InvalidGhostSpace" in err and "negative point mass" in err
 
 
 def test_ghost_dual_dimensions_match(files, capsys):

@@ -140,6 +140,11 @@ def test_second_kind_constructor_validates():
         GhostSpaceSecondKind(Z3, [0.5, 0.4, 0.1])
     with pytest.raises(InvalidGhostSpace):
         GhostSpaceSecondKind(Z2, [0.1, 0.9])  # DFT = (1, -0.8)
+    # even, of total mass 1, and its DFT (1.0, 1.3, 1.3) is positive
+    mu = [1.2, -0.1, -0.1]
+    assert np.allclose(dft(Z3, mu).real, [1.0, 1.3, 1.3])
+    with pytest.raises(InvalidGhostSpace, match="negative point mass"):
+        GhostSpaceSecondKind(Z3, mu)
 
 
 def test_bochner_equivalence_with_matrix_definition():
@@ -560,6 +565,28 @@ def test_mixed_constructor_rejects_non_finite(bad):
         MixedGhostSpace(Z4, u, [0.4, 0.2, 0.2, 0.2])
     with pytest.raises(InvalidGhostSpace, match="finite"):
         MixedGhostSpace(Z4, [1.0, 0.5, 0.5, 0.5], [0.4, bad, 0.2, bad])
+
+
+@pytest.mark.parametrize("u, mu, reason", [
+    ([1.0, 0.5, 0.6], [1.0, 0.0, 0.0], "even"),
+    ([1.0, 0.5, 0.5], [0.5, 0.3, 0.2], "even"),
+    ([1.0, 0.5, 0.5], [0.5, 0.2, 0.2], "probability"),
+    ([1.0, 0.5, 0.5], [1.2, -0.1, -0.1], "probability"),
+    ([0.9, 0.5, 0.5], [1.0, 0.0, 0.0], r"u\(0\) = 1"),
+    ([1.0, -0.5, -0.5], [1.0, 0.0, 0.0], "u > 0"),
+])
+def test_mixed_constructor_rejects_each_broken_requirement(u, mu, reason):
+    MixedGhostSpace(Z3, [1.0, 0.5, 0.5], [1.0, 0.0, 0.0])
+    with pytest.raises(InvalidGhostSpace, match=reason):
+        MixedGhostSpace(Z3, u, mu)
+
+
+def test_sub_quotient_cross_checks_the_quotient_order(monkeypatch):
+    # a presentation of Z/3 / <1> that forgot the subgroup: order 3, not 1
+    monkeypatch.setattr("arithcoh.ghost.quotient_group_map",
+                        lambda group, generators: (Z3, np.arange(3)))
+    with pytest.raises(InvalidGhostSpace, match="does not match the subgroup order"):
+        sub_quotient_first(Z3, [1.0, 0.5, 0.5], [(1,)])
 
 
 def test_load_ghost_descriptor():

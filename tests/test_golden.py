@@ -7,6 +7,7 @@ A change that moves an output on purpose rewrites the corpus with
 
 import pytest
 
+from golden import regenerate
 from golden.regenerate import FAMILIES, load, outputs
 
 
@@ -19,3 +20,18 @@ def test_golden_corpus(family):
     assert len(got) == len(expected)
     assert not changed, (f"{len(changed)} {family} records changed, first {changed[:5]}: "
                          f"{expected[changed[0]]} -> {got[changed[0]]}")
+
+
+def test_diff_exit_code_gates_on_changed_records(monkeypatch, capsys):
+    monkeypatch.setattr(regenerate, "FAMILIES", ("zeta",))
+    assert regenerate.main(["--diff"]) == 0
+    assert capsys.readouterr().out == "zeta: 0 of 1 records changed\n"
+
+    def load_moved():
+        corpus = load()
+        corpus["zeta"][0]["out"][0][0] = "0x1.0p+0"
+        return corpus
+
+    monkeypatch.setattr(regenerate, "load", load_moved)
+    assert regenerate.main(["--diff"]) == 1
+    assert capsys.readouterr().out.startswith("zeta: 1 of 1 records changed")

@@ -132,6 +132,15 @@ def test_gaussian_field():
     assert ideal_norm(Qi.different) == 4
 
 
+def test_principal_ideal_needs_one_coordinate_per_basis_element():
+    Q = make_field("rational")
+    Qi = make_field(("quadratic", -1))
+    with pytest.raises(ValueError, match="expected 1 coordinates, got 2"):
+        principal_ideal(Q, (2, 3))
+    with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
+        principal_ideal(Qi, (2,))
+
+
 def test_golden_field_basis():
     F = make_field(("quadratic", 5))
     assert F.abs_discriminant == 5
@@ -404,11 +413,43 @@ def test_custom_descriptor_bad_signature():
 def test_custom_descriptor_non_ring_embeddings():
     desc = custom_descriptor_from(2)
     emb = desc["embeddings"]
-    emb[2] *= 1.3  # scale one basis element: products no longer integral
+    emb[2] *= 1.3  # scale basis element 1: w_1^2 = 3.38 is not in Z + Z w_1
     emb[3] *= 1.3
-    desc["abs_discriminant"] = 0
-    with pytest.raises(DescriptorInconsistent):
+    with pytest.raises(DescriptorInconsistent, match="basis elements 1 and 1"):
         make_field(desc)
+
+
+def test_custom_descriptor_non_ring_names_the_first_pair():
+    # Q(zeta_8) with w_3 = zeta^3 scaled by 1.3: w_1 * w_2 = w_3 / 1.3 is the
+    # first product off the ring in row-major order; (2, 1) comes later
+    desc = zeta8_descriptor()
+    emb = desc["embeddings"]
+    emb[12:16] = [1.3 * x for x in emb[12:16]]
+    with pytest.raises(DescriptorInconsistent, match="basis elements 1 and 2"):
+        make_field(desc)
+
+
+def test_custom_descriptor_singular_embeddings():
+    desc = {"degree": 2, "r1": 2, "r2": 0, "abs_discriminant": 5,
+            "embeddings": [1, 1, 1, 1], "different_basis": [[1, 0], [0, 1]]}
+    with pytest.raises(DescriptorInconsistent, match="embedding matrix is singular"):
+        make_field(desc)
+
+
+def test_fields_are_told_apart_by_structure_not_label():
+    # Z[i], labelled as if it were Q: splitting needs built-in data
+    gaussian = {"degree": 2, "r1": 0, "r2": 1, "abs_discriminant": 4,
+                "embeddings": [1.0, 0.0, 0.0, 1.0], "different_basis": [[2, 0], [0, 2]],
+                "label": "Q"}
+    with pytest.raises(UnsupportedField):
+        primes_above(make_field(gaussian), 2)
+    # any field of degree 1 is Q, whatever its label
+    for label in ("rationals", "Q(i)"):
+        F = make_field({"degree": 1, "r1": 1, "r2": 0, "abs_discriminant": 1,
+                        "embeddings": [1.0], "different_basis": [[1]], "label": label})
+        (P,) = primes_above(F, 3)
+        assert (P.p, P.index, P.residue_norm, P.ramification) == (3, 0, 3, 1)
+        assert P.ideal == principal_ideal(F, (3,))
 
 
 def test_custom_descriptor_malformed():
