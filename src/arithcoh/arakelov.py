@@ -20,16 +20,18 @@ import functools
 import math
 import sys
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
 from .errors import CertificationFailed, InvalidDivisor
-from .intmat import exact_int
-from .lattice import DEFAULT_BUDGET, theta_sum
+from .intmat import adjugate, det_int, exact_int
+from .lattice import DEFAULT_BUDGET, EmbeddedLattice, theta_sum
 from .numfield import (
     FractionalIdeal,
     NumberFieldDescriptor,
     PrimeIdeal,
+    _embed_reduced,
     embed_ideal,
     ideal_inv,
     ideal_mul,
@@ -160,8 +162,8 @@ class CohomologyValue:
     points_enumerated: int
 
 
-def _theta_of_divisor(D: ArakelovDivisor, log_tol: float, budget: int):
-    """Centred theta sum of the divisor lattice, with the relative tolerance
+def _theta_of_divisor(lat: EmbeddedLattice, log_tol: float, budget: int):
+    """Centred theta sum of a divisor lattice, with the relative tolerance
     picked so the log-level error stays below log_tol.
 
     The enumerated value V is at most theta, so the log error is
@@ -169,8 +171,7 @@ def _theta_of_divisor(D: ArakelovDivisor, log_tol: float, budget: int):
     r / (1 - r) with r <= a = min(log_tol, 1) / 2 <= 1/2, which is at most
     2a <= log_tol, for every log_tol > 0.
     """
-    lat = embed_ideal(D.field, D.ideal(), D.infinite)
-    return theta_sum(lat.gram, None, 0.5 * min(log_tol, 1.0), budget=budget), lat
+    return theta_sum(lat.gram, None, 0.5 * min(log_tol, 1.0), budget=budget)
 
 
 def h0(D: ArakelovDivisor, tol: float = 1e-9,
@@ -182,7 +183,7 @@ def h0(D: ArakelovDivisor, tol: float = 1e-9,
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    res, _ = _theta_of_divisor(D, tol, budget)
+    res = _theta_of_divisor(embed_ideal(D.field, D.ideal(), D.infinite), tol, budget)
     value = math.log(res.value)
     if value < 0.0:  # the zero vector alone contributes 1 to the sum
         raise CertificationFailed(
@@ -206,10 +207,26 @@ def _h1_from_h0(D: ArakelovDivisor, base: CohomologyValue) -> CohomologyValue:
                            points_enumerated=base.points_enumerated)
 
 
+def _reduced_coords(D: ArakelovDivisor, coords) -> tuple[EmbeddedLattice, np.ndarray]:
+    """The divisor lattice, and coords over the ideal's HNF basis H as
+    coordinates over the lattice's reduced basis B = M H.
+
+    x = c H = (c M^-1) B, and M^-1 = det(M) adj(M) with det(M) = +-1, so the
+    new coordinates are exact sums of integer multiples of the given floats,
+    rounded once.
+    """
+    lat, M = _embed_reduced(D.field, D.ideal(), D.infinite)
+    c = [Fraction(float(x)) for x in coords]
+    det = det_int(M)
+    return lat, np.array([float(det * sum(a * x for a, x in zip(col, c, strict=True)))
+                          for col in zip(*adjugate(M))])
+
+
 def effectivity_u(D: ArakelovDivisor, coords) -> float:
-    """u(x) = exp(-pi ||x||_D^2) for x given over the ideal's Z-basis."""
-    lat = embed_ideal(D.field, D.ideal(), D.infinite)
-    vec = np.asarray([float(c) for c in coords]) @ lat.basis
+    """u(x) = exp(-pi ||x||_D^2) for x given by its coordinates over the
+    ideal's HNF basis (the rows of FractionalIdeal)."""
+    lat, c = _reduced_coords(D, coords)
+    vec = c @ lat.basis
     return math.exp(-math.pi * float(vec @ vec))
 
 
@@ -220,12 +237,15 @@ def effectivity_v(D: ArakelovDivisor, coords, tol: float = 1e-9,
     The centred denominator's value plus its tail bound is the bound on
     theta_0 that the shifted numerator's relative tolerance needs.  Both
     tails stay below tol times the denominator, so the ratio is correct to
-    about 2 tol.  Periodic under the ideal by construction.
+    about 2 tol.  Periodic under the ideal by construction.  The shift is
+    given by its coordinates over the ideal's HNF basis (the rows of
+    FractionalIdeal), as for effectivity_u.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
-    den, lat = _theta_of_divisor(D, tol, budget)
-    num = theta_sum(lat.gram, [float(c) for c in coords], 0.5 * min(tol, 1.0),
+    lat, c = _reduced_coords(D, coords)
+    den = _theta_of_divisor(lat, tol, budget)
+    num = theta_sum(lat.gram, c, 0.5 * min(tol, 1.0),
                     budget=budget, theta0=den.value + den.tail_bound)
     return num.value / den.value
 

@@ -477,13 +477,14 @@ def _nearest_plane_q(L: np.ndarray, c: np.ndarray) -> float:
     The reduced rows are B = M L, M unimodular.  A point x = v + c is
     M^T (y + z) with v = M^T y and z = M^-T c, and Q(x) = ||R (y + z)||^2 for
     the triangular factor R of B B^T.  The coordinates y_i are rounded from
-    the last down, each against the plane the later ones fix.  However M is
-    rounded, v is an integer vector and Q is taken in L's own coordinates, so
-    the value is Q at a lattice point.  On a reduced basis that point's
-    distance is within a factor 2^(n/2) of the nearest one's.
+    the last down, each against the plane the later ones fix.  M is the
+    reduction's own exact transform, so v is an integer vector, and Q is
+    taken in L's own coordinates: the value is Q at a lattice point.  On a
+    reduced basis that point's distance is within a factor 2^(n/2) of the
+    nearest one's.
     """
-    B = lll_reduce_rows(L)
-    M = np.round(np.linalg.solve(L.T, B.T).T)
+    B, M = lll_reduce_rows(L)
+    M = np.array(M, dtype=float)
     R = cholesky(B @ B.T).T
     z = np.linalg.solve(M.T, c)
     y = np.zeros_like(z)
@@ -501,8 +502,13 @@ def dual_lattice(lat: EmbeddedLattice) -> EmbeddedLattice:
     return EmbeddedLattice(np.linalg.inv(lat.basis).T)
 
 
-def lll_reduce_rows(basis) -> np.ndarray:
-    """LLL-reduce the row basis (integer row operations only, same lattice).
+def lll_reduce_rows(basis) -> tuple[np.ndarray, list[list[int]]]:
+    """LLL-reduce the row basis: (rows, M) with rows = M basis, M unimodular.
+
+    M is a list of rows of Python ints, the convention of intmat.  Every
+    step on the rows (b_k -= q b_j, a swap of b_k-1 and b_k) is mirrored on
+    M exactly, so M is the exact transform and the float rows equal M basis
+    up to the rounding of those steps.
 
     Skew bases of dense ideal lattices make the Gram matrix ill-conditioned,
     which swells the upper levels of the enumeration with candidates that
@@ -515,47 +521,53 @@ def lll_reduce_rows(basis) -> np.ndarray:
     not gain range.  A non-finite entry, or a Gram-Schmidt norm that is not
     positive and finite (numerically dependent rows), raises
     NotPositiveDefinite.
+
+    The Gram-Schmidt rows (b*, mu and the norms |b*_i|^2) are kept across
+    steps, and step k recomputes only rows k-1 and k, the two it may have
+    changed, from the rows as they stand (Schnorr and Euchner, Math.
+    Programming 66, 1994).  Rows below k-1 are unchanged since they were
+    last computed, and rows above k are not read until k reaches them, so
+    every rounded mu, Lovasz decision and output row is the float a full
+    recompute at each step gives.
     """
     b = np.array(basis, dtype=float)
     n = b.shape[0]
     if n < 2:
-        return b
+        return b, [[1]] * n  # the identity of size 0 or 1
     top = float(abs(b).max())
     if not top < math.inf:  # a nan fails too
         raise NotPositiveDefinite("the basis has an entry beyond the float range")
     scale = 2.0 ** max(math.frexp(top)[1] - (1024 - n.bit_length()) // 2, 0)
     b /= scale
-
-    def gso(mat):
-        star = mat.copy()
-        mu = np.eye(n)
-        norms = np.zeros(n)
-        for i in range(n):
-            for j in range(i):
-                mu[i, j] = float(mat[i] @ star[j]) / norms[j]
-                star[i] = star[i] - mu[i, j] * star[j]
-            norm = float(star[i] @ star[i])
-            if not 0.0 < norm < math.inf:
-                raise NotPositiveDefinite(
-                    f"Gram-Schmidt norm {norm:.6g} of row {i} is not positive and finite: "
-                    "the rows are numerically dependent")
-            norms[i] = norm
-        return mu, norms
-
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    star = b.copy()
+    mu = np.eye(n)
+    norms = np.zeros(n)
     k = 1
     for _ in range(10000):
         if k >= n:
             break
-        mu, norms = gso(b)
+        for i in (k - 1, k):
+            star[i] = b[i]
+            for j in range(i):
+                mu[i, j] = float(b[i] @ star[j]) / norms[j]
+                star[i] = star[i] - mu[i, j] * star[j]
+            norms[i] = float(star[i] @ star[i])
+            if not 0.0 < norms[i] < math.inf:
+                raise NotPositiveDefinite(
+                    f"Gram-Schmidt norm {norms[i]:.6g} of row {i} is not positive and finite: "
+                    "the rows are numerically dependent")
         for j in range(k - 1, -1, -1):
             q = round(mu[k, j])
             if q:
                 # b* stays; row k of mu moves by q times row j (unit diagonal)
                 b[k] = b[k] - q * b[j]
+                M[k] = [x - q * y for x, y in zip(M[k], M[j])]
                 mu[k, :j + 1] -= q * mu[j, :j + 1]
         if norms[k] >= (_LLL_DELTA - mu[k, k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
             b[[k - 1, k]] = b[[k, k - 1]]
+            M[k - 1], M[k] = M[k], M[k - 1]
             k = max(k - 1, 1)
-    return b * scale
+    return b * scale, M

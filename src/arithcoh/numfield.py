@@ -340,8 +340,9 @@ def _make_custom(desc: dict) -> NumberFieldDescriptor:
         raise InvalidFieldSpec(f"malformed custom field descriptor: {exc}") from exc
     if not all(map(math.isfinite, emb_flat)):
         raise InvalidFieldSpec("custom field embeddings must be finite reals")
-    if r1 + 2 * r2 != n:
-        raise DescriptorInconsistent(f"signature ({r1}, {r2}) does not satisfy r1 + 2*r2 = {n}")
+    if r1 < 0 or r2 < 0 or r1 + 2 * r2 != n:
+        raise DescriptorInconsistent(
+            f"signature ({r1}, {r2}) is not a pair of counts with r1 + 2*r2 = {n}")
     if delta <= 0 or n < 1 or len(emb_flat) != n * n:
         raise DescriptorInconsistent("embeddings must be an n x n row-major matrix")
     emb = np.array(emb_flat).reshape(n, n)
@@ -514,6 +515,13 @@ def embed_ideal(fld: NumberFieldDescriptor, I: FractionalIdeal, x_inf) -> Embedd
     of Z-basis), which keeps the Gram matrix well conditioned however skew
     the HNF basis of a high-norm ideal is.
     """
+    return _embed_reduced(fld, I, x_inf)[0]
+
+
+def _embed_reduced(fld: NumberFieldDescriptor, I: FractionalIdeal,
+                   x_inf) -> tuple[EmbeddedLattice, list[list[int]]]:
+    """embed_ideal's lattice and the unimodular integer M of its reduction:
+    the lattice's basis is M times the embedded HNF rows of I."""
     w = infinite_weights(fld, x_inf)
     try:  # int / int is correctly rounded, as float(Fraction) is
         coords = np.array([[x / I.den for x in row] for row in I.num])
@@ -526,7 +534,8 @@ def embed_ideal(fld: NumberFieldDescriptor, I: FractionalIdeal, x_inf) -> Embedd
     # the Gram matrix's own check
     with np.errstate(over="ignore"):
         basis = (coords @ fld.integral_basis_embeddings) * np.sqrt(w)
-    lat = EmbeddedLattice(lll_reduce_rows(basis))
+    rows, M = lll_reduce_rows(basis)
+    lat = EmbeddedLattice(rows)
     nrm = I.norm()
     expected = math.log(nrm.numerator) - math.log(nrm.denominator) + \
         0.5 * math.log(fld.abs_discriminant) - math.fsum(float(t) for t in x_inf)
@@ -534,4 +543,4 @@ def embed_ideal(fld: NumberFieldDescriptor, I: FractionalIdeal, x_inf) -> Embedd
         raise DescriptorInconsistent(
             f"embedded log-covolume {lat.log_covolume:.12g} disagrees with "
             f"log N(I) + (1/2) log(disc) - sum x_sigma = {expected:.12g}")
-    return lat
+    return lat, M

@@ -1,5 +1,6 @@
 """Divisors, cohomology values, and the duality / Riemann-Roch verifiers."""
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -40,6 +41,7 @@ from arithcoh.numfield import (
     ideal_inv,
     ideal_mul,
     ideal_norm,
+    infinite_weights,
     make_field,
     primes_above,
     principal_ideal,
@@ -238,6 +240,35 @@ def test_effectivity_v_examples():
     # the two nearest points at Q = e^5 / 4, beyond the tail radius
     far = effectivity_v(degree_divisor(-2.5), [0.5], 1e-8)
     assert far == pytest.approx(2.0 * math.exp(-math.pi * math.exp(5.0) / 4.0), rel=1e-12, abs=0.0)
+
+
+def _box_theta(gram, center, box: int = 10) -> float:
+    """Oracle in any dimension: direct summation over the box |v_i| <= box."""
+    n = len(gram)
+    y = np.array(list(itertools.product(range(-box, box + 1), repeat=n))) + np.asarray(center)
+    return math.fsum(np.exp(-math.pi * np.einsum("pi,ij,pj->p", y, gram, y)).tolist())
+
+
+def test_effectivity_coordinates_are_over_the_hnf_basis():
+    # LLL changes the basis of both lattices, so coordinates read over the
+    # reduced rows named another element; the oracles take the Gram of the
+    # embedded HNF rows
+    cases = [(make_field(("quadratic", 5)), [1.0, -1.0], [0, 1], ([0.5, 0.0], [0.25, 0.5])),
+             (make_field(cbrt2_descriptor()), [1.0, -1.0], [0, 0, 1],
+              ([0.5, 0.0, 0.25], [0.25, 0.5, -0.5]))]
+    for F, xs, point, shifts in cases:
+        D = divisor_from_ideal(F, unit_ideal(F), xs)
+        H = np.array(unit_ideal(F).num, dtype=float) @ F.integral_basis_embeddings
+        H *= np.sqrt(infinite_weights(F, xs))
+        assert not np.allclose(embed_ideal(F, unit_ideal(F), xs).basis, H)
+        G = H @ H.T
+        p = np.array(point, dtype=float)
+        assert effectivity_u(D, point) == pytest.approx(math.exp(-math.pi * (p @ G @ p)),
+                                                        rel=1e-12, abs=0.0)
+        zero = np.zeros(len(point))
+        for c in shifts:
+            assert effectivity_v(D, c) == pytest.approx(_box_theta(G, c) / _box_theta(G, zero),
+                                                        abs=2e-9)
 
 
 def test_serre_duality_self_dual_point():

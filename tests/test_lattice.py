@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from arithcoh.errors import EnumerationBudgetExceeded, NotPositiveDefinite, ToleranceUnreachable
+from arithcoh.intmat import det_int
 from arithcoh.lattice import (
     EmbeddedLattice,
     GramMatrix,
@@ -376,9 +377,65 @@ def test_lll_reduction_commutes_with_a_power_of_2():
     for _ in range(200):
         n = rng.randint(2, 5)
         basis = np.array([[rng.uniform(-30.0, 30.0) for _ in range(n)] for _ in range(n)])
-        reduced = lll_reduce_rows(basis)
+        reduced, M = lll_reduce_rows(basis)
         for k in (400, 505, 512, 600, 1000 - 5 * n):
-            assert np.array_equal(lll_reduce_rows(np.ldexp(basis, k)), np.ldexp(reduced, k))
+            scaled, M_scaled = lll_reduce_rows(np.ldexp(basis, k))
+            assert np.array_equal(scaled, np.ldexp(reduced, k)) and M_scaled == M
+
+
+def _reference_lll(basis) -> np.ndarray:
+    """Oracle: the LLL that recomputes every Gram-Schmidt row after every
+    step, at the same power-of-2 scale; the rows only, and no checks."""
+    b = np.array(basis, dtype=float)
+    n = b.shape[0]
+    scale = 2.0 ** max(math.frexp(float(abs(b).max()))[1] - (1024 - n.bit_length()) // 2, 0)
+    b /= scale
+
+    def gso(mat):
+        star = mat.copy()
+        mu = np.eye(n)
+        norms = np.zeros(n)
+        for i in range(n):
+            for j in range(i):
+                mu[i, j] = float(mat[i] @ star[j]) / norms[j]
+                star[i] = star[i] - mu[i, j] * star[j]
+            norms[i] = float(star[i] @ star[i])
+        return mu, norms
+
+    k = 1
+    for _ in range(10000):
+        if k >= n:
+            break
+        mu, norms = gso(b)
+        for j in range(k - 1, -1, -1):
+            q = round(mu[k, j])
+            if q:
+                b[k] = b[k] - q * b[j]
+                mu[k, :j + 1] -= q * mu[j, :j + 1]
+        if norms[k] >= (0.75 - mu[k, k - 1] ** 2) * norms[k - 1]:
+            k += 1
+        else:
+            b[[k - 1, k]] = b[[k, k - 1]]
+            k = max(k - 1, 1)
+    return b * scale
+
+
+def test_lll_matches_the_full_recompute_and_returns_its_transform():
+    # rows bit-identical to the reference; M exact, unimodular, and M basis
+    # equal to the rows up to the rounding of the row operations
+    rng = np.random.default_rng(16)
+    for n in range(2, 7):
+        for _ in range(20):
+            basis = rng.normal(size=(n, n)) * np.exp(rng.uniform(-8.0, 8.0, size=(n, 1)))
+            for k in (0, 400, 505, 512, 600, 1000 - 5 * n):
+                scaled = np.ldexp(basis, k)
+                rows, M = lll_reduce_rows(scaled)
+                assert np.array_equal(rows, _reference_lll(scaled))
+                assert all(type(x) is int for row in M for x in row)
+                assert abs(det_int(M)) == 1
+                Mf = np.array(M, dtype=float)
+                err = np.abs(Mf @ basis - np.ldexp(rows, -k))
+                assert np.all(err <= 1e-12 * (np.abs(Mf) @ np.abs(basis)))
 
 
 def test_lll_rejects_numerically_dependent_rows():
@@ -415,16 +472,13 @@ def test_embedded_lattice_rejects_an_overflowed_gram():
         EmbeddedLattice(np.zeros((0, 0)))
 
 
-def test_shifted_theta_floor_at_the_nearest_plane_point():
-    # a rotated Gram of spectrum (1e-3, 1e3, 1e9): a shift reduced into
-    # [-1/2, 1/2]^3 lies at Q(c) of 1e4 to 1e8, where a ball holds up to
-    # millions of points; the floor at the nearest-plane point of the reduced
-    # basis keeps the ball to a few points and still reaches one
+def _ill_conditioned_shifts():
+    """A rotated Gram of spectrum (1e-3, 1e3, 1e9) and eight shifts whose
+    Q(c), for c reduced into [-1/2, 1/2]^3, is 1e4 to 1e8."""
     rng = np.random.default_rng(33)
     g = _gram_with_spectrum(rng, [1e-3, 1e3, 1e9])
     U = cholesky(g).T
     soft = np.linalg.eigh(g)[1][:, 0]
-    theta0 = centred_theta_bound(g, 1e-6)
     shifts = []
     for _ in range(4):
         # a random shift, and one within Q <= 1.6 of the lattice point 0
@@ -433,6 +487,16 @@ def test_shifted_theta_floor_at_the_nearest_plane_point():
         u *= rng.uniform(0.0, 0.3) / np.linalg.norm(u)
         shifts += [rng.uniform(-0.5, 0.5, 3),
                    rng.uniform(5.0, 30.0) * soft + np.linalg.solve(U, u)]
+    return g, shifts
+
+
+def test_shifted_theta_floor_at_the_nearest_plane_point():
+    # at Q(c) a ball holds up to millions of points; the floor at the
+    # nearest-plane point of the reduced basis keeps the ball to a few
+    # points and still reaches one
+    g, shifts = _ill_conditioned_shifts()
+    U = cholesky(g).T
+    theta0 = centred_theta_bound(g, 1e-6)
     positive = 0
     for center in shifts:
         reduced = center - np.round(center)
@@ -454,6 +518,33 @@ def test_shifted_theta_floor_at_the_nearest_plane_point():
             assert res.value >= math.exp(-math.pi * near) * (1 - 1e-9) > 0.0
             positive += 1
     assert positive == 4
+
+
+def _babai_point(B, M, c) -> list[int]:
+    """v = M^T y for Babai's nearest-plane y over the reduced rows B = M L."""
+    R = cholesky(B @ B.T).T
+    z = np.linalg.solve(np.array(M, dtype=float).T, c)
+    y = np.zeros_like(z)
+    for i in range(z.size - 1, -1, -1):
+        y[i] = np.round(-z[i] - R[i, i + 1:] @ (y[i + 1:] + z[i + 1:]) / R[i, i])
+    return [sum(int(M[j][i]) * int(y[j]) for j in range(z.size)) for i in range(z.size)]
+
+
+def test_nearest_plane_floor_is_q_at_the_point_of_the_lll_transform():
+    # the floor is Q(v + c) at the point of the exact M, and that point is
+    # the one of the reference LLL with M recovered by a float solve and a
+    # round, so the value is unchanged
+    g, shifts = _ill_conditioned_shifts()
+    L = cholesky(g)
+    B, M = lll_reduce_rows(L)
+    B_ref = _reference_lll(L)
+    M_ref = np.round(np.linalg.solve(L.T, B_ref.T).T)
+    for center in shifts:
+        c = center - np.round(center)
+        v = _babai_point(B, M, c)
+        assert v == _babai_point(B_ref, M_ref, c)
+        q = float(np.sum((L.T @ (np.array(v, dtype=float) + c)) ** 2))
+        assert lattice._nearest_plane_q(L, c) == q
 
 
 def _gram_with_spectrum(rng: np.random.Generator, eigenvalues) -> np.ndarray:

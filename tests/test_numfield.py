@@ -408,6 +408,11 @@ def test_custom_descriptor_bad_signature():
     desc["r2"] = 1
     with pytest.raises(DescriptorInconsistent):
         make_field(desc)
+    # r1 + 2 r2 = n with a negative count: embed_ideal then raised ValueError
+    negative = {"degree": 2, "r1": -2, "r2": 2, "abs_discriminant": 16,
+                "embeddings": [1, 0, 0, 1], "different_basis": [[2, 0], [0, 2]]}
+    with pytest.raises(DescriptorInconsistent, match=r"signature \(-2, 2\)"):
+        make_field(negative)
 
 
 def test_custom_descriptor_non_ring_embeddings():
