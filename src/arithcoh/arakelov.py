@@ -326,7 +326,8 @@ def zeta_integrand_sweep(s: complex, t_grid, tol: float = 1e-9,
 
     D_t is the divisor of Q with no finite part and x_infinity = t, one row
     per t in t_grid.  Tate's integrand lives over Q alone, so the sweep
-    builds Q itself and takes no field.
+    builds Q itself and takes no field.  An integrand beyond the float
+    range raises InvalidDivisor naming t, s and its exponent.
     """
     fld = make_field("rational")
     s = complex(s)
@@ -335,14 +336,20 @@ def zeta_integrand_sweep(s: complex, t_grid, tol: float = 1e-9,
         D = divisor_from_primes(fld, (), [float(t)])
         a = h0(D, tol, budget)
         b = _h1_from_h0(D, a).value
-        zval = cmath.exp(s * a.value + (1.0 - s) * b)
+        exponent = s * a.value + (1.0 - s) * b
+        try:
+            zval = cmath.exp(exponent)
+        except (OverflowError, ValueError):  # ValueError: an infinite imaginary part
+            raise InvalidDivisor(
+                f"the integrand at t = {float(t)!r}, s = {s!r} overflows: Re(s*h0 + "
+                f"(1-s)*h1) = {exponent.real:.6g}, Im = {exponent.imag:.6g}") from None
         rows.append(ZetaRow(t=float(t), h0=a.value, h1=b, value=zval))
     return rows
 
 
 def load_divisor(fld: NumberFieldDescriptor, obj: dict) -> ArakelovDivisor:
     """Parse {finite: [{p, index, exponent}] | {ideal: ...}, infinite: [...]}"""
-    if not isinstance(obj, dict) or "infinite" not in obj:
+    if not isinstance(obj, dict) or not isinstance(obj.get("infinite"), list):
         raise InvalidDivisor("divisor descriptor needs an 'infinite' list")
     try:
         infinite = [float(t) for t in obj["infinite"]]

@@ -553,6 +553,8 @@ def load_ghost(obj: dict):
     if ("u" in obj) == ("mu" in obj):
         raise InvalidGhostSpace("ghost descriptor needs exactly one of 'u' or 'mu'")
     key = "u" if "u" in obj else "mu"
+    if not isinstance(obj[key], list):
+        raise InvalidGhostSpace(f"'{key}' must be a list of reals")
     try:
         values = np.asarray(obj[key], dtype=float)
     except (TypeError, ValueError) as exc:

@@ -55,31 +55,24 @@ _MAX_REACH = 2.0 ** 62
 _LLL_DELTA = 0.75
 
 
-def _as_matrix(gram) -> np.ndarray:
-    if isinstance(gram, GramMatrix):
-        return gram.entries
-    return np.asarray(gram, dtype=float)
-
-
 def cholesky(gram) -> np.ndarray:
     """Lower-triangular L with L L^T = gram, from LAPACK's potrf.
 
+    gram is a matrix of entries (an array or nested lists), never a
+    GramMatrix: a GramMatrix already holds its factor.  LAPACK reads the
+    lower triangle only, so symmetry is the caller's to check; GramMatrix
+    does.
     Raises NotPositiveDefinite when gram is not a square matrix or the
     factorization fails or leaves a non-finite entry, which is how invalid
-    metrics and rank-deficient ideal bases surface.
+    metrics, non-finite Grams and rank-deficient ideal bases surface.
     """
     try:
-        L = np.linalg.cholesky(_as_matrix(gram))
+        L = np.linalg.cholesky(np.asarray(gram, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from None
     if not np.all(np.isfinite(L)):
         raise NotPositiveDefinite("Cholesky factor has a non-finite entry")
     return L
-
-
-def _log_covolume(L: np.ndarray) -> float:
-    """log sqrt(det G) = sum of log L_ii, for the Cholesky factor L of G."""
-    return math.fsum(math.log(d) for d in np.diag(L).tolist())
 
 
 @dataclass(frozen=True)
@@ -88,7 +81,9 @@ class GramMatrix:
 
     factor is the Cholesky factor of entries that validation computes; the
     theta sum enumerates with it rather than factoring again.  log_covolume
-    is log sqrt(det), from that factor.
+    is log sqrt(det), the sum of log diag of that factor.  Every matrix that
+    enters the lattice layer (theta_sum, enumerate_below) is validated and
+    factored here, once.
     """
 
     entries: np.ndarray
@@ -113,12 +108,11 @@ class GramMatrix:
         numpy computes b @ b.T by a symmetric rank-k update, which fills one
         triangle and mirrors it, so the product is exactly symmetric and
         needs neither the symmetry check nor the symmetrising step.  An
-        overflowed entry is still rejected.
+        overflowed (infinite) or nan entry needs no check of its own either:
+        cholesky rejects every non-finite Gram with NotPositiveDefinite.
         """
-        with np.errstate(over="ignore"):  # an overflow is rejected just below
+        with np.errstate(over="ignore", invalid="ignore"):  # cholesky rejects inf and nan
             m = b @ b.T
-        if not np.all(np.isfinite(m)):
-            raise NotPositiveDefinite("Gram matrix has a non-finite entry")
         gram = object.__new__(cls)
         gram._factor(m)
         return gram
@@ -129,7 +123,7 @@ class GramMatrix:
         L = cholesky(m)
         L.setflags(write=False)
         object.__setattr__(self, "factor", L)
-        object.__setattr__(self, "log_covolume", _log_covolume(L))
+        object.__setattr__(self, "log_covolume", math.fsum(map(math.log, np.diag(L).tolist())))
 
     @property
     def n(self) -> int:
@@ -268,11 +262,15 @@ def _last_level(s, lo, counts, total: int, T, uii, ci, bound: float):
         yield (r0, c) + _expand(s[r0:r1], lo[r0:r1] + skip, c, b - a, T[r0:r1], uii, ci, bound)
 
 
-def _enumerate_with_norms(g: np.ndarray, center: np.ndarray, radius: float,
+def _enumerate_with_norms(gram, center, radius: float,
                           budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """All v in Z^n with Q(v + center) <= radius, with the Q values."""
-    V, blocks = _fincke_pohst(cholesky(g).T, center, radius, budget)
-    points = [np.zeros((0, V.shape[1] + 1), dtype=np.int64)]
+    """All v in Z^n with Q(v + center) <= radius, with the Q values; gram
+    and center as for enumerate_below."""
+    gram = gram if isinstance(gram, GramMatrix) else GramMatrix(gram)
+    n = gram.n
+    center = np.zeros(n) if center is None else np.asarray(center, dtype=float).reshape(n)
+    V, blocks = _fincke_pohst(gram.factor.T, center, radius, budget)
+    points = [np.zeros((0, n), dtype=np.int64)]
     norms = [np.zeros(0)]
     for r0, c, v0, q, keep in blocks:
         rows = r0 + np.repeat(np.arange(c.size), c)[keep]
@@ -285,16 +283,19 @@ def enumerate_below(gram, center, radius: float,
                     budget: int = DEFAULT_BUDGET) -> np.ndarray:
     """Integer vectors v with (v+center)^T gram (v+center) <= radius.
 
+    gram is a GramMatrix, whose factor is used as it stands, or a matrix of
+    entries, validated as a GramMatrix (square, finite, symmetric to 1e-12
+    relative, positive definite; NotPositiveDefinite otherwise).  center is
+    None, for the zero vector, or n reals.  radius is a finite number >= 0;
+    a negative, infinite or nan radius raises ValueError.  More than budget
+    candidates raise EnumerationBudgetExceeded.
+
     Returns each vector exactly once, lexicographically sorted.
     """
-    g = _as_matrix(gram)
-    n = g.shape[0]
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    c = np.zeros(n) if center is None else np.asarray(center, dtype=float).reshape(n)
-    V, _ = _enumerate_with_norms(g, c, float(radius), budget)
-    order = np.lexsort(tuple(V[:, k] for k in range(n - 1, -1, -1)))
-    return V[order]
+    if not 0.0 <= radius < math.inf:
+        raise ValueError(f"radius must be a finite number >= 0, not {radius!r}")
+    V, _ = _enumerate_with_norms(gram, center, float(radius), budget)
+    return V[np.lexsort(V.T[::-1])]  # keys v_n-1 .. v_0; lexsort's primary is the last
 
 
 def _exact_partials(terms: np.ndarray) -> np.ndarray:
@@ -393,8 +394,11 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
     dual, so a verifier that compares the theta sums of D and of K - D
     compares two direct enumerations.
 
-    A GramMatrix brings the Cholesky factor its validation computed, and its
-    log-covolume for the point estimate; a raw array is factored here.
+    gram is a GramMatrix, which brings the Cholesky factor its validation
+    computed and its log-covolume for the point estimate, or a matrix of
+    entries, which is validated and factored as a GramMatrix first: a matrix
+    that is not symmetric, finite and positive definite raises
+    NotPositiveDefinite.
 
     A centred sum (center in Z^n) enumerates one half-space: the zero vector
     and, of each pair +-v, the v whose first nonzero coordinate in the
@@ -419,12 +423,9 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol is relative to the centred sum and must lie in (0, 1)")
-    if isinstance(gram, GramMatrix):
-        L, log_covolume = gram.factor, gram.log_covolume
-    else:
-        L = cholesky(gram)
-        log_covolume = _log_covolume(L)
-    n = L.shape[0]
+    gram = gram if isinstance(gram, GramMatrix) else GramMatrix(gram)
+    L = gram.factor
+    n = gram.n
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float).reshape(n)
     c = c - np.round(c)  # theta is Z^n-periodic in the shift
     half = not c.any()
@@ -444,7 +445,7 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
             f"relative tail bound exp({log_r:.6g}) at radius {radius:.6g} exceeds tol "
             f"{tol:.3e}: split eps = {eps}, n = {n}")
     # the expected point count, ellipsoid volume over covolume, in logs
-    log_points = 0.5 * n * math.log(math.pi * radius) - math.lgamma(0.5 * n + 1) - log_covolume
+    log_points = 0.5 * n * math.log(math.pi * radius) - math.lgamma(0.5 * n + 1) - gram.log_covolume
     if log_points > math.log(2 * budget):  # an int budget may exceed the float range
         raise EnumerationBudgetExceeded(
             f"estimated point count exceeds the budget of {budget}")

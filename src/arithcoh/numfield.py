@@ -338,8 +338,8 @@ def _make_custom(desc: dict) -> NumberFieldDescriptor:
         diff_rows = [[intmat.exact_int(x) for x in row] for row in desc["different_basis"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidFieldSpec(f"malformed custom field descriptor: {exc}") from exc
-    if not all(map(math.isfinite, emb_flat)):
-        raise InvalidFieldSpec("custom field embeddings must be finite reals")
+    if not isinstance(desc["embeddings"], list) or not all(map(math.isfinite, emb_flat)):
+        raise InvalidFieldSpec("custom field embeddings must be a list of finite reals")
     if r1 < 0 or r2 < 0 or r1 + 2 * r2 != n:
         raise DescriptorInconsistent(
             f"signature ({r1}, {r2}) is not a pair of counts with r1 + 2*r2 = {n}")

@@ -522,6 +522,54 @@ def test_zeta_sweep_complex_parameter():
     assert row.value != 0
 
 
+def test_zeta_sweep_overflow_is_an_invalid_divisor():
+    # (1 - s) h1 is about 1,800 at t = -300, s = -5: cmath.exp raised a bare
+    # OverflowError, and a ValueError for the infinite imaginary part of
+    # s h0 at s = 1e308 i
+    for s, t in ((-5.0, -300.0), (1e300, 3.0), (1e308j, 5.0)):
+        with pytest.raises(InvalidDivisor, match=r"t = .*, s = .*Re\(s\*h0 \+ \(1-s\)\*h1\) = "):
+            zeta_integrand_sweep(s, [0.0, t])
+    # a large negative exponent underflows to 0 and stays a row
+    assert zeta_integrand_sweep(5.0, [-300.0])[0].value == 0
+
+
+def test_tate_zeta_oracle_at_s_4():
+    # Tate's thesis on the degree line D_t = (no finite part, t): the
+    # integral over t of (theta(D_t) - 1) e^(-s t) is the completed zeta
+    # function, pi^(-s/2) Gamma(s/2) zeta(s) over Q and, with one complex
+    # place of weight 2 e^(-t), (2 pi)^(-s) Gamma(s) 4 zeta(s) beta(s) over
+    # Q(i), 4 counting its roots of unity.  A factor common to theta(D) and
+    # theta(K - D) cancels in Riemann-Roch; here it does not.
+    #
+    # The trapezoid rule with step h runs on [a, T].  Below a, theta - 1 is
+    # about 4 exp(-2 pi e^-t) (Q(i); Q is smaller still), so the integrand
+    # there is below 1e-390.  Past T, theta = c e^t up to a relative
+    # 4 exp(-pi e^T / 2) from the dual lattice (Poisson), so the tail
+    # integral of (c e^t - 1) e^(-s t) is closed form.  The enumerated theta
+    # misses at most theta expm1(tail_bound) of the true one, the certified
+    # error of h0; each node's is propagated with its weight.  quadrature
+    # covers the rest: the trapezoid's own error (1.7e-14 over Q(i) and
+    # 1e-15 over Q, measured against step h / 2), the rounding of 121 terms
+    # and the closed forms.
+    s, h, a, T = 4.0, 0.125, -5.0, 10.0
+    quadrature = 1e-12
+    zeta4 = math.pi ** 4 / 90
+    beta4 = math.fsum((-1) ** k / (2 * k + 1) ** 4 for k in range(10 ** 5))  # to 1e-21
+    for fld, c, exact in ((Q, 1.0, math.pi ** -2 * math.gamma(2) * zeta4),
+                          (QI, 0.5, (2 * math.pi) ** -4 * math.gamma(4) * 4 * zeta4 * beta4)):
+        nodes = round((T - a) / h)
+        terms, errors = [], []
+        for k in range(nodes + 1):
+            t = a + k * h
+            weight = (0.5 if k in (0, nodes) else 1.0) * h * math.exp(-s * t)
+            h0_t = h0(divisor_from_primes(fld, (), [t]), 1e-13)
+            theta = math.exp(h0_t.value)
+            terms.append(weight * (theta - 1.0))
+            errors.append(weight * theta * math.expm1(h0_t.tail_bound))
+        integral = math.fsum(terms) + c * math.exp((1 - s) * T) / (s - 1) - math.exp(-s * T) / s
+        assert abs(integral - exact) <= math.fsum(errors) + quadrature, (fld.label, integral, exact)
+
+
 def test_load_divisor_prime_form():
     D = load_divisor(QI, {"finite": [{"p": 2, "index": 0, "exponent": 1}],
                           "infinite": [0.25]})
@@ -566,6 +614,15 @@ def test_load_divisor_errors():
                   {"numerator_basis": [[2, 0], [0, 2.5]]}):
         with pytest.raises(InvalidDivisor):
             load_divisor(QI, {"finite": {"ideal": ideal}, "infinite": [0.0]})
+
+
+def test_load_divisor_needs_a_json_array_of_reals():
+    # a string was read character by character: over Q(sqrt 2), "10" loaded
+    # as x_sigma = (1, 0)
+    F = make_field(("quadratic", 2))
+    for infinite in ("10", "1", 1.0, None, {"x": 1}):
+        with pytest.raises(InvalidDivisor, match="'infinite' list"):
+            load_divisor(F, {"finite": [], "infinite": infinite})
 
 
 def test_h0_near_the_float_limit_gives_a_typed_error():

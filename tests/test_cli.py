@@ -255,6 +255,20 @@ def test_zeta_sweep_usage_errors(files, capsys):
             assert "--s" in err
 
 
+def test_zeta_sweep_overflow_is_one_error_line(files, capsys):
+    # finite s and t whose integrand overflows: Re(s h0 + (1-s) h1) is about
+    # 1,800 at s = -5, t = -300, and 3e300 at s = 1e300, t = 3; its Im is
+    # infinite at s = 1e308 i, t = 3
+    for argv in (["--s=-5", "--t-min", "-300", "--t-max", "0"], ["--s", "1e300"],
+                 ["--s", "1e308j"]):
+        for fmt in ("json", "csv"):
+            code, out, err = run(capsys, ["zeta-sweep", "--steps", "3", *argv, "--format", fmt])
+            assert (code, out) == (2, ""), (argv, fmt)
+            assert err.splitlines() == [line for line in err.splitlines()
+                                        if line.startswith("error: InvalidDivisor: ")], err
+            assert "overflows" in err and "Traceback" not in err
+
+
 def test_usage_error_exit_code(files, capsys):
     assert main(["no-such-command"]) == 1
     capsys.readouterr()
@@ -401,6 +415,21 @@ def test_malformed_input_is_one_error_line(files, capsys, tmp_path, kind, conten
             assert f"{kind} file is not valid JSON" in err
         assert [line for line in err.splitlines() if line.startswith("error: ")] == \
             err.splitlines(), err
+
+
+_STRINGS_FOR_ARRAYS = {
+    "divisor-infinite-digit": ("divisor", {"finite": [], "infinite": "1"}),
+    "field-embeddings-digits": ("field", {**_CUSTOM_QI, "embeddings": "1001"}),
+    "ghost-u-digits": ("ghost", {"cyclic_orders": [], "u": "1"}),
+    "ghost-mu-digits": ("ghost", {"cyclic_orders": [], "mu": "1"}),
+}
+
+
+@pytest.mark.parametrize("kind, content", _STRINGS_FOR_ARRAYS.values(),
+                         ids=_STRINGS_FOR_ARRAYS.keys())
+def test_json_string_for_an_array_is_one_error_line(files, capsys, tmp_path, kind, content):
+    # a string of digits was read character by character as a list of reals
+    test_malformed_input_is_one_error_line(files, capsys, tmp_path, kind, content)
 
 
 def test_each_input_file_is_opened_once(files, capsys, monkeypatch):

@@ -602,3 +602,11 @@ def test_load_ghost_descriptor():
         load_ghost({"cyclic_orders": [1], "u": [1.0]})
     with pytest.raises(InvalidGhostSpace):  # int() would truncate it to Z/6
         load_ghost({"cyclic_orders": [6.7], "u": [1.0] * 6})
+
+
+def test_load_ghost_values_must_be_a_json_array():
+    # np.asarray read the string "1" as the one value 1.0
+    for key in ("u", "mu"):
+        for values in ("1", 1.0):
+            with pytest.raises(InvalidGhostSpace, match=f"'{key}' must be a list of reals"):
+                load_ghost({"cyclic_orders": [], key: values})

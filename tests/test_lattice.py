@@ -1,8 +1,10 @@
 """Lattice kernel tests against independent brute-force oracles."""
 
+import itertools
 import math
 import random
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -74,6 +76,18 @@ def test_gram_matrix_validation():
     assert g.n == 2
 
 
+def test_raw_non_symmetric_gram_is_rejected_by_every_entry_point():
+    # a raw array is validated as a GramMatrix: [[1, 100], [0, 1]] was read
+    # from its lower triangle, as the identity, and theta_sum certified
+    # theta of the identity for it
+    for g in ([[1.0, 100.0], [0.0, 1.0]], [[1.0, 0.5], [0.4, 1.0]]):
+        for attempt in (lambda: theta_sum(g, None, 1e-9),
+                        lambda: theta_sum(g, [0.25, 0.0], 1e-9, theta0=2.0),
+                        lambda: enumerate_below(g, None, 3.0)):
+            with pytest.raises(NotPositiveDefinite, match="not symmetric"):
+                attempt()
+
+
 def test_enumerate_1d_squares():
     assert enumerate_below([[1.0]], [0.0], 4.0).ravel().tolist() == [-2, -1, 0, 1, 2]
 
@@ -94,6 +108,15 @@ def test_enumerate_shifted_center():
 def test_enumerate_rejects_negative_radius():
     with pytest.raises(ValueError):
         enumerate_below([[1.0]], [0.0], -1.0)
+
+
+def test_enumerate_rejects_a_radius_that_is_not_a_finite_number():
+    # nan and inf got past a radius < 0 test and blamed the metric with
+    # EnumerationBudgetExceeded
+    for radius in (math.nan, math.inf, -math.inf, -1.0):
+        for gram in ([[1.0]], GramMatrix(np.eye(1))):
+            with pytest.raises(ValueError, match="finite number >= 0"):
+                enumerate_below(gram, None, radius)
 
 
 def test_enumerate_budget():
@@ -179,6 +202,23 @@ def test_theta_uses_the_factor_of_a_gram_matrix(monkeypatch):
         assert theta_sum(gram, center, 1e-10, theta0=theta0) == expected
     assert factored == []
     theta_sum(cases[0][0].entries, None, 1e-10)
+    assert len(factored) == 1  # a raw array is factored once per call
+
+
+def test_enumerate_uses_the_factor_of_a_gram_matrix(monkeypatch):
+    rng = random.Random(19)
+    cases = []
+    for n in (1, 2, 3):
+        a = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)])
+        gram = GramMatrix(a @ a.T + 0.5 * np.eye(n))
+        for center in (None, [0.3] * n):
+            cases.append((gram, center, enumerate_below(gram.entries, center, 6.0)))
+    factored = []
+    monkeypatch.setattr(lattice, "cholesky", lambda g: factored.append(g) or cholesky(g))
+    for gram, center, expected in cases:
+        assert np.array_equal(enumerate_below(gram, center, 6.0), expected)
+    assert factored == []
+    enumerate_below(cases[0][0].entries, None, 6.0)
     assert len(factored) == 1  # a raw array is factored once per call
 
 
@@ -350,6 +390,25 @@ def test_embedded_lattice_validation():
     lat = EmbeddedLattice(np.array([[2.0, 0.0], [1.0, 3.0]]))
     assert lat.log_covolume == pytest.approx(math.log(6.0), abs=1e-15)
     assert lat.covolume == pytest.approx(6.0, rel=1e-15)
+
+
+def test_embedded_lattice_rejects_a_non_finite_gram_without_a_warning():
+    # the Gram b b^T of a basis is checked for inf and nan by cholesky alone;
+    # every n = 1 and n = 2 basis with a nan, an infinite or an overflowing
+    # (1e200) entry raises NotPositiveDefinite, and inf * 0 or inf - inf in
+    # the product warns of nothing
+    values = (math.nan, math.inf, -math.inf, 1e200, -1e200, 1.0, 0.0)
+    cases = 0
+    for n in (1, 2):
+        for entries in itertools.product(values, repeat=n * n):
+            if all(abs(x) <= 1.0 for x in entries):
+                continue
+            cases += 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(NotPositiveDefinite):
+                    EmbeddedLattice(np.array(entries).reshape(n, n))
+    assert cases == 5 + 7 ** 4 - 2 ** 4
 
 
 def test_embedded_lattice_gram_is_exactly_symmetric():

@@ -470,6 +470,15 @@ def test_custom_descriptor_malformed():
             make_field({**rational, key: value})
 
 
+def test_custom_descriptor_embeddings_must_be_a_json_array():
+    # the string "1" was read as the one embedding 1.0, and so as Q
+    rational = {"degree": 1, "r1": 1, "r2": 0, "abs_discriminant": 1,
+                "embeddings": [1.0], "different_basis": [[1]]}
+    for embeddings in ("1", "10"):
+        with pytest.raises(InvalidFieldSpec, match="list of finite reals"):
+            make_field({**rational, "embeddings": embeddings})
+
+
 def test_fractional_ideal_hnf_shape():
     Qi = make_field(("quadratic", -1))
     I = principal_ideal(Qi, (Fraction(3, 2), Fraction(1, 2)))
