@@ -10,15 +10,14 @@ discarded tail rigorously, so the returned value always carries a certified
 error.  All arithmetic is IEEE-754 binary64.  The terms are added by
 math.fsum, which is correctly rounded: the value depends only on the exact
 sum of what it is given, not on its order, so it needs no sort, and repeated
-calls are bit-identical.  A large block of terms reaches fsum as its exact
-per-exponent partial sums (_exact_partials), a few floats per binary
-exponent instead of one per point; their exact sum is that of the terms, so
-the value is the same float either way.
+calls are bit-identical.  A large block of terms reaches fsum as the exact
+sums of an error-free split on a fixed ladder of grids (_exact_partials), a
+few floats per block instead of one per point; their exact sum is that of
+the terms, so the value is the same float either way.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -37,13 +36,14 @@ _SYM_RTOL = 1e-12
 # R*(1 - 2*slack) so points lost to roundoff at the boundary stay covered
 _BOUNDARY_SLACK = 1e-9
 # candidates of the last enumeration level expanded at a time; bounds the
-# memory of one theta sum whatever its point count; _exact_partials needs
-# it to be at most 2^26
+# memory of one theta sum whatever its point count; the exact rung sums of
+# _exact_partials need it to be at most 2^16
 _BLOCK_POINTS = 1 << 15
-# blocks of more terms than this reach fsum as exact per-exponent partials:
-# binning costs 10-20 us per call at any size, tolist + fsum about 50 ns per
-# term, and the two cross between 300 and 1,000 terms
-_BIN_MIN = 1 << 10
+# blocks of more terms than this reach fsum as the exact rung sums of
+# _exact_partials: a split costs 20-40 us up to 1 k terms (five numpy passes
+# per rung, three rungs for theta terms), tolist + fsum 40-60 ns per term,
+# and on 2 cores the two crossed between 512 and 768 terms
+_BIN_MIN = 640
 # splits eps of the tail bound that theta_sum chooses from (see there): the
 # small ones give the shorter radii at tight tolerances, the large ones at
 # loose tolerances or in many dimensions
@@ -208,8 +208,14 @@ def _expand(s, lo, counts, total: int, T, uii, ci, bound: float):
     """Every candidate of one level: its v_i, its partial Q and the mask of
     those inside the ball.  Candidates come row by row, in order."""
     starts = np.cumsum(counts) - counts
-    vi = np.arange(total) + np.repeat(lo - starts, counts)
-    Tn = np.repeat(T, counts) + (uii * (vi + ci) + np.repeat(s, counts)) ** 2
+    vi = np.repeat(lo - starts, counts)
+    vi += np.arange(total)
+    # Tn = T + (uii (vi + ci) + s)^2, the same IEEE operations in one buffer
+    Tn = vi + ci
+    Tn *= uii
+    Tn += np.repeat(s, counts)
+    np.square(Tn, out=Tn)
+    Tn += np.repeat(T, counts)
     return vi, Tn, Tn <= bound
 
 
@@ -262,14 +268,24 @@ def _last_level(s, lo, counts, total: int, T, uii, ci, bound: float):
         yield (r0, c) + _expand(s[r0:r1], lo[r0:r1] + skip, c, b - a, T[r0:r1], uii, ci, bound)
 
 
+def _shift(center, n: int) -> np.ndarray:
+    """center as n finite floats, the zero vector for None; a nan or
+    infinite entry raises ValueError."""
+    if center is None:
+        return np.zeros(n)
+    c = np.asarray(center, dtype=float).reshape(n)
+    if not np.isfinite(c).all():
+        raise ValueError(f"center must be n finite reals, not {center!r}")
+    return c
+
+
 def _enumerate_with_norms(gram, center, radius: float,
                           budget: int) -> tuple[np.ndarray, np.ndarray]:
     """All v in Z^n with Q(v + center) <= radius, with the Q values; gram
     and center as for enumerate_below."""
     gram = gram if isinstance(gram, GramMatrix) else GramMatrix(gram)
     n = gram.n
-    center = np.zeros(n) if center is None else np.asarray(center, dtype=float).reshape(n)
-    V, blocks = _fincke_pohst(gram.factor.T, center, radius, budget)
+    V, blocks = _fincke_pohst(gram.factor.T, _shift(center, n), radius, budget)
     points = [np.zeros((0, n), dtype=np.int64)]
     norms = [np.zeros(0)]
     for r0, c, v0, q, keep in blocks:
@@ -286,9 +302,10 @@ def enumerate_below(gram, center, radius: float,
     gram is a GramMatrix, whose factor is used as it stands, or a matrix of
     entries, validated as a GramMatrix (square, finite, symmetric to 1e-12
     relative, positive definite; NotPositiveDefinite otherwise).  center is
-    None, for the zero vector, or n reals.  radius is a finite number >= 0;
-    a negative, infinite or nan radius raises ValueError.  More than budget
-    candidates raise EnumerationBudgetExceeded.
+    None, for the zero vector, or n finite reals.  radius is a finite number
+    >= 0.  A negative, infinite or nan radius, or a nan or infinite entry of
+    center, raises ValueError.  More than budget candidates raise
+    EnumerationBudgetExceeded.
 
     Returns each vector exactly once, lexicographically sorted.
     """
@@ -298,47 +315,48 @@ def enumerate_below(gram, center, radius: float,
     return V[np.lexsort(V.T[::-1])]  # keys v_n-1 .. v_0; lexsort's primary is the last
 
 
-def _exact_partials(terms: np.ndarray) -> np.ndarray:
-    """A few floats per binary exponent whose exact sum is that of terms.
+def _exact_partials(t: np.ndarray):
+    """Yields a few floats whose exact sum is that of the terms t, which it
+    overwrites as it goes.
 
-    Every term must lie in [0, 4); theta terms do, as an exp(-pi Q) is at
-    most 1 and a half-space sum doubles it.  frexp writes a term as m * 2^e
-    with m in [1/2, 1), or m = e = 0 for a zero, so e <= 2 and the bin
-    k = 2 - e is >= 0.  a = m * 2^27 lies in [2^26, 2^27), and
-    (a + 2^52) - 2^52 rounds it to an integer hi; lo = a - hi is exact,
-    |lo| <= 1/2, and a multiple of 2^-26, the ulp of a.  The term is
-    (hi + lo) * 2^(-25-k).
+    t holds at most 2^16 terms in [0, 4); a theta block does, as an
+    exp(-pi Q) is at most 1 and a half-space sum doubles it.  The terms are
+    split on a fixed ladder of grids g = 2^-35, 2^-70, ..., 2^-1050 by
+    error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
+    summation I", SISC 31, 2008, ExtractVector).  Rung j takes
+    hi = (t + C) - C with C = 1.5 * 2^52 * g, keeps the sum of the his and
+    goes on with t - hi.  Every step is exact:
 
-    Every step is exact (Demmel and Hida, SISC 2003, bin by exponent):
+    - Before rung 1, 0 <= t < 4 = 2^37 g; before each later rung, |t| is at
+      most half the previous grid, 2^34 g.  Either way t + C lies in
+      [2^52 g, 2^53 g), where the floats are the multiples of g, so it
+      rounds to C plus the multiple of g nearest t, and subtracting C is
+      exact: hi is a multiple of g with |t - hi| <= g/2.
+    - t - hi is exact.  If |t| < g/2, hi = 0.  Otherwise ulp(t) < g (or t
+      is a multiple of g and hi = t), so ulp(t) divides g, and t - hi is a
+      multiple of ulp(t) no larger than |t|: a float.
+    - The sum of a rung is exact in whatever order numpy adds: each partial
+      sum is an integer multiple of g, and with N <= 2^16 terms of |hi| at
+      most 4 = 2^37 g it is at most N 2^37 g <= 2^53 g in size, so a float.
+    - Below the last rung, |t| <= 2^-1051 is subnormal: a multiple of
+      2^-1074 at most 2^23 times it, and N of them add up exactly below
+      2^39 times it.
 
-    - bincount adds the his and the los of each bin.  An H partial is an
-      integer below count * 2^27, and an L partial is a multiple of 2^-26
-      below count / 2 in size.  While count <= 2^26 both fit in 53 bits, so
-      every addition is exact in whatever order bincount makes it.
-      _BLOCK_POINTS <= 2^26 keeps count there.
-    - Each part of a term is a multiple of 2^-1074, the least subnormal.
-      For e >= -1047, hi * 2^(e-27) is one because 2^(e-27) is, and
-      lo * 2^(e-27) is the term minus it.  For e < -1047 the term is a
-      multiple of 2^-1074 below 2^-1048, so a = term * 2^(27-e) is an
-      integer: hi = a and lo = 0.
-    - ldexp is exact.  Every partial times its scale 2^(-25-k) is a sum of
-      such parts, so a multiple of 2^-1074, and with count <= 2^15 it has
-      at most 42 significant bits.  Such a number is a float, subnormal or
-      not.
-
-    So the returned floats add up exactly to the terms, and math.fsum,
-    correctly rounded, returns the same float for either.
+    So the yielded floats add up exactly to the terms, and math.fsum,
+    correctly rounded, returns the same float for either.  A rung stops the
+    ladder when t is all zero, as every later one would add zeros; theta
+    terms above 2^-50 need three rungs.
     """
-    a, e = np.frexp(terms)
-    k = np.subtract(2, e, out=e)
-    a *= 2.0 ** 27
-    hi = a + 2.0 ** 52
-    hi -= 2.0 ** 52
-    a -= hi  # now lo
-    H = np.bincount(k, weights=hi)
-    L = np.bincount(k, weights=a)
-    shift = -25 - np.arange(H.size)
-    return np.ldexp(np.concatenate([H, L]), np.concatenate([shift, shift]))
+    hi = np.empty_like(t)
+    for j in range(1, 31):
+        if not t.any():
+            return
+        C = 1.5 * 2.0 ** (52 - 35 * j)
+        np.add(t, C, out=hi)
+        hi -= C
+        yield float(hi.sum())
+        t -= hi
+    yield float(t.sum())
 
 
 def _tail_split(n: int, log_tol: float) -> tuple[float, float]:
@@ -413,20 +431,22 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
 
     The last coordinate is expanded and summed in blocks of at most
     _BLOCK_POINTS candidates.  All blocks feed one fsum, so the sum stays
-    correctly rounded over every term, and the memory of a call stays
-    bounded whatever its point count.  A block of more than _BIN_MIN terms
-    goes in as its exact per-exponent partials (_exact_partials), two
-    floats per binary exponent present, about a hundred for a block of
-    32 k theta terms.  They add up exactly to its terms, so the value is
+    correctly rounded over every term, and the arrays of a call stay
+    bounded whatever its point count; the list fsum reads grows by at most
+    31 floats a full block.  A block of more than _BIN_MIN terms
+    goes in as the exact sums of an error-free split on a fixed ladder of
+    grids (_exact_partials), one float per rung, three or four for a block
+    of 32 k theta terms.  They add up exactly to its terms, so the value is
     bit-identical, and tolist + fsum, the costly step per float, sees far
-    fewer floats.
+    fewer floats.  The candidates' Q and exp(-pi Q) are computed in place,
+    and a block whose candidates all lie in the ball is not masked.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol is relative to the centred sum and must lie in (0, 1)")
     gram = gram if isinstance(gram, GramMatrix) else GramMatrix(gram)
     L = gram.factor
     n = gram.n
-    c = np.zeros(n) if center is None else np.asarray(center, dtype=float).reshape(n)
+    c = _shift(center, n)
     c = c - np.round(c)  # theta is Z^n-periodic in the shift
     half = not c.any()
     if not half and not (theta0 is not None and 0.0 < theta0 < math.inf):
@@ -450,20 +470,17 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
         raise EnumerationBudgetExceeded(
             f"estimated point count exceeds the budget of {budget}")
     _, blocks = _fincke_pohst(L.T, c, radius, budget, half)
+    parts = [1.0] if half else []  # the zero vector
     kept = 0
-
-    def term_lists():
-        nonlocal kept
+    for *_, q, keep in blocks:
+        terms = q if keep.all() else q[keep]
+        terms *= -math.pi
+        np.exp(terms, out=terms)
+        kept += terms.size
         if half:
-            yield [1.0]  # the zero vector
-        for *_, q, keep in blocks:
-            terms = np.exp(-math.pi * q[keep])
-            kept += terms.size
-            if half:
-                terms *= 2.0
-            yield (_exact_partials(terms) if terms.size > _BIN_MIN else terms).tolist()
-
-    value = math.fsum(itertools.chain.from_iterable(term_lists()))
+            terms *= 2.0
+        parts += _exact_partials(terms) if terms.size > _BIN_MIN else terms.tolist()
+    value = math.fsum(parts)
     r = math.exp(log_r)
     tail = r * value / (1.0 - r) if half else r * theta0
     points = 2 * kept + 1 if half else kept
@@ -524,12 +541,17 @@ def lll_reduce_rows(basis) -> tuple[np.ndarray, list[list[int]]]:
     NotPositiveDefinite.
 
     The Gram-Schmidt rows (b*, mu and the norms |b*_i|^2) are kept across
-    steps, and step k recomputes only rows k-1 and k, the two it may have
-    changed, from the rows as they stand (Schnorr and Euchner, Math.
-    Programming 66, 1994).  Rows below k-1 are unchanged since they were
-    last computed, and rows above k are not read until k reaches them, so
-    every rounded mu, Lovasz decision and output row is the float a full
-    recompute at each step gives.
+    steps, with the index of the lowest one that may be out of date: k + 1
+    after step k recomputes, k when its size reduction changed b_k, k - 1
+    when it swapped b_k-1 and b_k.  Step k recomputes the rows from there up
+    to k, from the rows as they stand (Schnorr and Euchner, Math.
+    Programming 66, 1994).  A row below that index is a deterministic
+    function of rows of b that are unchanged since it was last computed,
+    and rows above k are not read until k reaches them, so every rounded
+    mu, Lovasz decision and output row is the float a full recompute at
+    each step gives.  The rows and b* are kept as a list of 1-D arrays, and
+    mu and the norms as Python floats: the same IEEE operations and the
+    same BLAS dot as on 2-D arrays, without their indexing cost per step.
     """
     b = np.array(basis, dtype=float)
     n = b.shape[0]
@@ -539,36 +561,43 @@ def lll_reduce_rows(basis) -> tuple[np.ndarray, list[list[int]]]:
     if not top < math.inf:  # a nan fails too
         raise NotPositiveDefinite("the basis has an entry beyond the float range")
     scale = 2.0 ** max(math.frexp(top)[1] - (1024 - n.bit_length()) // 2, 0)
-    b /= scale
-    M = [[int(i == j) for j in range(n)] for i in range(n)]
-    star = b.copy()
-    mu = np.eye(n)
-    norms = np.zeros(n)
+    rows = list(b / scale)
+    M = np.eye(n, dtype=int).tolist()
+    star = [None] * n
+    mu = [[0.0] * n for _ in range(n)]
+    norms = [0.0] * n
+    stale = 0  # the lowest Gram-Schmidt row that may be out of date
     k = 1
     for _ in range(10000):
         if k >= n:
             break
-        for i in (k - 1, k):
-            star[i] = b[i]
+        for i in range(stale, k + 1):
+            s = r = rows[i]
+            mi = mu[i]
             for j in range(i):
-                mu[i, j] = float(b[i] @ star[j]) / norms[j]
-                star[i] = star[i] - mu[i, j] * star[j]
-            norms[i] = float(star[i] @ star[i])
+                mi[j] = float(r.dot(star[j])) / norms[j]
+                s = s - mi[j] * star[j]
+            star[i] = s
+            norms[i] = float(s.dot(s))
             if not 0.0 < norms[i] < math.inf:
                 raise NotPositiveDefinite(
                     f"Gram-Schmidt norm {norms[i]:.6g} of row {i} is not positive and finite: "
                     "the rows are numerically dependent")
+        stale = k + 1
         for j in range(k - 1, -1, -1):
-            q = round(mu[k, j])
+            q = round(mu[k][j])
             if q:
                 # b* stays; row k of mu moves by q times row j (unit diagonal)
-                b[k] = b[k] - q * b[j]
+                rows[k] = rows[k] - q * rows[j]
                 M[k] = [x - q * y for x, y in zip(M[k], M[j])]
-                mu[k, :j + 1] -= q * mu[j, :j + 1]
-        if norms[k] >= (_LLL_DELTA - mu[k, k - 1] ** 2) * norms[k - 1]:
+                mu[k][:j] = [x - q * y for x, y in zip(mu[k][:j], mu[j])]
+                mu[k][j] -= q
+                stale = k
+        if norms[k] >= (_LLL_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
             k += 1
         else:
-            b[[k - 1, k]] = b[[k, k - 1]]
+            rows[k - 1], rows[k] = rows[k], rows[k - 1]
             M[k - 1], M[k] = M[k], M[k - 1]
+            stale = k - 1
             k = max(k - 1, 1)
-    return b * scale, M
+    return np.array(rows) * scale, M

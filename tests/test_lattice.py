@@ -119,6 +119,23 @@ def test_enumerate_rejects_a_radius_that_is_not_a_finite_number():
                 enumerate_below(gram, None, radius)
 
 
+def test_a_non_finite_shift_is_a_value_error():
+    # nan reached the enumeration as a candidate bound of nan and blamed the
+    # metric with EnumerationBudgetExceeded; inf also warned in c - round(c)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for bad in ([math.nan], [math.inf], [-math.inf]):
+            for gram in ([[1.0]], GramMatrix(np.eye(1))):
+                with pytest.raises(ValueError, match="finite reals"):
+                    theta_sum(gram, bad, 1e-9, theta0=2.0)
+                with pytest.raises(ValueError, match="finite reals"):
+                    enumerate_below(gram, bad, 2.0)
+        with pytest.raises(ValueError, match="finite reals"):
+            theta_sum(np.eye(2), [0.5, math.nan], 1e-9, theta0=2.0)
+        with pytest.raises(ValueError, match="finite reals"):
+            enumerate_below(np.eye(2), [math.inf, 0.0], 2.0)
+
+
 def test_enumerate_budget():
     with pytest.raises(EnumerationBudgetExceeded):
         enumerate_below([[1e-6]], [0.0], 100.0, budget=10)
@@ -659,15 +676,33 @@ def test_block_size_does_not_change_results(monkeypatch):
             assert np.array_equal(V2, V) and np.array_equal(Q2, Q)
 
 
+def test_theta_drops_a_last_level_candidate_outside_the_ball():
+    # a = bound / k^2 (1 + 1e-12) puts sqrt(bound / a) within the boundary
+    # slack below k, so the last level's top candidate v = k has Q = a k^2
+    # just above the bound: its keep is false, and the sum stops at k - 1
+    tol, k = 1e-10, 5
+    radius = theta_sum([[1.0]], None, tol).radius  # a function of n and tol only
+    bound = radius + lattice._BOUNDARY_SLACK * max(radius, 1.0)
+    a = bound / k**2 * (1.0 + 1e-12)
+    _, blocks = _fincke_pohst(np.sqrt([[a]]), np.zeros(1), radius, 10**8, half=True)
+    (_, _, v0, _, keep), = blocks
+    assert v0.tolist() == list(range(1, k + 1)) and keep.tolist() == [True] * (k - 1) + [False]
+    V, Q = _enumerate_with_norms([[a]], None, radius, 10**8)
+    assert sorted(V.ravel().tolist()) == list(range(1 - k, k))
+    res = theta_sum([[a]], None, tol)
+    assert res.value == math.fsum(np.exp(-math.pi * Q).tolist())
+    assert res.points_enumerated == 2 * k - 1
+
+
 def _assert_partials_sum_like_fsum(terms):
-    terms = np.asarray(terms, dtype=float)
-    got = math.fsum(_exact_partials(terms).tolist())
-    assert got.hex() == math.fsum(terms.tolist()).hex()
+    terms = np.array(terms, dtype=float)
+    want = math.fsum(terms.tolist())
+    assert math.fsum(_exact_partials(terms)).hex() == want.hex()
 
 
 def test_exact_partials_sum_like_fsum():
-    # the exact bin sums need at most 2^26 terms per call
-    assert lattice._BLOCK_POINTS <= 2**26
+    # every rung sum is exact for at most 2^16 terms below 4
+    assert lattice._BLOCK_POINTS <= 2**16
     tiny = 2.0 ** -1074
     rng = np.random.default_rng(21)
     # subnormals: small multiples of 2^-1074, full 52-bit ones, and normal
@@ -686,8 +721,32 @@ def test_exact_partials_sum_like_fsum():
     for runs in (1, 2, 3, 5, 2**15 - 1):
         _assert_partials_sum_like_fsum(np.concatenate([[1.0], np.full(runs, 2.0 ** -53)]))
         _assert_partials_sum_like_fsum(np.concatenate([[1.0, 2.0 ** -52], np.full(runs, 2.0 ** -54)]))
-    # one full block of the largest term below 2: the heaviest bin load
+    # one full block of the largest term below 2
     _assert_partials_sum_like_fsum(np.full(lattice._BLOCK_POINTS, 2.0 * (1.0 - 2.0 ** -53)))
+    # a full block just below 4, the heaviest rung load, with low bits on
+    # both rungs such terms reach (the grids 2^-35 and 2^-70)
+    size = lattice._BLOCK_POINTS
+    _assert_partials_sum_like_fsum(4.0 - (rng.integers(0, 2**39, size) | 1) * 2.0 ** -51)
+    # a full block of 4 - 2^-37 but one 4 - 2^-35: at a first grid of
+    # 2^-37 its his would add up to 2^54 - 2^15 - 3 grid steps, which is not
+    # a float, and a first term off by +-2^-51 shows either rounding of it
+    block = np.full(size, 4.0 - 2.0 ** -37)
+    block[0] = 4.0 - 2.0 ** -35
+    for low in (2.0 ** -51, -2.0 ** -51):
+        _assert_partials_sum_like_fsum(np.concatenate([[block[0] + low], block[1:]]))
+    # ties: odd multiples of half a grid step of rung 1 (2^-36) and of
+    # rung 2 (2^-71), which stay ties after rung 1
+    _assert_partials_sum_like_fsum((2 * rng.integers(0, 2**37, size) + 1) * 2.0 ** -36)
+    _assert_partials_sum_like_fsum((2 * rng.integers(0, 2**50, size) + 1) * 2.0 ** -71)
+    _assert_partials_sum_like_fsum(np.concatenate([[1.0, 2.0 ** -36 + 2.0 ** -71],
+                                                   np.full(5, 2.0 ** -36)]))
+    # terms that reach the subnormal bottom rung: the least subnormal
+    # breaks the tie of 1 + 2^-53 upward, so it must not be dropped
+    _assert_partials_sum_like_fsum([1.0, 2.0 ** -53, tiny])
+    _assert_partials_sum_like_fsum(np.concatenate([[1.0, 2.0 ** -53],
+                                                   rng.integers(1, 2**20, 100) * tiny]))
+    _assert_partials_sum_like_fsum(np.ldexp(rng.uniform(0.5, 1.0, size),
+                                            rng.integers(-1074, -1040, size)))
     # random blocks of theta terms and of terms spread over every exponent,
     # up to the bound 4
     for size in (1, 7, 1000, lattice._BLOCK_POINTS):
