@@ -46,8 +46,8 @@ _BLOCK_POINTS = 1 << 15
 _BIN_MIN = 640
 # splits eps of the tail bound that theta_sum chooses from (see there): the
 # small ones give the shorter radii at tight tolerances, the large ones at
-# loose tolerances or in many dimensions
-_TAIL_SPLITS = (0.0625, 0.125, 0.25, 0.5)
+# loose tolerances or in many dimensions; each with its log
+_TAIL_SPLITS = {eps: math.log(eps) for eps in (0.0625, 0.125, 0.25, 0.5)}
 # candidate bounds of a level must lie below this in size, so that they and
 # every count hi - lo + 1 fit in int64
 _MAX_REACH = 2.0 ** 62
@@ -70,7 +70,7 @@ def cholesky(gram) -> np.ndarray:
         L = np.linalg.cholesky(np.asarray(gram, dtype=float))
     except np.linalg.LinAlgError as exc:
         raise NotPositiveDefinite(f"Cholesky factorization failed: {exc}") from None
-    if not np.all(np.isfinite(L)):
+    if not np.isfinite(L).all():
         raise NotPositiveDefinite("Cholesky factor has a non-finite entry")
     return L
 
@@ -123,7 +123,7 @@ class GramMatrix:
         L = cholesky(m)
         L.setflags(write=False)
         object.__setattr__(self, "factor", L)
-        object.__setattr__(self, "log_covolume", math.fsum(map(math.log, np.diag(L).tolist())))
+        object.__setattr__(self, "log_covolume", math.fsum(map(math.log, L.diagonal().tolist())))
 
     @property
     def n(self) -> int:
@@ -171,8 +171,8 @@ class ThetaResult:
     radius: float
 
 
-def _level(U: np.ndarray, center: np.ndarray, bound: float, V: np.ndarray,
-           T: np.ndarray, i: int, budget: int, half: bool):
+def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget: int,
+           half: bool):
     """Candidate values lo .. lo + counts - 1 of coordinate i below each row of V.
 
     Also returns s, the part of (U (v + center))_i fixed by the row, and the
@@ -181,23 +181,50 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V: np.ndarray,
     +-v != 0 is enumerated.  The budget applies to the full space, whose
     level holds 2 * total - 1 candidates above the last level (the zero row
     keeps its v_i = 0) and 2 * total + 1 at it (the zero vector comes back).
+
+    The reach check runs on two floats before any array is divided: the
+    bounds of a row are (-rad - s) / uii - c_i - slack and (rad - s) / uii -
+    c_i + slack, each step monotone in the numerator and so is its rounding,
+    so the least lower and the largest upper bound of all rows are those
+    steps on the least and the largest numerator.  A range beyond 2^62,
+    infinite or nan raises, and once it fits no divide can overflow.
+
+    V and T are None at the top level, coordinate n - 1.  It has one row,
+    the empty assignment, with s = T = 0, so rad = sqrt(bound) and the
+    numerators are -rad and rad; s, lo, counts and total come back as
+    Python scalars.  These are the array path's IEEE operations on the one
+    row, as -rad - 0.0 = -rad and rad - 0.0 = rad, so every bound is the
+    same float.
     """
-    s = (V + center[i + 1:]) @ U[i, i + 1:]
-    rad = np.sqrt(np.maximum(bound - T, 0.0))
-    uii = U[i, i]
-    lo = np.ceil((-rad - s) / uii - center[i] - _BOUNDARY_SLACK)
-    hi = np.floor((rad - s) / uii - center[i] + _BOUNDARY_SLACK)
-    # the largest |bound|, as hi >= lo - 1; 0 when no row is left
-    reach = float(np.maximum(hi, -lo).max(initial=0.0))
-    if not reach < _MAX_REACH:  # a nan fails too
+    uii, ci = float(U[i, i]), float(center[i])
+    if V is None:
+        s = 0.0
+        largest = math.sqrt(bound)
+        least = -largest
+    else:
+        s = (V + center[i + 1:]) @ U[i, i + 1:]
+        rad = np.sqrt(np.maximum(bound - T, 0.0))
+        below, above = -rad - s, rad - s
+        least = float(below.min(initial=math.inf))  # inf and -inf when V has no rows
+        largest = float(above.max(initial=-math.inf))
+    lo_min = least / uii - ci - _BOUNDARY_SLACK
+    hi_max = largest / uii - ci + _BOUNDARY_SLACK
+    if not (hi_max < _MAX_REACH and -lo_min < _MAX_REACH):  # a nan fails too
         raise EnumerationBudgetExceeded(
-            f"coordinate {i} has a candidate bound of {reach:.6g}, beyond 2^62: "
+            f"coordinate {i} has a candidate bound of {max(hi_max, -lo_min):.6g}, beyond 2^62: "
             "the metric spans too wide a range")
-    lo, hi = lo.astype(np.int64), hi.astype(np.int64)
-    if half:
-        lo[0] = max(lo[0], 0 if i else 1)
-    counts = np.maximum(hi - lo + 1, 0)
-    total = int(counts.sum(dtype=float))  # exact below 2^53, and an int64 sum could wrap
+    if V is None:
+        lo = math.ceil(lo_min)
+        if half:
+            lo = max(lo, 0 if i else 1)
+        total = counts = max(math.floor(hi_max) - lo + 1, 0)
+    else:
+        lo = np.ceil(below / uii - ci - _BOUNDARY_SLACK).astype(np.int64)
+        hi = np.floor(above / uii - ci + _BOUNDARY_SLACK).astype(np.int64)
+        if half:
+            lo[0] = max(lo[0], 0 if i else 1)
+        counts = np.maximum(hi - lo + 1, 0)
+        total = int(counts.sum(dtype=float))  # exact below 2^53, and an int64 sum could wrap
     if (2 * total + (1 if i == 0 else -1) if half else total) > budget:
         raise EnumerationBudgetExceeded(
             f"enumeration needs more than {budget} points; the metric is too flat")
@@ -206,7 +233,19 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V: np.ndarray,
 
 def _expand(s, lo, counts, total: int, T, uii, ci, bound: float):
     """Every candidate of one level: its v_i, its partial Q and the mask of
-    those inside the ball.  Candidates come row by row, in order."""
+    those inside the ball.  Candidates come row by row, in order.
+
+    T is None for the one row of the top level: its candidates are one
+    arange, and with s = T = 0 their Q is (uii (vi + ci))^2.  The array path
+    adds 0.0 to a value it then squares and to a square, which changes no
+    float (a -0.0 becomes +0.0, and squares to +0.0 either way).
+    """
+    if T is None:
+        vi = np.arange(lo, lo + total, dtype=np.int64)
+        Tn = vi + ci
+        Tn *= uii
+        np.square(Tn, out=Tn)
+        return vi, Tn, Tn <= bound
     starts = np.cumsum(counts) - counts
     vi = np.repeat(lo - starts, counts)
     vi += np.arange(total)
@@ -233,27 +272,43 @@ def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int,
     marks those inside the ball.  Every budget check runs before this
     returns, so no level is allocated over budget.
 
+    The top level, coordinate n - 1, has one row, the empty assignment with
+    s = T = 0, and is computed in scalars (_level, _expand): its bounds,
+    reach and budget checks on Python floats and its candidates as one
+    arange, by the array path's IEEE operations with the zeros left out,
+    none of which changes a float.  So V, T and every block are bit for bit
+    those of the array path, and for n = 1 no per-row array operation is
+    left.  The levels below keep the array code.
+
     Points whose Q lands within roundoff of the boundary may be included;
     the caller's tail bound is evaluated at a slightly smaller radius so
     exclusions stay covered.
     """
     n = U.shape[0]
     bound = radius + _BOUNDARY_SLACK * max(radius, 1.0)
-    V = np.zeros((1, 0), dtype=np.int64)
-    T = np.zeros(1)
+    V = T = None  # the top level's one row (see _level)
     for i in range(n - 1, 0, -1):
         s, lo, counts, total = _level(U, center, bound, V, T, i, budget, half)
         vi, Tn, keep = _expand(s, lo, counts, total, T, U[i, i], center[i], bound)
-        rows = np.repeat(np.arange(counts.size), counts)[keep]
-        V = np.column_stack([vi[keep], V[rows]])
+        vi = vi[keep, None]
+        V = vi if V is None else np.column_stack(
+            [vi, V[np.repeat(np.arange(counts.size), counts)[keep]]])
         T = Tn[keep]
     s, lo, counts, total = _level(U, center, bound, V, T, 0, budget, half)
+    if V is None:
+        V = np.zeros((1, 0), dtype=np.int64)
     return V, _last_level(s, lo, counts, total, T, U[0, 0], center[0], bound)
 
 
 def _last_level(s, lo, counts, total: int, T, uii, ci, bound: float):
     # the blocks of _fincke_pohst, split by candidate index, so that one row
-    # may span several blocks; a level that fits one block is that block
+    # may span several blocks; a level that fits one block is that block.
+    # For n = 1 (T is None) the one row's blocks are slices of one arange.
+    if T is None:
+        for a in range(0, max(total, 1), _BLOCK_POINTS):
+            b = min(a + _BLOCK_POINTS, total)
+            yield (0, np.array([b - a])) + _expand(s, lo + a, b - a, b - a, None, uii, ci, bound)
+        return
     if total <= _BLOCK_POINTS:
         yield (0, counts) + _expand(s, lo, counts, total, T, uii, ci, bound)
         return
@@ -362,8 +417,8 @@ def _exact_partials(t: np.ndarray):
 def _tail_split(n: int, log_tol: float) -> tuple[float, float]:
     """(radius, eps) for the eps of _TAIL_SPLITS whose radius R(eps) + 1/2
     is smallest (see theta_sum); the smaller eps on a tie."""
-    return min(((-0.5 * n * math.log(eps) - log_tol) / (math.pi * (1.0 - eps)) + 0.5, eps)
-               for eps in _TAIL_SPLITS)
+    return min(((-0.5 * n * log_eps - log_tol) / (math.pi * (1.0 - eps)) + 0.5, eps)
+               for eps, log_eps in _TAIL_SPLITS.items())
 
 
 def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
@@ -447,8 +502,9 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
     L = gram.factor
     n = gram.n
     c = _shift(center, n)
-    c = c - np.round(c)  # theta is Z^n-periodic in the shift
-    half = not c.any()
+    if center is not None:
+        c = c - np.round(c)  # theta is Z^n-periodic in the shift
+    half = center is None or not c.any()
     if not half and not (theta0 is not None and 0.0 < theta0 < math.inf):
         raise ValueError("a shifted sum needs theta0, a positive finite bound on the centred sum")
     log_tol = math.log(tol)
@@ -459,7 +515,7 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
         if q_c > radius:
             radius = max(radius, min(q_c, _nearest_plane_q(L, c)))
     safe_radius = radius * (1.0 - 2.0 * _BOUNDARY_SLACK) - 1e-12
-    log_r = -0.5 * n * math.log(eps) - math.pi * (1.0 - eps) * safe_radius
+    log_r = -0.5 * n * _TAIL_SPLITS[eps] - math.pi * (1.0 - eps) * safe_radius
     if not log_r <= log_tol:
         raise ToleranceUnreachable(
             f"relative tail bound exp({log_r:.6g}) at radius {radius:.6g} exceeds tol "

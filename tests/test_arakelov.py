@@ -533,41 +533,71 @@ def test_zeta_sweep_overflow_is_an_invalid_divisor():
     assert zeta_integrand_sweep(5.0, [-300.0])[0].value == 0
 
 
+def _tate_integral(fld, c: float, s: float, h: float, a: float, T: float):
+    """Tate's thesis on the degree line D_t = (no finite part, t): the
+    integral over t of (theta(D_t) - 1) e^(-s t), and the propagated
+    certified error of the h0 values it uses.
+
+    The trapezoid rule with step h runs on [a, T].  Below a = -5, theta - 1
+    is about 4 exp(-2 pi e^-t) (Q(i); Q is smaller still), so the integrand
+    there is below 1e-390 and vanishes to every order at a.  Past T, theta
+    = c e^t up to a relative 4 exp(-pi e^T / 2) from the dual lattice
+    (Poisson), so the tail integral of f(t) = (c e^t - 1) e^(-s t) is closed
+    form, and so is f'(T) = c (1 - s) e^((1 - s) T) + s e^(-s T) in the
+    trapezoid's Euler-Maclaurin end term -h^2 / 12 f'(T).  The enumerated
+    theta misses at most theta expm1(tail_bound) of the true one, the
+    certified error of h0; each node's is propagated with its weight.
+    """
+    nodes = round((T - a) / h)
+    terms, errors = [], []
+    for k in range(nodes + 1):
+        t = a + k * h
+        weight = (0.5 if k in (0, nodes) else 1.0) * h * math.exp(-s * t)
+        h0_t = h0(divisor_from_primes(fld, (), [t]), 1e-13)
+        theta = math.exp(h0_t.value)
+        terms.append(weight * (theta - 1.0))
+        errors.append(weight * theta * math.expm1(h0_t.tail_bound))
+    terms.append(c * math.exp((1 - s) * T) / (s - 1) - math.exp(-s * T) / s)
+    terms.append(-h * h / 12 * (c * (1 - s) * math.exp((1 - s) * T) + s * math.exp(-s * T)))
+    return math.fsum(terms), math.fsum(errors)
+
+
 def test_tate_zeta_oracle_at_s_4():
-    # Tate's thesis on the degree line D_t = (no finite part, t): the
-    # integral over t of (theta(D_t) - 1) e^(-s t) is the completed zeta
-    # function, pi^(-s/2) Gamma(s/2) zeta(s) over Q and, with one complex
-    # place of weight 2 e^(-t), (2 pi)^(-s) Gamma(s) 4 zeta(s) beta(s) over
-    # Q(i), 4 counting its roots of unity.  A factor common to theta(D) and
-    # theta(K - D) cancels in Riemann-Roch; here it does not.
-    #
-    # The trapezoid rule with step h runs on [a, T].  Below a, theta - 1 is
-    # about 4 exp(-2 pi e^-t) (Q(i); Q is smaller still), so the integrand
-    # there is below 1e-390.  Past T, theta = c e^t up to a relative
-    # 4 exp(-pi e^T / 2) from the dual lattice (Poisson), so the tail
-    # integral of (c e^t - 1) e^(-s t) is closed form.  The enumerated theta
-    # misses at most theta expm1(tail_bound) of the true one, the certified
-    # error of h0; each node's is propagated with its weight.  quadrature
-    # covers the rest: the trapezoid's own error (1.7e-14 over Q(i) and
-    # 1e-15 over Q, measured against step h / 2), the rounding of 121 terms
-    # and the closed forms.
+    # the completed zeta function, pi^(-s/2) Gamma(s/2) zeta(s) over Q and,
+    # with one complex place of weight 2 e^(-t), (2 pi)^(-s) Gamma(s) 4
+    # zeta(s) beta(s) over Q(i), 4 counting its roots of unity.  A factor
+    # common to theta(D) and theta(K - D) cancels in Riemann-Roch; here it
+    # does not.  quadrature covers the trapezoid's own error (1.7e-14 over
+    # Q(i) and 1e-15 over Q, measured against step h / 2), the rounding of
+    # 121 terms and the closed forms.
     s, h, a, T = 4.0, 0.125, -5.0, 10.0
     quadrature = 1e-12
     zeta4 = math.pi ** 4 / 90
     beta4 = math.fsum((-1) ** k / (2 * k + 1) ** 4 for k in range(10 ** 5))  # to 1e-21
     for fld, c, exact in ((Q, 1.0, math.pi ** -2 * math.gamma(2) * zeta4),
                           (QI, 0.5, (2 * math.pi) ** -4 * math.gamma(4) * 4 * zeta4 * beta4)):
-        nodes = round((T - a) / h)
-        terms, errors = [], []
-        for k in range(nodes + 1):
-            t = a + k * h
-            weight = (0.5 if k in (0, nodes) else 1.0) * h * math.exp(-s * t)
-            h0_t = h0(divisor_from_primes(fld, (), [t]), 1e-13)
-            theta = math.exp(h0_t.value)
-            terms.append(weight * (theta - 1.0))
-            errors.append(weight * theta * math.expm1(h0_t.tail_bound))
-        integral = math.fsum(terms) + c * math.exp((1 - s) * T) / (s - 1) - math.exp(-s * T) / s
-        assert abs(integral - exact) <= math.fsum(errors) + quadrature, (fld.label, integral, exact)
+        integral, error = _tate_integral(fld, c, s, h, a, T)
+        assert abs(integral - exact) <= error + quadrature, (fld.label, integral, exact)
+
+
+def test_tate_zeta_oracle_at_s_2():
+    # as at s = 4, but the integrand decays only like e^(-T) at T, so the
+    # trapezoid's end term h^2 / 12 f'(T) is 8e-9 over Q, above the
+    # certified errors (1.3e-10); _tate_integral subtracts it.  quadrature
+    # covers the next term, h^4 / 720 f'''(T) with f''' = c (1 - s)^3
+    # e^((1 - s) T) + s^3 e^(-s T): 2.1e-12 over Q and 1.0e-12 over Q(i), the
+    # errors seen.  Over Q the nodes past t = 10.4 hold more than one block
+    # of candidates.  beta(2) is Catalan's constant, by Ramanujan's series
+    # pi / 8 log(2 + sqrt 3) + 3 / 8 sum 1 / ((2k + 1)^2 C(2k, k)).
+    s, h, a, T = 2.0, 0.125, -5.0, 12.0
+    quadrature = 1e-11
+    zeta2 = math.pi ** 2 / 6
+    beta2 = math.pi / 8 * math.log(2 + math.sqrt(3)) + 3 / 8 * math.fsum(
+        1 / ((2 * k + 1) ** 2 * math.comb(2 * k, k)) for k in range(40))  # to 1e-25
+    for fld, c, exact in ((Q, 1.0, math.pi ** -1 * math.gamma(1) * zeta2),
+                          (QI, 0.5, (2 * math.pi) ** -2 * math.gamma(2) * 4 * zeta2 * beta2)):
+        integral, error = _tate_integral(fld, c, s, h, a, T)
+        assert abs(integral - exact) <= error + quadrature, (fld.label, integral, exact)
 
 
 def test_load_divisor_prime_form():

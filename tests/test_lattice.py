@@ -533,6 +533,22 @@ def test_level_bounds_beyond_int64_exceed_the_budget():
     for gram in ([[3.3e-229, -1.4e-229], [-1.4e-229, 2.4e229]], np.diag([1e-300, 1e300])):
         with pytest.raises(EnumerationBudgetExceeded, match="coordinate 0"):
             theta_sum(gram, None, 1e-9)
+    # bounds beyond the float range: the divides of coordinate 0 overflowed
+    # with a RuntimeWarning before the typed error, as the top level and
+    # below a 1e300 axis; a bare math.ceil of inf would be an untyped
+    # OverflowError
+    for gram in ([[5e-324]], np.diag([5e-324, 1e300])):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EnumerationBudgetExceeded, match="coordinate 0 .* of inf"):
+                enumerate_below(gram, None, 1e308)
+    # the top level, coordinate n - 1, names itself, and counts its budget
+    with pytest.raises(EnumerationBudgetExceeded, match="coordinate 0"):
+        enumerate_below([[1e-300]], None, 1e10)
+    with pytest.raises(EnumerationBudgetExceeded, match="coordinate 1"):
+        enumerate_below(np.diag([1.0, 1e-300]), None, 1e10)
+    with pytest.raises(EnumerationBudgetExceeded, match="more than 10 points"):
+        enumerate_below([[1e-6]], None, 10.0, budget=10)
     # bounds near 2^61 on each of seven rows: the int64 sum of their counts
     # wrapped, and np.arange of a negative total raised a ValueError
     with pytest.raises(EnumerationBudgetExceeded, match="more than 100000000 points"):
@@ -692,6 +708,97 @@ def test_theta_drops_a_last_level_candidate_outside_the_ball():
     res = theta_sum([[a]], None, tol)
     assert res.value == math.fsum(np.exp(-math.pi * Q).tolist())
     assert res.points_enumerated == 2 * k - 1
+
+
+def _reference_level(U, center, bound, V, T, i, half):
+    """Oracle: one level of the enumeration as arrays, the top level's one
+    row included, with the bounds and counts of every row; no checks."""
+    s = (V + center[i + 1:]) @ U[i, i + 1:]
+    rad = np.sqrt(np.maximum(bound - T, 0.0))
+    uii = U[i, i]
+    lo = np.ceil((-rad - s) / uii - center[i] - lattice._BOUNDARY_SLACK).astype(np.int64)
+    hi = np.floor((rad - s) / uii - center[i] + lattice._BOUNDARY_SLACK).astype(np.int64)
+    if half:
+        lo[0] = max(lo[0], 0 if i else 1)
+    counts = np.maximum(hi - lo + 1, 0)
+    return s, lo, counts, int(counts.sum(dtype=float))
+
+
+def _reference_expand(s, lo, counts, total, T, uii, ci, bound):
+    starts = np.cumsum(counts) - counts
+    vi = np.repeat(lo - starts, counts)
+    vi += np.arange(total)
+    Tn = vi + ci
+    Tn *= uii
+    Tn += np.repeat(s, counts)
+    np.square(Tn, out=Tn)
+    Tn += np.repeat(T, counts)
+    return vi, Tn, Tn <= bound
+
+
+def _reference_fincke_pohst(U, center, radius, half):
+    """Oracle: the enumeration with every level, the top one included, in
+    arrays; V and the list of its last level's blocks."""
+    n = U.shape[0]
+    bound = radius + lattice._BOUNDARY_SLACK * max(radius, 1.0)
+    V = np.zeros((1, 0), dtype=np.int64)
+    T = np.zeros(1)
+    for i in range(n - 1, 0, -1):
+        s, lo, counts, total = _reference_level(U, center, bound, V, T, i, half)
+        vi, Tn, keep = _reference_expand(s, lo, counts, total, T, U[i, i], center[i], bound)
+        rows = np.repeat(np.arange(counts.size), counts)[keep]
+        V = np.column_stack([vi[keep], V[rows]])
+        T = Tn[keep]
+    s, lo, counts, total = _reference_level(U, center, bound, V, T, 0, half)
+    if total <= lattice._BLOCK_POINTS:
+        return V, [(0, counts) + _reference_expand(s, lo, counts, total, T, U[0, 0], center[0],
+                                                   bound)]
+    ends = np.cumsum(counts)
+    blocks = []
+    for a in range(0, total, lattice._BLOCK_POINTS):
+        b = min(a + lattice._BLOCK_POINTS, total)
+        r0 = int(np.searchsorted(ends, a, side="right"))
+        r1 = int(np.searchsorted(ends, b - 1, side="right")) + 1
+        start = ends[r0:r1] - counts[r0:r1]
+        skip = np.maximum(a - start, 0)
+        c = np.minimum(b - start, counts[r0:r1]) - skip
+        blocks.append((r0, c) + _reference_expand(s[r0:r1], lo[r0:r1] + skip, c, b - a,
+                                                  T[r0:r1], U[0, 0], center[0], bound))
+    return V, blocks
+
+
+def _same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def test_enumeration_matches_the_array_reference_bit_for_bit(monkeypatch):
+    # the top level in scalars gives V and every block (r0, c, v0, q, keep)
+    # of the all-array enumeration, bit for bit: n = 1-4, centre 0 and
+    # centres in [-1/2, 1/2]^n, half-space on and off, one block and blocks
+    # of 7 candidates (for n = 1, slices of the one row), and 1 x 1 Grams
+    # with a candidate on the boundary
+    rng = random.Random(41)
+    radius = theta_sum([[1.0]], None, 1e-10).radius
+    bound = radius + lattice._BOUNDARY_SLACK * max(radius, 1.0)
+    grams = [_random_gram(rng, n) for n in (1, 2, 3, 4) for _ in range(4)]
+    grams += [np.array([[bound / 25 * (1.0 + d)]]) for d in (1e-12, -1e-12)]
+    # [[1e-8]] has about 56 k candidates, two default blocks
+    for block, cases in ((lattice._BLOCK_POINTS, grams + [np.array([[1e-8]])]), (7, grams)):
+        monkeypatch.setattr(lattice, "_BLOCK_POINTS", block)
+        for g in cases:
+            n = g.shape[0]
+            U = cholesky(g).T
+            for center in (np.zeros(n), np.array([rng.uniform(-0.5, 0.5) for _ in range(n)])):
+                for half in (False, True):
+                    V, blocks = _fincke_pohst(U, center, radius, 10**8, half)
+                    V_ref, blocks_ref = _reference_fincke_pohst(U, center, radius, half)
+                    assert _same_bits(V, V_ref)
+                    blocks = list(blocks)
+                    assert len(blocks) == len(blocks_ref)
+                    for got, want in zip(blocks, blocks_ref):
+                        assert got[0] == want[0]
+                        assert all(_same_bits(x, y) for x, y in zip(got[1:], want[1:]))
 
 
 def _assert_partials_sum_like_fsum(terms):
