@@ -559,4 +559,6 @@ def load_ghost(obj: dict):
         values = np.asarray(obj[key], dtype=float)
     except (TypeError, ValueError) as exc:
         raise InvalidGhostSpace(f"'{key}' must be a list of reals") from exc
+    if values.ndim != 1:  # the constructors flatten, and would read [[1], [0.5]] as (1, 0.5)
+        raise InvalidGhostSpace(f"'{key}' must be a flat list of reals, not nested lists")
     return (GhostSpaceFirstKind if key == "u" else GhostSpaceSecondKind)(group, values)

@@ -7,18 +7,26 @@ G and a shift c it evaluates
 
 by enumerating every lattice point below an explicit radius and bounding the
 discarded tail rigorously, so the returned value always carries a certified
-error.  All arithmetic is IEEE-754 binary64.  The terms are added by
-math.fsum, which is correctly rounded: the value depends only on the exact
-sum of what it is given, not on its order, so it needs no sort, and repeated
-calls are bit-identical.  A large block of terms reaches fsum as the exact
-sums of an error-free split on a fixed ladder of grids (_exact_partials), a
-few floats per block instead of one per point; their exact sum is that of
-the terms, so the value is the same float either way.
+error.  All arithmetic is IEEE-754 binary64.  The enumeration (Fincke and
+Pohst, Math. Comp. 44, 1985) holds its candidate coordinates as exact float
+integers, below 2^52 in size, so every candidate v_i and every v_i + c_i is
+the float an integer type would give.  Its last level, which holds almost
+all of the points, comes in blocks: each block's Q is computed once, in
+place, in one float buffer, and is masked only when some candidate lies
+outside the ball.  The terms are added by math.fsum, which is correctly
+rounded: the value depends only on the exact sum of what it is given, not on
+its order, so it needs no sort, and repeated calls are bit-identical.  A
+large block of terms reaches fsum as the exact sums of an error-free split on
+a fixed ladder of grids (_exact_partials), a few floats per block instead of
+one per point, and only as many rungs as the block's smallest term needs;
+their exact sum is that of the terms, so the value is the same float either
+way.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -40,17 +48,21 @@ _BOUNDARY_SLACK = 1e-9
 # _exact_partials need it to be at most 2^16
 _BLOCK_POINTS = 1 << 15
 # blocks of more terms than this reach fsum as the exact rung sums of
-# _exact_partials: a split costs 20-40 us up to 1 k terms (five numpy passes
-# per rung, three rungs for theta terms), tolist + fsum 40-60 ns per term,
-# and on 2 cores the two crossed between 512 and 768 terms
+# _exact_partials; tolist + fsum costs 40-60 ns per term.  The two crossed
+# between 512 and 768 terms on 2 cores when a split cost 20-40 us (five
+# numpy passes per rung and a probe per rung); with a min and three or four
+# passes per rung a split of up to 1 k theta terms takes 13-16 us, which
+# moves the crossing near 350 terms
 _BIN_MIN = 640
 # splits eps of the tail bound that theta_sum chooses from (see there): the
 # small ones give the shorter radii at tight tolerances, the large ones at
 # loose tolerances or in many dimensions; each with its log
 _TAIL_SPLITS = {eps: math.log(eps) for eps in (0.0625, 0.125, 0.25, 0.5)}
-# candidate bounds of a level must lie below this in size, so that they and
-# every count hi - lo + 1 fit in int64
-_MAX_REACH = 2.0 ** 62
+# candidate bounds of a level must lie below this in size: candidates are
+# exact float integers, so each candidate, each lo - start + k that builds
+# one (start below 2^52 too, see _candidates) and each count hi - lo + 1 must
+# be an integer below 2^53, where floats hold every integer
+_MAX_REACH = 2.0 ** 52
 # the Lovasz condition of lll_reduce_rows: |b*_k|^2 >= (delta - mu^2) |b*_k-1|^2
 _LLL_DELTA = 0.75
 
@@ -186,7 +198,7 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget
     bounds of a row are (-rad - s) / uii - c_i - slack and (rad - s) / uii -
     c_i + slack, each step monotone in the numerator and so is its rounding,
     so the least lower and the largest upper bound of all rows are those
-    steps on the least and the largest numerator.  A range beyond 2^62,
+    steps on the least and the largest numerator.  A range beyond 2^52,
     infinite or nan raises, and once it fits no divide can overflow.
 
     V and T are None at the top level, coordinate n - 1.  It has one row,
@@ -211,7 +223,7 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget
     hi_max = largest / uii - ci + _BOUNDARY_SLACK
     if not (hi_max < _MAX_REACH and -lo_min < _MAX_REACH):  # a nan fails too
         raise EnumerationBudgetExceeded(
-            f"coordinate {i} has a candidate bound of {max(hi_max, -lo_min):.6g}, beyond 2^62: "
+            f"coordinate {i} has a candidate bound of {max(hi_max, -lo_min):.6g}, beyond 2^52: "
             "the metric spans too wide a range")
     if V is None:
         lo = math.ceil(lo_min)
@@ -231,31 +243,48 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget
     return s, lo, counts, total
 
 
-def _expand(s, lo, counts, total: int, T, uii, ci, bound: float):
-    """Every candidate of one level: its v_i, its partial Q and the mask of
-    those inside the ball.  Candidates come row by row, in order.
+def _ball_bound(radius: float) -> float:
+    """The bound on Q that the enumeration of radius tests: radius plus the
+    boundary slack, relative to radius and at least _BOUNDARY_SLACK."""
+    return radius + _BOUNDARY_SLACK * max(radius, 1.0)
 
-    T is None for the one row of the top level: its candidates are one
-    arange, and with s = T = 0 their Q is (uii (vi + ci))^2.  The array path
-    adds 0.0 to a value it then squares and to a square, which changes no
-    float (a -0.0 becomes +0.0, and squares to +0.0 either way).
+
+def _candidates(lo: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
+    """The candidates lo[k], lo[k] + 1, ..., lo[k] + counts[k] - 1 of each
+    row k, row by row, as one array of exact float integers.
+
+    The j-th candidate of the array is (lo[k] - start[k]) + j, start[k] the
+    index of row k's first one.  lo[k] - start[k] is exact in int64 and as a
+    float, as |lo[k]| < 2^52 (_level) and start[k] < total, the length of an
+    array this allocates; the sum is an integer of row k's range, below
+    2^52 in size, so the float add is exact too.  Each candidate is the
+    float of the integer that int64 arithmetic gives, and so is v + c_i for
+    a float c_i.
     """
-    if T is None:
-        vi = np.arange(lo, lo + total, dtype=np.int64)
-        Tn = vi + ci
-        Tn *= uii
-        np.square(Tn, out=Tn)
-        return vi, Tn, Tn <= bound
     starts = np.cumsum(counts) - counts
-    vi = np.repeat(lo - starts, counts)
-    vi += np.arange(total)
-    # Tn = T + (uii (vi + ci) + s)^2, the same IEEE operations in one buffer
-    Tn = vi + ci
-    Tn *= uii
-    Tn += np.repeat(s, counts)
-    np.square(Tn, out=Tn)
-    Tn += np.repeat(T, counts)
-    return vi, Tn, Tn <= bound
+    v = np.repeat((lo - starts).astype(float), counts)
+    v += np.arange(total, dtype=float)
+    return v
+
+
+def _expand(v: np.ndarray, s, counts, T, uii, ci) -> np.ndarray:
+    """The partial Q of the candidates v of one level, computed in v itself:
+    T + (uii (v + ci) + s)^2, with the s and T of each candidate's row
+    (counts[k] candidates for row k), one in-place pass per operation.
+
+    T is None for the one row of the top level, where s = T = 0.  Adding 0.0
+    to a value that is then squared, and to a square, changes no float (a
+    -0.0 becomes +0.0, and squares to +0.0 either way), so those two adds
+    are left out.
+    """
+    v += ci
+    v *= uii
+    if T is not None:
+        v += np.repeat(s, counts)
+    np.square(v, out=v)
+    if T is not None:
+        v += np.repeat(T, counts)
+    return v
 
 
 def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int,
@@ -264,53 +293,64 @@ def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int,
 
     Q(x) = ||U x||^2 with U upper triangular.  Coordinates are assigned from
     the last down.  Coordinates n-1 .. 1 are expanded in full into V (one
-    row per partial assignment, v_1 first) and T (its partial Q).  The last
-    coordinate, which holds almost all of the points, is expanded lazily.
-    Returns V and a generator of blocks (r0, c, v0, q, keep) of at most
-    _BLOCK_POINTS candidates: rows r0, r0 + 1, ... of V contribute c[k]
-    candidates each, v0 and q are their last coordinate and Q, and keep
-    marks those inside the ball.  Every budget check runs before this
-    returns, so no level is allocated over budget.
+    row per partial assignment, v_1 first, as exact float integers) and T
+    (its partial Q).  The last coordinate, which holds almost all of the
+    points, is expanded lazily.  Returns V and a generator of blocks
+    (r0, c, lo, q) of at most _BLOCK_POINTS candidates: rows r0, r0 + 1, ...
+    of V contribute c[k] candidates each, with last coordinate
+    v_0 = lo[k], ..., lo[k] + c[k] - 1 (_candidates rebuilds them), and q
+    holds their Q in that order, computed once, in place, in one float
+    buffer (_expand).  q is not masked: a candidate at the end of a row's
+    range can have Q above _ball_bound(radius), and the caller drops it, as
+    theta_sum does only when q.max() exceeds the bound, since a block rarely
+    holds one.  Every budget check runs before this returns, so no level is
+    allocated over budget.
+
+    The candidates are exact float integers (_candidates), below 2^52 in
+    size (_MAX_REACH), so each candidate, its v + c_i and so its Q are the
+    floats that int64 candidates give: no integer array is built.
 
     The top level, coordinate n - 1, has one row, the empty assignment with
     s = T = 0, and is computed in scalars (_level, _expand): its bounds,
     reach and budget checks on Python floats and its candidates as one
     arange, by the array path's IEEE operations with the zeros left out,
-    none of which changes a float.  So V, T and every block are bit for bit
-    those of the array path, and for n = 1 no per-row array operation is
-    left.  The levels below keep the array code.
+    none of which changes a float.  For n = 1 the last-level blocks are
+    slices of that arange.  The levels below keep the array code.
 
     Points whose Q lands within roundoff of the boundary may be included;
     the caller's tail bound is evaluated at a slightly smaller radius so
     exclusions stay covered.
     """
     n = U.shape[0]
-    bound = radius + _BOUNDARY_SLACK * max(radius, 1.0)
+    bound = _ball_bound(radius)
     V = T = None  # the top level's one row (see _level)
     for i in range(n - 1, 0, -1):
         s, lo, counts, total = _level(U, center, bound, V, T, i, budget, half)
-        vi, Tn, keep = _expand(s, lo, counts, total, T, U[i, i], center[i], bound)
-        vi = vi[keep, None]
+        v = np.arange(lo, lo + total, dtype=float) if T is None else _candidates(lo, counts, total)
+        Tn = _expand(v.copy(), s, counts, T, U[i, i], center[i])
+        keep = Tn <= bound
+        vi = v[keep, None]
         V = vi if V is None else np.column_stack(
             [vi, V[np.repeat(np.arange(counts.size), counts)[keep]]])
         T = Tn[keep]
     s, lo, counts, total = _level(U, center, bound, V, T, 0, budget, half)
     if V is None:
-        V = np.zeros((1, 0), dtype=np.int64)
-    return V, _last_level(s, lo, counts, total, T, U[0, 0], center[0], bound)
+        V = np.zeros((1, 0))
+    return V, _last_level(s, lo, counts, total, T, U[0, 0], center[0])
 
 
-def _last_level(s, lo, counts, total: int, T, uii, ci, bound: float):
+def _last_level(s, lo, counts, total: int, T, uii, ci):
     # the blocks of _fincke_pohst, split by candidate index, so that one row
     # may span several blocks; a level that fits one block is that block.
     # For n = 1 (T is None) the one row's blocks are slices of one arange.
     if T is None:
         for a in range(0, max(total, 1), _BLOCK_POINTS):
-            b = min(a + _BLOCK_POINTS, total)
-            yield (0, np.array([b - a])) + _expand(s, lo + a, b - a, b - a, None, uii, ci, bound)
+            c = min(_BLOCK_POINTS, total - a)
+            v = np.arange(lo + a, lo + a + c, dtype=float)
+            yield 0, np.array([c]), np.array([lo + a]), _expand(v, s, c, None, uii, ci)
         return
     if total <= _BLOCK_POINTS:
-        yield (0, counts) + _expand(s, lo, counts, total, T, uii, ci, bound)
+        yield 0, counts, lo, _expand(_candidates(lo, counts, total), s, counts, T, uii, ci)
         return
     ends = np.cumsum(counts)
     for a in range(0, total, _BLOCK_POINTS):
@@ -320,7 +360,8 @@ def _last_level(s, lo, counts, total: int, T, uii, ci, bound: float):
         start = ends[r0:r1] - counts[r0:r1]
         skip = np.maximum(a - start, 0)
         c = np.minimum(b - start, counts[r0:r1]) - skip
-        yield (r0, c) + _expand(s[r0:r1], lo[r0:r1] + skip, c, b - a, T[r0:r1], uii, ci, bound)
+        lo_b = lo[r0:r1] + skip
+        yield r0, c, lo_b, _expand(_candidates(lo_b, c, b - a), s[r0:r1], c, T[r0:r1], uii, ci)
 
 
 def _shift(center, n: int) -> np.ndarray:
@@ -334,18 +375,29 @@ def _shift(center, n: int) -> np.ndarray:
     return c
 
 
+def _check_budget(budget) -> None:
+    """Raises ValueError unless budget is an integer >= 1: a Python or numpy
+    integer.  A float is refused, nan and whole ones included."""
+    if not (isinstance(budget, numbers.Integral) and budget >= 1):
+        raise ValueError(f"budget must be an integer >= 1, not {budget!r}")
+
+
 def _enumerate_with_norms(gram, center, radius: float,
                           budget: int) -> tuple[np.ndarray, np.ndarray]:
     """All v in Z^n with Q(v + center) <= radius, with the Q values; gram
-    and center as for enumerate_below."""
+    and center as for enumerate_below.  Rebuilds each block's last
+    coordinate and its mask of the ball, which the theta sum does without."""
     gram = gram if isinstance(gram, GramMatrix) else GramMatrix(gram)
     n = gram.n
+    bound = _ball_bound(radius)
     V, blocks = _fincke_pohst(gram.factor.T, _shift(center, n), radius, budget)
     points = [np.zeros((0, n), dtype=np.int64)]
     norms = [np.zeros(0)]
-    for r0, c, v0, q, keep in blocks:
+    for r0, c, lo, q in blocks:
+        keep = q <= bound
         rows = r0 + np.repeat(np.arange(c.size), c)[keep]
-        points.append(np.column_stack([v0[keep], V[rows]]))
+        v0 = _candidates(lo, c, q.size)[keep]
+        points.append(np.column_stack([v0, V[rows]]).astype(np.int64))
         norms.append(q[keep])
     return np.concatenate(points), np.concatenate(norms)
 
@@ -358,14 +410,15 @@ def enumerate_below(gram, center, radius: float,
     entries, validated as a GramMatrix (square, finite, symmetric to 1e-12
     relative, positive definite; NotPositiveDefinite otherwise).  center is
     None, for the zero vector, or n finite reals.  radius is a finite number
-    >= 0.  A negative, infinite or nan radius, or a nan or infinite entry of
-    center, raises ValueError.  More than budget candidates raise
-    EnumerationBudgetExceeded.
+    >= 0.  A negative, infinite or nan radius, a nan or infinite entry of
+    center, or a budget that is not an integer >= 1 raises ValueError.  More
+    than budget candidates raise EnumerationBudgetExceeded.
 
     Returns each vector exactly once, lexicographically sorted.
     """
     if not 0.0 <= radius < math.inf:
         raise ValueError(f"radius must be a finite number >= 0, not {radius!r}")
+    _check_budget(budget)
     V, _ = _enumerate_with_norms(gram, center, float(radius), budget)
     return V[np.lexsort(V.T[::-1])]  # keys v_n-1 .. v_0; lexsort's primary is the last
 
@@ -375,12 +428,11 @@ def _exact_partials(t: np.ndarray):
     overwrites as it goes.
 
     t holds at most 2^16 terms in [0, 4); a theta block does, as an
-    exp(-pi Q) is at most 1 and a half-space sum doubles it.  The terms are
-    split on a fixed ladder of grids g = 2^-35, 2^-70, ..., 2^-1050 by
-    error-free extraction (Rump, Ogita and Oishi, "Accurate floating-point
-    summation I", SISC 31, 2008, ExtractVector).  Rung j takes
-    hi = (t + C) - C with C = 1.5 * 2^52 * g, keeps the sum of the his and
-    goes on with t - hi.  Every step is exact:
+    exp(-pi Q) is at most 1.  The terms are split on a fixed ladder of grids
+    g = 2^-35, 2^-70, ..., 2^-1050 by error-free extraction (Rump, Ogita and
+    Oishi, "Accurate floating-point summation I", SISC 31, 2008,
+    ExtractVector).  Rung j takes hi = (t + C) - C with C = 1.5 * 2^52 * g,
+    keeps the sum of the his and goes on with t - hi.  Every step is exact:
 
     - Before rung 1, 0 <= t < 4 = 2^37 g; before each later rung, |t| is at
       most half the previous grid, 2^34 g.  Either way t + C lies in
@@ -398,18 +450,33 @@ def _exact_partials(t: np.ndarray):
       2^39 times it.
 
     So the yielded floats add up exactly to the terms, and math.fsum,
-    correctly rounded, returns the same float for either.  A rung stops the
-    ladder when t is all zero, as every later one would add zeros; theta
-    terms above 2^-50 need three rungs.
+    correctly rounded, returns the same float for either.
+
+    The ladder stops at the first rung after which every t - hi is zero,
+    which the block's smallest term m decides before rung 1.  Each term is a
+    float of at least m >= 0, so a multiple of ulp(m) (for m = 0 or
+    subnormal, of ulp(m) = 2^-1074).  By induction, the t before each rung
+    are multiples of ulp(m): if g <= ulp(m) they are multiples of g, hi
+    takes them whole and leaves 0; otherwise ulp(m) divides g, so hi and
+    t - hi are multiples of ulp(m) again.  After rung j every t - hi is then
+    a multiple of ulp(m) of size at most g/2 = 2^(-35j-1), and so 0 once
+    2^(-35j-1) < ulp(m).  The later rungs would add zeros, and the last rung
+    skips its own t - hi.  No term below 4 stops the ladder at rung 1 (that
+    needs ulp(m) > 2^-36, m >= 2^17): m >= 2^-18 stops it at rung 2, and
+    m >= 2^-53 at rung 3, as in a theta block whose Q stay below 11.6.  For
+    m = 0 or subnormal, ulp(m) = 2^-1074 lies below every grid's half, and
+    the full ladder runs, its subnormal bottom included.  An empty t has
+    m = inf and stops at rung 1.
     """
     hi = np.empty_like(t)
+    ulp = math.ulp(float(t.min(initial=math.inf)))
     for j in range(1, 31):
-        if not t.any():
-            return
         C = 1.5 * 2.0 ** (52 - 35 * j)
         np.add(t, C, out=hi)
         hi -= C
         yield float(hi.sum())
+        if 2.0 ** (-35 * j - 1) < ulp:
+            return
         t -= hi
     yield float(t.sum())
 
@@ -475,29 +542,39 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
 
     A centred sum (center in Z^n) enumerates one half-space: the zero vector
     and, of each pair +-v, the v whose first nonzero coordinate in the
-    enumeration order v_{n-1}, ..., v_0 is positive.  The value is fsum of 1
-    and twice each term.  This equals the sum over the whole ball exactly.
-    With a zero centre every step of the recurrence maps v to -v by an exact
-    negation: the candidate ranges and the boundary test are symmetric, so
-    the ball holds -v exactly when it holds v, and Q(-v) and Q(v) are the
-    same float.  Doubling is exact, and fsum is correctly rounded, so any
-    multiset of terms with the same exact sum gives the same result.
-    points_enumerated still counts the ball, 1 + 2h.
+    enumeration order v_{n-1}, ..., v_0 is positive.  The sum over the whole
+    ball is that of 1 and twice each term, exactly.  With a zero centre
+    every step of the recurrence maps v to -v by an exact negation: the
+    candidate ranges and the boundary test are symmetric, so the ball holds
+    -v exactly when it holds v, and Q(-v) and Q(v) are the same float.  The
+    doubling is done on the sum, not on the terms: the value is 2 fsum(1/2,
+    terms).  fsum is correctly rounded, 1 + 2 sum(terms) is exactly twice
+    1/2 + sum(terms), and rounding commutes with a factor 2 in the normal
+    range, where a sum of at least 1/2 lies; so the value is the float of
+    fsum(1, twice each term), bit for bit.  points_enumerated still counts
+    the ball, 1 + 2h.
 
-    The last coordinate is expanded and summed in blocks of at most
-    _BLOCK_POINTS candidates.  All blocks feed one fsum, so the sum stays
-    correctly rounded over every term, and the arrays of a call stay
-    bounded whatever its point count; the list fsum reads grows by at most
-    31 floats a full block.  A block of more than _BIN_MIN terms
+    The last coordinate is expanded and summed in blocks (r0, c, lo, q) of
+    at most _BLOCK_POINTS candidates (_fincke_pohst), whose Q arrive
+    computed in one float buffer.  Only a block whose q.max() exceeds the
+    bound, which few do, is masked to the ball; the rest go whole.  Each
+    block's exp(-pi Q) is computed in place.  All blocks feed one fsum, so
+    the sum stays correctly rounded over every term, and the arrays of a
+    call stay bounded whatever its point count; the list fsum reads grows
+    by at most 31 floats a full block.  A block of more than _BIN_MIN terms
     goes in as the exact sums of an error-free split on a fixed ladder of
-    grids (_exact_partials), one float per rung, three or four for a block
-    of 32 k theta terms.  They add up exactly to its terms, so the value is
-    bit-identical, and tolist + fsum, the costly step per float, sees far
-    fewer floats.  The candidates' Q and exp(-pi Q) are computed in place,
-    and a block whose candidates all lie in the ball is not masked.
+    grids (_exact_partials), one float per rung, and only as many rungs as
+    its smallest term needs: three for a block of theta terms above 2^-53.
+    They add up exactly to its terms, so the value is bit-identical, and
+    tolist + fsum, the costly step per float, sees far fewer floats.
+
+    budget caps the candidates of any level and the estimated point count
+    (EnumerationBudgetExceeded); one that is not an integer >= 1 raises
+    ValueError.
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol is relative to the centred sum and must lie in (0, 1)")
+    _check_budget(budget)
     gram = gram if isinstance(gram, GramMatrix) else GramMatrix(gram)
     L = gram.factor
     n = gram.n
@@ -525,18 +602,20 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
     if log_points > math.log(2 * budget):  # an int budget may exceed the float range
         raise EnumerationBudgetExceeded(
             f"estimated point count exceeds the budget of {budget}")
+    bound = _ball_bound(radius)
     _, blocks = _fincke_pohst(L.T, c, radius, budget, half)
-    parts = [1.0] if half else []  # the zero vector
+    parts = [0.5] if half else []  # the zero vector, halved with the rest
     kept = 0
-    for *_, q, keep in blocks:
-        terms = q if keep.all() else q[keep]
-        terms *= -math.pi
-        np.exp(terms, out=terms)
-        kept += terms.size
-        if half:
-            terms *= 2.0
-        parts += _exact_partials(terms) if terms.size > _BIN_MIN else terms.tolist()
+    for *_, q in blocks:
+        if q.max(initial=0.0) > bound:
+            q = q[q <= bound]
+        q *= -math.pi
+        np.exp(q, out=q)
+        kept += q.size
+        parts += _exact_partials(q) if q.size > _BIN_MIN else q.tolist()
     value = math.fsum(parts)
+    if half:
+        value *= 2.0
     r = math.exp(log_r)
     tail = r * value / (1.0 - r) if half else r * theta0
     points = 2 * kept + 1 if half else kept

@@ -665,6 +665,14 @@ def test_h0_near_the_float_limit_gives_a_typed_error():
             h0(divisor_from_primes(F, [(P, -1)], [-354.0, -354.0]))
 
 
+def test_h0_and_verify_duality_refuse_a_budget_below_1_or_not_an_integer():
+    D = zero_divisor(QI)
+    for budget in (0, -5, math.nan, 1.5):
+        for attempt in (lambda: h0(D, budget=budget), lambda: verify_duality(D, budget=budget)):
+            with pytest.raises(ValueError, match="budget must be an integer >= 1"):
+                attempt()
+
+
 def test_h0_never_returns_a_value_from_out_of_range_bounds():
     # the Gram spans e^1200, the bounds of one coordinate reach 1e115, and
     # their int64 cast gave h0 = 0 from 1 point with two warnings

@@ -376,6 +376,9 @@ _MALFORMED = {
     "ghost-u-dict": ("ghost", {"cyclic_orders": [2], "u": {"x": 1}}),
     "ghost-mu-str": ("ghost", {"cyclic_orders": [2], "mu": ["a", 1]}),
     "ghost-mu-null": ("ghost", {"cyclic_orders": [2], "mu": None}),
+    # nested lists, which the constructors flattened into a valid space
+    "ghost-u-nested": ("ghost", {"cyclic_orders": [2], "u": [[1.0], [0.5]]}),
+    "ghost-mu-nested": ("ghost", {"cyclic_orders": [2], "mu": [[0.75], [0.25]]}),
     "ghost-orders-str": ("ghost", {"cyclic_orders": "12", "u": [1.0, 0.5]}),
     "ghost-orders-float": ("ghost", {"cyclic_orders": [2.5], "u": [1.0, 0.5]}),
     "ghost-no-orders": ("ghost", {"u": [1.0, 0.5]}),

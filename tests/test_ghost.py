@@ -610,3 +610,7 @@ def test_load_ghost_values_must_be_a_json_array():
         for values in ("1", 1.0):
             with pytest.raises(InvalidGhostSpace, match=f"'{key}' must be a list of reals"):
                 load_ghost({"cyclic_orders": [], key: values})
+    # nested lists were flattened by the constructors and loaded
+    for key, values in (("u", [[1.0], [0.5]]), ("mu", [[0.75], [0.25]]), ("u", [[1.0, 0.5]])):
+        with pytest.raises(InvalidGhostSpace, match=f"'{key}' must be a flat list of reals"):
+            load_ghost({"cyclic_orders": [2], key: values})

@@ -247,6 +247,18 @@ def test_theta_budget_exceeded_on_flat_metric():
     assert unlimited == theta_sum([[1.0]], None, 1e-9)
 
 
+def test_a_budget_that_is_not_an_integer_of_at_least_1_is_a_value_error():
+    # 0 and -5 died in math.log(2 * budget) with "math domain error", and
+    # nan switched the cap off and returned a value
+    for budget in (0, -5, math.nan, 1.5):
+        for attempt in (lambda: theta_sum([[1.0]], None, 1e-9, budget=budget),
+                        lambda: theta_sum([[1.0]], [0.5], 1e-9, budget, theta0=2.0),
+                        lambda: enumerate_below([[1.0]], None, 4.0, budget=budget)):
+            with pytest.raises(ValueError, match="budget must be an integer >= 1"):
+                attempt()
+    assert enumerate_below([[1.0]], None, 0.5, budget=1).tolist() == [[0]]
+
+
 def test_theta_oracle_equivalence_randomized():
     rng = random.Random(7)
     for _ in range(30):
@@ -549,10 +561,19 @@ def test_level_bounds_beyond_int64_exceed_the_budget():
         enumerate_below(np.diag([1.0, 1e-300]), None, 1e10)
     with pytest.raises(EnumerationBudgetExceeded, match="more than 10 points"):
         enumerate_below([[1e-6]], None, 10.0, budget=10)
-    # bounds near 2^61 on each of seven rows: the int64 sum of their counts
-    # wrapped, and np.arange of a negative total raised a ValueError
-    with pytest.raises(EnumerationBudgetExceeded, match="more than 100000000 points"):
+    # candidates are exact float integers, so the reach is 2^52: bounds near
+    # 2^61, whose int64 counts once wrapped in their sum, and a few
+    # candidates near 2^55, which a float cannot all hold, raise
+    with pytest.raises(EnumerationBudgetExceeded, match="coordinate 0 .* 2.29427e\\+18, beyond 2\\^52"):
         theta_sum(np.diag([1.7e-36, 1.0, 1.0 / 1.7e-36]), None, 1e-9)
+    with pytest.raises(EnumerationBudgetExceeded, match="coordinate 0 .* 3.60288e\\+16, beyond 2\\^52"):
+        enumerate_below([[1.0]], [2.0 ** 55], 1.0)
+    # bounds near 2^51 on each row are within reach, and their counts, about
+    # 2^52 a row, exceed the budget
+    with pytest.raises(EnumerationBudgetExceeded, match="more than 100000000 points"):
+        theta_sum(np.diag([1.5e-30, 1.0, 1.0 / 1.5e-30]), None, 1e-9)
+    assert enumerate_below([[1.0]], [2.0 ** 51], 1.0).ravel().tolist() == [
+        -2 ** 51 - 1, -2 ** 51, -2 ** 51 + 1]
 
 
 def test_embedded_lattice_rejects_an_overflowed_gram():
@@ -674,8 +695,13 @@ def test_centred_theta_equals_full_enumeration_bit_for_bit(monkeypatch):
 
 def test_block_size_does_not_change_results(monkeypatch):
     rng = random.Random(8)
-    cases = [(_random_gram(rng, n), center)
-             for n in (1, 2, 3, 4) for center in (None, [0.3, -0.45, 0.1, 0.2][:n])]
+    shift = [0.3, -0.45, 0.1, 0.2]
+    cases = [(_random_gram(rng, n), center) for n in (1, 2, 3, 4) for center in (None, shift[:n])]
+    # 2.5 k to 10 k points, so that full blocks of 640 terms go to fsum as
+    # they are and full blocks of 641 as exact partials (_BIN_MIN = 640)
+    cases += [(_random_gram(rng, n) * scale, center)
+              for n, scale in ((1, 1e-5), (2, 3e-3), (3, 4e-2), (4, 0.2))
+              for center in (None, shift[:n])]
     theta0 = [centred_theta_bound(g, 1e-10) for g, _ in cases]
     before = [(theta_sum(g, c, 1e-10, theta0=t0),
                _enumerate_with_norms(g, np.zeros(g.shape[0]), 9.0, 10**8))
@@ -683,11 +709,13 @@ def test_block_size_does_not_change_results(monkeypatch):
     # blocks of 7 candidates split rows of the last level between blocks;
     # _BIN_MIN = 0 sends each such block, and each full one, through the
     # exact partials
-    for block, bin_min in ((7, lattice._BIN_MIN), (7, 0), (lattice._BLOCK_POINTS, 0)):
+    for block, bin_min in ((7, lattice._BIN_MIN), (7, 0), (640, lattice._BIN_MIN),
+                           (641, lattice._BIN_MIN), (lattice._BLOCK_POINTS, 0)):
         monkeypatch.setattr(lattice, "_BLOCK_POINTS", block)
         monkeypatch.setattr(lattice, "_BIN_MIN", bin_min)
         for (g, c), t0, (res, (V, Q)) in zip(cases, theta0, before):
-            assert theta_sum(g, c, 1e-10, theta0=t0) == res
+            got = theta_sum(g, c, 1e-10, theta0=t0)
+            assert got == res and got.value.hex() == res.value.hex()
             V2, Q2 = _enumerate_with_norms(g, np.zeros(g.shape[0]), 9.0, 10**8)
             assert np.array_equal(V2, V) and np.array_equal(Q2, Q)
 
@@ -700,9 +728,17 @@ def test_theta_drops_a_last_level_candidate_outside_the_ball():
     radius = theta_sum([[1.0]], None, tol).radius  # a function of n and tol only
     bound = radius + lattice._BOUNDARY_SLACK * max(radius, 1.0)
     a = bound / k**2 * (1.0 + 1e-12)
-    _, blocks = _fincke_pohst(np.sqrt([[a]]), np.zeros(1), radius, 10**8, half=True)
-    (_, _, v0, _, keep), = blocks
+    U = np.sqrt([[a]])
+    _, blocks = _fincke_pohst(U, np.zeros(1), radius, 10**8, half=True)
+    block, = blocks
+    unpacked = _unpacked(block, bound)
+    _, _, v0, q, keep = unpacked
     assert v0.tolist() == list(range(1, k + 1)) and keep.tolist() == [True] * (k - 1) + [False]
+    # the block is unmasked; theta_sum masks it, as its q.max() exceeds the
+    # bound, and so does the reference, bit for bit
+    assert q.max() > bound
+    (block_ref,) = _reference_fincke_pohst(U, np.zeros(1), radius, half=True)[1]
+    assert all(_same_bits(x, y) for x, y in zip(unpacked[1:], block_ref[1:]))
     V, Q = _enumerate_with_norms([[a]], None, radius, 10**8)
     assert sorted(V.ravel().tolist()) == list(range(1 - k, k))
     res = theta_sum([[a]], None, tol)
@@ -772,12 +808,22 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
+def _unpacked(block, bound):
+    """A block (r0, c, lo, q) as the reference's (r0, c, v0, q, keep): v0
+    rebuilt in int64 from each row's lo and count, keep = q <= bound."""
+    r0, c, lo, q = block
+    starts = np.cumsum(c) - c
+    v0 = np.repeat(lo - starts, c) + np.arange(c.sum(), dtype=np.int64)
+    return r0, c, v0, q, q <= bound
+
+
 def test_enumeration_matches_the_array_reference_bit_for_bit(monkeypatch):
-    # the top level in scalars gives V and every block (r0, c, v0, q, keep)
-    # of the all-array enumeration, bit for bit: n = 1-4, centre 0 and
-    # centres in [-1/2, 1/2]^n, half-space on and off, one block and blocks
-    # of 7 candidates (for n = 1, slices of the one row), and 1 x 1 Grams
-    # with a candidate on the boundary
+    # the float candidates and the top level in scalars give V, as exact
+    # float integers, and every block (r0, c, lo, q), rebuilt as
+    # (r0, c, v0, q, keep), of the all-array int64 enumeration, bit for bit:
+    # n = 1-4, centre 0 and centres in [-1/2, 1/2]^n, half-space on and off,
+    # one block and blocks of 7 candidates (for n = 1, slices of the one
+    # row), and 1 x 1 Grams with a candidate on the boundary
     rng = random.Random(41)
     radius = theta_sum([[1.0]], None, 1e-10).radius
     bound = radius + lattice._BOUNDARY_SLACK * max(radius, 1.0)
@@ -793,18 +839,23 @@ def test_enumeration_matches_the_array_reference_bit_for_bit(monkeypatch):
                 for half in (False, True):
                     V, blocks = _fincke_pohst(U, center, radius, 10**8, half)
                     V_ref, blocks_ref = _reference_fincke_pohst(U, center, radius, half)
-                    assert _same_bits(V, V_ref)
-                    blocks = list(blocks)
+                    assert _same_bits(V, V_ref.astype(float))
+                    blocks = [_unpacked(b, bound) for b in blocks]
                     assert len(blocks) == len(blocks_ref)
                     for got, want in zip(blocks, blocks_ref):
                         assert got[0] == want[0]
                         assert all(_same_bits(x, y) for x, y in zip(got[1:], want[1:]))
 
 
-def _assert_partials_sum_like_fsum(terms):
+def _assert_partials_sum_like_fsum(terms, rungs=None):
+    """The partials of terms add up to fsum of the terms, bit for bit, and
+    there are rungs of them, if given: one float per rung, and one more for
+    the subnormal bottom after the full ladder of 30."""
     terms = np.array(terms, dtype=float)
     want = math.fsum(terms.tolist())
-    assert math.fsum(_exact_partials(terms)).hex() == want.hex()
+    partials = list(_exact_partials(terms))
+    assert math.fsum(partials).hex() == want.hex()
+    assert rungs is None or len(partials) == rungs
 
 
 def test_exact_partials_sum_like_fsum():
@@ -854,6 +905,19 @@ def test_exact_partials_sum_like_fsum():
                                                    rng.integers(1, 2**20, 100) * tiny]))
     _assert_partials_sum_like_fsum(np.ldexp(rng.uniform(0.5, 1.0, size),
                                             rng.integers(-1074, -1040, size)))
+    # the ladder stops once 2^(-35j - 1), the largest residual of rung j, is
+    # below ulp(m) of the smallest term m: at rung 2 for m >= 2^-18, at rung
+    # 3 for m >= 2^-53, at rung 4 for m >= 2^-88, and never for m = 0 or a
+    # subnormal m; no term below 4 stops it at rung 1 (m >= 2^17), only an
+    # empty block does (m = inf).  m = 2^-18 - 2^-71 is a tie at rung 2,
+    # whose residual 2^-71 is lost if the ladder stops one rung early
+    theta = 2.0 * np.exp(-math.pi * rng.uniform(0.0, 8.0, size))
+    for m, rungs in ((2.0 ** -18, 2), (2.0 ** -18 - 2.0 ** -71, 3), (2.0 ** -19 + 2.0 ** -71, 3),
+                     (2.0 ** -53, 3), (2.0 ** -53 - 2.0 ** -106, 4), (2.0 ** -88, 4),
+                     (2.0 ** -88 - 2.0 ** -141, 5), (0.0, 31), (tiny, 31), (2.0 ** -1030, 31)):
+        _assert_partials_sum_like_fsum([m], rungs)
+        _assert_partials_sum_like_fsum(np.concatenate([[m], theta[m < theta]]), rungs)
+    _assert_partials_sum_like_fsum(np.zeros(0), 1)
     # random blocks of theta terms and of terms spread over every exponent,
     # up to the bound 4
     for size in (1, 7, 1000, lattice._BLOCK_POINTS):
