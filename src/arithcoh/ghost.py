@@ -18,7 +18,8 @@ probability measure.  Both are the mixed product
 
 the first kind at mu = delta_0 and the second at u = 1, and the code has one
 path for the three: one convolution body, and one associativity check.  That
-check compares the triples (0, a, b) only, in |G|^3 work and memory: with
+check compares the triples (0, a, b) only, in |G|^3 work and two |G|^3
+arrays of memory: with
 J(s, z, t) = (sum_w mu(w - s) c(w, z) mu(t - w - z)) / (u(s) u(z)) and
 c(x, y) = u(x) u(y) / u(x+y), the product is associative exactly when
 J(a, b, t) = J(a+b, 0, t), which is the x = 0 slice of the full comparison
@@ -503,6 +504,12 @@ def check_associativity(structure, tol: float = 1e-11) -> AssociativityCheck:
     x = 0 decide all |G|^3, in |G|^3 comparisons: c(0, a) core[a, b, t]
     against c(a, b) core[a+b, 0, t].
 
+    The check holds two |G|^3 arrays at a time: the contraction's operand
+    shift_mu[add] c, scaled in place, whose buffer then takes the right
+    side c(a, b) core[a+b, 0, t], and core, which is scaled in place to the
+    left side and holds the differences.  Each value is the float the
+    out-of-place products give, as IEEE multiplication commutes.
+
     ``max_associativity_defect`` is the largest |difference| of the two
     orders over the triples (0, a, b) and the points t: a real triple's
     defect, which in exact arithmetic is zero exactly when every triple
@@ -528,15 +535,19 @@ def check_associativity(structure, tol: float = 1e-11) -> AssociativityCheck:
     c = (u[:, None] * u[None, :]) / u[add]
     if isinstance(structure, GhostSpaceFirstKind):
         shift_mu = np.ones((g, 1))  # T_s delta_0 on its one-point axis t = s
-        core = c[:, :, None]
+        core = c[:, :, None].copy()
+        work = np.empty_like(core)
     else:
         shift_mu = structure.mu[add[group.neg_table(), :]]  # shift_mu[s, w] = mu(w - s)
-        core = np.tensordot(shift_mu, c[:, :, None] * shift_mu[add, :], axes=1)
-    lhs = core * c[0, :, None, None]
-    rhs = core[add, 0]
+        work = shift_mu[add, :]
+        work *= c[:, :, None]
+        core = np.tensordot(shift_mu, work, axes=1)
+    # rhs = core[add, 0] into work; mode="raise" would buffer a third array
+    rhs = np.take(core[:, 0], add, axis=0, out=work, mode="clip")
     rhs *= c[:, :, None]
-    lhs -= rhs
-    assoc = float(np.max(np.abs(lhs, out=lhs)))
+    core *= c[0, :, None, None]  # lhs
+    core -= rhs
+    assoc = float(np.max(np.abs(core, out=core)))
     comm = float(np.max(np.abs(c - c.T))) * float(np.max(np.abs(shift_mu)))
     return AssociativityCheck(assoc <= tol and comm <= tol, assoc, comm, g ** 3)
 

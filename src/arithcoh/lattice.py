@@ -13,14 +13,17 @@ integers, below 2^52 in size, so every candidate v_i and every v_i + c_i is
 the float an integer type would give.  Its last level, which holds almost
 all of the points, comes in blocks: each block's Q is computed once, in
 place, in one float buffer, and is masked only when some candidate lies
-outside the ball.  The terms are added by math.fsum, which is correctly
-rounded: the value depends only on the exact sum of what it is given, not on
-its order, so it needs no sort, and repeated calls are bit-identical.  A
-large block of terms reaches fsum as the exact sums of an error-free split on
-a fixed ladder of grids (_exact_partials), a few floats per block instead of
-one per point, and only as many rungs as the block's smallest term needs;
-their exact sum is that of the terms, so the value is the same float either
-way.
+outside the ball.  A block holds at most 2^14 candidates, so each of its
+buffers is 128 KiB, glibc's default mmap threshold, and the heap reuses them
+from block to block and call to call: a pass of the rr_quadratic benchmark
+takes no minor page fault, against about 8,700 with the 256 KiB buffers of
+2^15.  The terms are added by math.fsum, which is correctly rounded: the
+value depends only on the exact sum of what it is given, not on its order,
+so it needs no sort, and repeated calls are bit-identical.  A large block of
+terms reaches fsum as the exact sums of an error-free split on a fixed
+ladder of grids (_exact_partials), a few floats per block instead of one per
+point, and only as many rungs as the block's smallest term needs; their
+exact sum is that of the terms, so the value is the same float either way.
 """
 
 from __future__ import annotations
@@ -45,15 +48,18 @@ _SYM_RTOL = 1e-12
 _BOUNDARY_SLACK = 1e-9
 # candidates of the last enumeration level expanded at a time; bounds the
 # memory of one theta sum whatever its point count; the exact rung sums of
-# _exact_partials need it to be at most 2^16
-_BLOCK_POINTS = 1 << 15
+# _exact_partials need it to be at most 2^16.  2^14 floats are 128 KiB,
+# glibc's default mmap threshold, and the heap reuses a block's buffers and
+# temporaries.  At 2^15 (256 KiB) a seed-1 pass of the rr_quadratic
+# benchmark took 8,716 minor page faults (getrusage), all in theta sums of
+# 16 k points or more, at about 2.8 us each; at 2^14 it takes none
+_BLOCK_POINTS = 1 << 14
 # blocks of more terms than this reach fsum as the exact rung sums of
-# _exact_partials; tolist + fsum costs 40-60 ns per term.  The two crossed
-# between 512 and 768 terms on 2 cores when a split cost 20-40 us (five
-# numpy passes per rung and a probe per rung); with a min and three or four
-# passes per rung a split of up to 1 k theta terms takes 13-16 us, which
-# moves the crossing near 350 terms
-_BIN_MIN = 640
+# _exact_partials.  On 2 cores, a split of 256 to 1 k theta terms takes
+# 11-16 us (three rungs, a min and three or four passes per rung), and
+# tolist + fsum about 37 ns per term: the two cross at 330-370 terms,
+# by best-of timing of both on one block fed with 40 other floats to fsum
+_BIN_MIN = 352
 # splits eps of the tail bound that theta_sum chooses from (see there): the
 # small ones give the shorter radii at tight tolerances, the large ones at
 # loose tolerances or in many dimensions; each with its log
@@ -201,6 +207,16 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget
     steps on the least and the largest numerator.  A range beyond 2^52,
     infinite or nan raises, and once it fits no divide can overflow.
 
+    The array path computes both bounds of every row in one (2, rows) float
+    array, with the lower one negated: row 0 holds (rad + s) / uii + c_i +
+    slack and row 1 (rad - s) / uii - c_i + slack, and one floor gives -lo
+    and hi.  IEEE rounding is symmetric, so each step on the negated
+    numerator is the exact negation of the step on -rad - s, and
+    floor(-x) = -ceil(x): lo, hi and hi - lo = hi + (-lo) are the floats of
+    the separate ceil and floor, and the reach check takes the least lower
+    numerator as minus the largest of row 0.  lo stays a float array of
+    exact integers, with no int64 round trip; counts is int64, for repeat.
+
     V and T are None at the top level, coordinate n - 1.  It has one row,
     the empty assignment, with s = T = 0, so rad = sqrt(bound) and the
     numerators are -rad and rad; s, lo, counts and total come back as
@@ -216,9 +232,11 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget
     else:
         s = (V + center[i + 1:]) @ U[i, i + 1:]
         rad = np.sqrt(np.maximum(bound - T, 0.0))
-        below, above = -rad - s, rad - s
-        least = float(below.min(initial=math.inf))  # inf and -inf when V has no rows
-        largest = float(above.max(initial=-math.inf))
+        e = np.empty((2, rad.size))  # the negated lower numerators, and the upper ones
+        np.add(rad, s, out=e[0])
+        np.subtract(rad, s, out=e[1])
+        top = e.max(axis=1, initial=-math.inf)  # -inf when V has no rows
+        least, largest = -float(top[0]), float(top[1])
     lo_min = least / uii - ci - _BOUNDARY_SLACK
     hi_max = largest / uii - ci + _BOUNDARY_SLACK
     if not (hi_max < _MAX_REACH and -lo_min < _MAX_REACH):  # a nan fails too
@@ -231,12 +249,18 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget
             lo = max(lo, 0 if i else 1)
         total = counts = max(math.floor(hi_max) - lo + 1, 0)
     else:
-        lo = np.ceil(below / uii - ci - _BOUNDARY_SLACK).astype(np.int64)
-        hi = np.floor(above / uii - ci + _BOUNDARY_SLACK).astype(np.int64)
-        if half:
-            lo[0] = max(lo[0], 0 if i else 1)
-        counts = np.maximum(hi - lo + 1, 0)
-        total = int(counts.sum(dtype=float))  # exact below 2^53, and an int64 sum could wrap
+        e /= uii
+        e[0] += ci
+        e[1] -= ci
+        e += _BOUNDARY_SLACK
+        np.floor(e, out=e)  # -lo and hi
+        if half:  # -lo[0] for lo[0] = max(lo[0], 0 if i else 1)
+            e[0, 0] = min(e[0, 0], 0.0 if i else -1.0)
+        counts = np.add(e[1], e[0])  # hi - lo
+        counts += 1.0
+        total = int(np.maximum(counts, 0.0, out=counts).sum())  # exact below 2^53
+        counts = counts.astype(np.int64)
+        lo = -e[0]
     if (2 * total + (1 if i == 0 else -1) if half else total) > budget:
         raise EnumerationBudgetExceeded(
             f"enumeration needs more than {budget} points; the metric is too flat")
@@ -249,22 +273,29 @@ def _ball_bound(radius: float) -> float:
     return radius + _BOUNDARY_SLACK * max(radius, 1.0)
 
 
-def _candidates(lo: np.ndarray, counts: np.ndarray, total: int) -> np.ndarray:
+def _candidates(lo: np.ndarray, counts: np.ndarray, total: int, V=None) -> np.ndarray:
     """The candidates lo[k], lo[k] + 1, ..., lo[k] + counts[k] - 1 of each
-    row k, row by row, as one array of exact float integers.
+    row k, row by row, as one array of exact float integers.  Given the rows
+    V of the level, they come as column 0 of a 2-D array whose other columns
+    repeat each candidate's row of V: the next level's V before its mask,
+    from one repeat.
 
     The j-th candidate of the array is (lo[k] - start[k]) + j, start[k] the
-    index of row k's first one.  lo[k] - start[k] is exact in int64 and as a
-    float, as |lo[k]| < 2^52 (_level) and start[k] < total, the length of an
-    array this allocates; the sum is an integer of row k's range, below
-    2^52 in size, so the float add is exact too.  Each candidate is the
-    float of the integer that int64 arithmetic gives, and so is v + c_i for
-    a float c_i.
+    index of row k's first one.  lo[k] is a float integer below 2^52 in size
+    (_level) and start[k] < total, the length of an array this allocates,
+    so their float difference is exact; the sum is an integer of row k's
+    range, below 2^52 in size, so the float add is exact too.  Each
+    candidate is the float of the integer that int64 arithmetic gives, and
+    so is v + c_i for a float c_i.
     """
     starts = np.cumsum(counts) - counts
-    v = np.repeat((lo - starts).astype(float), counts)
-    v += np.arange(total, dtype=float)
-    return v
+    if V is None:
+        v = np.repeat(lo - starts, counts)
+        v += np.arange(total, dtype=float)
+        return v
+    W = np.repeat(np.column_stack([lo - starts, V]), counts, axis=0)
+    W[:, 0] += np.arange(total, dtype=float)
+    return W
 
 
 def _expand(v: np.ndarray, s, counts, T, uii, ci) -> np.ndarray:
@@ -275,9 +306,12 @@ def _expand(v: np.ndarray, s, counts, T, uii, ci) -> np.ndarray:
     T is None for the one row of the top level, where s = T = 0.  Adding 0.0
     to a value that is then squared, and to a square, changes no float (a
     -0.0 becomes +0.0, and squares to +0.0 either way), so those two adds
-    are left out.
+    are left out.  So is v + ci for a zero shift ci, +0.0 or -0.0, as in
+    every level of a centred sum: the candidates are exact float integers,
+    never -0.0, and adding a zero to such a float returns it unchanged.
     """
-    v += ci
+    if ci:
+        v += ci
     v *= uii
     if T is not None:
         v += np.repeat(s, counts)
@@ -315,7 +349,10 @@ def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int,
     reach and budget checks on Python floats and its candidates as one
     arange, by the array path's IEEE operations with the zeros left out,
     none of which changes a float.  For n = 1 the last-level blocks are
-    slices of that arange.  The levels below keep the array code.
+    slices of that arange.  The levels below keep the array code.  Each of
+    them builds its candidates and their rows of V as the columns of one
+    array, by one repeat of the rows (_candidates), and one mask of the ball
+    takes the next V from it whole, with no full-length row index.
 
     Points whose Q lands within roundoff of the boundary may be included;
     the caller's tail bound is evaluated at a slightly smaller radius so
@@ -326,13 +363,13 @@ def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int,
     V = T = None  # the top level's one row (see _level)
     for i in range(n - 1, 0, -1):
         s, lo, counts, total = _level(U, center, bound, V, T, i, budget, half)
-        v = np.arange(lo, lo + total, dtype=float) if T is None else _candidates(lo, counts, total)
-        Tn = _expand(v.copy(), s, counts, T, U[i, i], center[i])
+        if T is None:
+            W = np.arange(lo, lo + total, dtype=float)[:, None]
+        else:
+            W = _candidates(lo, counts, total, V)
+        Tn = _expand(W[:, 0].copy(), s, counts, T, U[i, i], center[i])
         keep = Tn <= bound
-        vi = v[keep, None]
-        V = vi if V is None else np.column_stack(
-            [vi, V[np.repeat(np.arange(counts.size), counts)[keep]]])
-        T = Tn[keep]
+        V, T = W[keep], Tn[keep]
     s, lo, counts, total = _level(U, center, bound, V, T, 0, budget, half)
     if V is None:
         V = np.zeros((1, 0))
@@ -347,7 +384,7 @@ def _last_level(s, lo, counts, total: int, T, uii, ci):
         for a in range(0, max(total, 1), _BLOCK_POINTS):
             c = min(_BLOCK_POINTS, total - a)
             v = np.arange(lo + a, lo + a + c, dtype=float)
-            yield 0, np.array([c]), np.array([lo + a]), _expand(v, s, c, None, uii, ci)
+            yield 0, np.array([c]), np.array([lo + a], dtype=float), _expand(v, s, c, None, uii, ci)
         return
     if total <= _BLOCK_POINTS:
         yield 0, counts, lo, _expand(_candidates(lo, counts, total), s, counts, T, uii, ci)
@@ -395,9 +432,7 @@ def _enumerate_with_norms(gram, center, radius: float,
     norms = [np.zeros(0)]
     for r0, c, lo, q in blocks:
         keep = q <= bound
-        rows = r0 + np.repeat(np.arange(c.size), c)[keep]
-        v0 = _candidates(lo, c, q.size)[keep]
-        points.append(np.column_stack([v0, V[rows]]).astype(np.int64))
+        points.append(_candidates(lo, c, q.size, V[r0:r0 + c.size])[keep].astype(np.int64))
         norms.append(q[keep])
     return np.concatenate(points), np.concatenate(norms)
 
@@ -558,10 +593,11 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
     at most _BLOCK_POINTS candidates (_fincke_pohst), whose Q arrive
     computed in one float buffer.  Only a block whose q.max() exceeds the
     bound, which few do, is masked to the ball; the rest go whole.  Each
-    block's exp(-pi Q) is computed in place.  All blocks feed one fsum, so
-    the sum stays correctly rounded over every term, and the arrays of a
-    call stay bounded whatever its point count; the list fsum reads grows
-    by at most 31 floats a full block.  A block of more than _BIN_MIN terms
+    block's exp(-pi Q) is computed in place, and the block is released
+    before the next one is built.  All blocks feed one fsum, so the sum
+    stays correctly rounded over every term, and the arrays of a call stay
+    bounded whatever its point count; the list fsum reads grows by at most
+    31 floats a full block.  A block of more than _BIN_MIN terms
     goes in as the exact sums of an error-free split on a fixed ladder of
     grids (_exact_partials), one float per rung, and only as many rungs as
     its smallest term needs: three for a block of theta terms above 2^-53.
@@ -613,6 +649,7 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
         np.exp(q, out=q)
         kept += q.size
         parts += _exact_partials(q) if q.size > _BIN_MIN else q.tolist()
+        del q  # freed before the next block is built: one block buffer less at the peak
     value = math.fsum(parts)
     if half:
         value *= 2.0

@@ -542,8 +542,44 @@ def test_associativity_mixed_incompatible_pair_reports_defect():
             assert abs(report.max_commutativity_defect - comm) <= 1e-15
 
 
+def _reference_associativity_defect(structure) -> float:
+    """The associativity defect of check_associativity, by its formula in
+    five |G|^3 arrays: the oracle that the two-array version must match bit
+    for bit."""
+    group = structure.group
+    add = group.add_table()
+    u = np.ones(group.size) if isinstance(structure, GhostSpaceSecondKind) else structure.u
+    c = (u[:, None] * u[None, :]) / u[add]
+    if isinstance(structure, GhostSpaceFirstKind):
+        core = c[:, :, None]
+    else:
+        shift_mu = structure.mu[add[group.neg_table(), :]]
+        core = np.tensordot(shift_mu, c[:, :, None] * shift_mu[add, :], axes=1)
+    lhs = core * c[0, :, None, None]
+    rhs = core[add, 0]
+    rhs *= c[:, :, None]
+    lhs -= rhs
+    return float(np.max(np.abs(lhs, out=lhs)))
+
+
+def test_associativity_defect_matches_the_five_array_formula_bit_for_bit():
+    # first kind, its quotient (second kind), a compatible mixed pair and an
+    # incompatible one, whose defect is far from zero
+    rng = random.Random(29)
+    for orders in GROUP_POOL + [(4, 12)]:
+        group = FiniteAbelianGroup(orders)
+        gs = random_first_kind(rng, orders)
+        incompatible = random_mixed_pair(rng, group)
+        for structure in (gs, quotient_by_ghost(group, gs.u), compatible_mixed_pair(rng, group),
+                          incompatible):
+            want = _reference_associativity_defect(structure)
+            assert check_associativity(structure).max_associativity_defect.hex() == want.hex()
+        assert _reference_associativity_defect(incompatible) > 1e-6
+
+
 def test_associativity_memory_stays_cubic():
-    # |G| = 48: one |G|^3 float array is 0.9 MB, a |G|^4 one 42 MB
+    # |G| = 48: one |G|^3 float array is 0.9 MB, a |G|^4 one 42 MB; the
+    # check holds two |G|^3 arrays at a time
     group = FiniteAbelianGroup((4, 12))
     rng = random.Random(12)
     gs = random_first_kind(rng, group.cyclic_orders)
@@ -555,7 +591,7 @@ def test_associativity_memory_stays_cubic():
         finally:
             tracemalloc.stop()
         assert report.triples_checked == 48 ** 3
-        assert peak < 16 * 2**20
+        assert peak < 3 * 48**3 * 8
 
 
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])

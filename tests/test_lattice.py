@@ -697,23 +697,32 @@ def test_block_size_does_not_change_results(monkeypatch):
     rng = random.Random(8)
     shift = [0.3, -0.45, 0.1, 0.2]
     cases = [(_random_gram(rng, n), center) for n in (1, 2, 3, 4) for center in (None, shift[:n])]
-    # 2.5 k to 10 k points, so that full blocks of 640 terms go to fsum as
-    # they are and full blocks of 641 as exact partials (_BIN_MIN = 640)
+    # 2.5 k to 10 k points, so that full blocks of 352 terms go to fsum as
+    # they are and full blocks of 353 as exact partials (_BIN_MIN = 352)
     cases += [(_random_gram(rng, n) * scale, center)
               for n, scale in ((1, 1e-5), (2, 3e-3), (3, 4e-2), (4, 0.2))
               for center in (None, shift[:n])]
-    theta0 = [centred_theta_bound(g, 1e-10) for g, _ in cases]
+    # 108 k to 114 k points: at least 3 full blocks of 2^14 candidates in
+    # the last level, half-space included, and 2 of the former 2^15
+    big = []
+    for n, scale in ((1, 2.7e-9), (2, 7.6e-5), (3, 1.2e-2), (4, 0.038)):
+        g = _random_gram(rng, n) * scale
+        big += [(g, None), (g, shift[:n])]
+    theta0 = [centred_theta_bound(g, 1e-10) for g, _ in cases + big]
     before = [(theta_sum(g, c, 1e-10, theta0=t0),
                _enumerate_with_norms(g, np.zeros(g.shape[0]), 9.0, 10**8))
-              for (g, c), t0 in zip(cases, theta0)]
+              for (g, c), t0 in zip(cases + big, theta0)]
+    assert all(res.points_enumerated > 6 * 2**14 for res, _ in before[len(cases):])
     # blocks of 7 candidates split rows of the last level between blocks;
     # _BIN_MIN = 0 sends each such block, and each full one, through the
     # exact partials
-    for block, bin_min in ((7, lattice._BIN_MIN), (7, 0), (640, lattice._BIN_MIN),
-                           (641, lattice._BIN_MIN), (lattice._BLOCK_POINTS, 0)):
+    for block, bin_min, grams in ((7, lattice._BIN_MIN, cases), (7, 0, cases),
+                                  (352, lattice._BIN_MIN, cases), (353, lattice._BIN_MIN, cases),
+                                  (2**14, 0, cases + big), (2**15, lattice._BIN_MIN, cases + big),
+                                  (2**15, 0, cases + big)):
         monkeypatch.setattr(lattice, "_BLOCK_POINTS", block)
         monkeypatch.setattr(lattice, "_BIN_MIN", bin_min)
-        for (g, c), t0, (res, (V, Q)) in zip(cases, theta0, before):
+        for (g, c), t0, (res, (V, Q)) in zip(grams, theta0, before):
             got = theta_sum(g, c, 1e-10, theta0=t0)
             assert got == res and got.value.hex() == res.value.hex()
             V2, Q2 = _enumerate_with_norms(g, np.zeros(g.shape[0]), 9.0, 10**8)
@@ -812,6 +821,7 @@ def _unpacked(block, bound):
     """A block (r0, c, lo, q) as the reference's (r0, c, v0, q, keep): v0
     rebuilt in int64 from each row's lo and count, keep = q <= bound."""
     r0, c, lo, q = block
+    lo = np.asarray(lo).astype(np.int64)  # exact: lo holds float integers below 2^52
     starts = np.cumsum(c) - c
     v0 = np.repeat(lo - starts, c) + np.arange(c.sum(), dtype=np.int64)
     return r0, c, v0, q, q <= bound
@@ -823,19 +833,25 @@ def test_enumeration_matches_the_array_reference_bit_for_bit(monkeypatch):
     # (r0, c, v0, q, keep), of the all-array int64 enumeration, bit for bit:
     # n = 1-4, centre 0 and centres in [-1/2, 1/2]^n, half-space on and off,
     # one block and blocks of 7 candidates (for n = 1, slices of the one
-    # row), and 1 x 1 Grams with a candidate on the boundary
+    # row), and 1 x 1 Grams with a candidate on the boundary.  A centre of
+    # -0.0s, and one with -0.0 at every other coordinate, pin the skipped
+    # v + c_i of a zero shift
     rng = random.Random(41)
     radius = theta_sum([[1.0]], None, 1e-10).radius
     bound = radius + lattice._BOUNDARY_SLACK * max(radius, 1.0)
     grams = [_random_gram(rng, n) for n in (1, 2, 3, 4) for _ in range(4)]
     grams += [np.array([[bound / 25 * (1.0 + d)]]) for d in (1e-12, -1e-12)]
-    # [[1e-8]] has about 56 k candidates, two default blocks
+    # [[1e-8]] has about 56 k candidates: four default blocks, two in
+    # half-space mode
     for block, cases in ((lattice._BLOCK_POINTS, grams + [np.array([[1e-8]])]), (7, grams)):
         monkeypatch.setattr(lattice, "_BLOCK_POINTS", block)
         for g in cases:
             n = g.shape[0]
             U = cholesky(g).T
-            for center in (np.zeros(n), np.array([rng.uniform(-0.5, 0.5) for _ in range(n)])):
+            shifted = np.array([rng.uniform(-0.5, 0.5) for _ in range(n)])
+            signed_zeros = shifted.copy()
+            signed_zeros[::2] = -0.0
+            for center in (np.zeros(n), -np.zeros(n), shifted, signed_zeros):
                 for half in (False, True):
                     V, blocks = _fincke_pohst(U, center, radius, 10**8, half)
                     V_ref, blocks_ref = _reference_fincke_pohst(U, center, radius, half)
