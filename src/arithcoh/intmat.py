@@ -18,12 +18,13 @@ from math import gcd, prod
 
 def exact_int(x) -> int:
     """int(x) for a value that is an integer; ValueError where int() would
-    truncate (1.5), fail to convert (inf) or convert a string ("3")."""
+    truncate (1.5), fail to convert (inf) or convert a string ("3") or a
+    bool (True)."""
     try:
         n = int(x)
     except OverflowError as exc:
         raise ValueError(f"{x!r} is not an integer") from exc
-    if n != x:
+    if isinstance(x, bool) or n != x:
         raise ValueError(f"{x!r} is not an integer")
     return n
 

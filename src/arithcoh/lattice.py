@@ -13,17 +13,14 @@ integers, below 2^52 in size, so every candidate v_i and every v_i + c_i is
 the float an integer type would give.  Its last level, which holds almost
 all of the points, comes in blocks: each block's Q is computed once, in
 place, in one float buffer, and is masked only when some candidate lies
-outside the ball.  A block holds at most 2^14 candidates, so each of its
-buffers is 128 KiB, glibc's default mmap threshold, and the heap reuses them
-from block to block and call to call: a pass of the rr_quadratic benchmark
-takes no minor page fault, against about 8,700 with the 256 KiB buffers of
-2^15.  The terms are added by math.fsum, which is correctly rounded: the
-value depends only on the exact sum of what it is given, not on its order,
-so it needs no sort, and repeated calls are bit-identical.  A large block of
-terms reaches fsum as the exact sums of an error-free split on a fixed
-ladder of grids (_exact_partials), a few floats per block instead of one per
-point, and only as many rungs as the block's smallest term needs; their
-exact sum is that of the terms, so the value is the same float either way.
+outside the ball.  The terms are added by math.fsum, which is correctly
+rounded: the value depends only on the exact sum of what it is given, not
+on its order, so it needs no sort, and repeated calls are bit-identical.  A
+large block of terms reaches fsum as the exact sums of an error-free split
+on a fixed ladder of grids (_exact_partials), a few floats per block instead
+of one per point, and only as many rungs as the block's smallest term
+needs; their exact sum is that of the terms, so the value is the same float
+either way.
 """
 
 from __future__ import annotations
@@ -205,17 +202,9 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget
     c_i + slack, each step monotone in the numerator and so is its rounding,
     so the least lower and the largest upper bound of all rows are those
     steps on the least and the largest numerator.  A range beyond 2^52,
-    infinite or nan raises, and once it fits no divide can overflow.
-
-    The array path computes both bounds of every row in one (2, rows) float
-    array, with the lower one negated: row 0 holds (rad + s) / uii + c_i +
-    slack and row 1 (rad - s) / uii - c_i + slack, and one floor gives -lo
-    and hi.  IEEE rounding is symmetric, so each step on the negated
-    numerator is the exact negation of the step on -rad - s, and
-    floor(-x) = -ceil(x): lo, hi and hi - lo = hi + (-lo) are the floats of
-    the separate ceil and floor, and the reach check takes the least lower
-    numerator as minus the largest of row 0.  lo stays a float array of
-    exact integers, with no int64 round trip; counts is int64, for repeat.
+    infinite or nan raises, and once it fits no divide can overflow.  The
+    array path's lo is a float array of exact integers, its counts int64,
+    for repeat.
 
     V and T are None at the top level, coordinate n - 1.  It has one row,
     the empty assignment, with s = T = 0, so rad = sqrt(bound) and the
@@ -232,11 +221,9 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget
     else:
         s = (V + center[i + 1:]) @ U[i, i + 1:]
         rad = np.sqrt(np.maximum(bound - T, 0.0))
-        e = np.empty((2, rad.size))  # the negated lower numerators, and the upper ones
-        np.add(rad, s, out=e[0])
-        np.subtract(rad, s, out=e[1])
-        top = e.max(axis=1, initial=-math.inf)  # -inf when V has no rows
-        least, largest = -float(top[0]), float(top[1])
+        below, above = -rad - s, rad - s
+        least = float(below.min(initial=math.inf))  # inf and -inf when V has no rows
+        largest = float(above.max(initial=-math.inf))
     lo_min = least / uii - ci - _BOUNDARY_SLACK
     hi_max = largest / uii - ci + _BOUNDARY_SLACK
     if not (hi_max < _MAX_REACH and -lo_min < _MAX_REACH):  # a nan fails too
@@ -249,18 +236,12 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget
             lo = max(lo, 0 if i else 1)
         total = counts = max(math.floor(hi_max) - lo + 1, 0)
     else:
-        e /= uii
-        e[0] += ci
-        e[1] -= ci
-        e += _BOUNDARY_SLACK
-        np.floor(e, out=e)  # -lo and hi
-        if half:  # -lo[0] for lo[0] = max(lo[0], 0 if i else 1)
-            e[0, 0] = min(e[0, 0], 0.0 if i else -1.0)
-        counts = np.add(e[1], e[0])  # hi - lo
-        counts += 1.0
-        total = int(np.maximum(counts, 0.0, out=counts).sum())  # exact below 2^53
-        counts = counts.astype(np.int64)
-        lo = -e[0]
+        lo = np.ceil(below / uii - ci - _BOUNDARY_SLACK)
+        hi = np.floor(above / uii - ci + _BOUNDARY_SLACK)
+        if half:
+            lo[0] = max(lo[0], 0 if i else 1)
+        counts = np.maximum(hi - lo + 1.0, 0.0).astype(np.int64)
+        total = int(counts.sum(dtype=float))  # exact below 2^53, and an int64 sum could wrap
     if (2 * total + (1 if i == 0 else -1) if half else total) > budget:
         raise EnumerationBudgetExceeded(
             f"enumeration needs more than {budget} points; the metric is too flat")
@@ -340,19 +321,13 @@ def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int,
     holds one.  Every budget check runs before this returns, so no level is
     allocated over budget.
 
-    The candidates are exact float integers (_candidates), below 2^52 in
-    size (_MAX_REACH), so each candidate, its v + c_i and so its Q are the
-    floats that int64 candidates give: no integer array is built.
-
-    The top level, coordinate n - 1, has one row, the empty assignment with
-    s = T = 0, and is computed in scalars (_level, _expand): its bounds,
-    reach and budget checks on Python floats and its candidates as one
-    arange, by the array path's IEEE operations with the zeros left out,
-    none of which changes a float.  For n = 1 the last-level blocks are
-    slices of that arange.  The levels below keep the array code.  Each of
-    them builds its candidates and their rows of V as the columns of one
-    array, by one repeat of the rows (_candidates), and one mask of the ball
-    takes the next V from it whole, with no full-length row index.
+    Each level's bounds, reach and budget checks are those of _level, and
+    its candidates those of _candidates: exact float integers, with no
+    integer array built.  The top level, coordinate n - 1, has one row and
+    is computed in scalars (see _level and _expand), its candidates as one
+    arange; for n = 1 the last-level blocks are slices of it.  Below it, one
+    mask of the ball takes the next V whole from the array that _candidates
+    builds.
 
     Points whose Q lands within roundoff of the boundary may be included;
     the caller's tail bound is evaluated at a slightly smaller radius so

@@ -119,6 +119,8 @@ class FractionalIdeal:
     @classmethod
     def from_rows(cls, fld: NumberFieldDescriptor, rows, den: int = 1) -> "FractionalIdeal":
         frac_rows = [[Fraction(x) for x in r] for r in rows]
+        if any(len(r) != fld.n for r in frac_rows):
+            raise DescriptorInconsistent(f"ideal basis rows must have {fld.n} entries each")
         scale = math.lcm(*(x.denominator for r in frac_rows for x in r))
         try:
             lat_num, lat_den = intmat.lattice_normalize(
@@ -323,8 +325,6 @@ def _make_quadratic(d: int) -> NumberFieldDescriptor:
         integral_basis_embeddings=emb, mult_table=table,
         label=f"Q(sqrt({d}))", quad_d=d)
     fld.different = principal_ideal(fld, (-a, 2))  # (f'(w)) = (2w - a)
-    if fld.different.norm() != delta:
-        raise DescriptorInconsistent("norm of the different does not equal the discriminant")
     return fld
 
 
@@ -338,7 +338,8 @@ def _make_custom(desc: dict) -> NumberFieldDescriptor:
         diff_rows = [[intmat.exact_int(x) for x in row] for row in desc["different_basis"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidFieldSpec(f"malformed custom field descriptor: {exc}") from exc
-    if not isinstance(desc["embeddings"], list) or not all(map(math.isfinite, emb_flat)):
+    if not isinstance(desc["embeddings"], list) or not all(map(math.isfinite, emb_flat)) \
+            or any(isinstance(x, bool) for x in desc["embeddings"]):
         raise InvalidFieldSpec("custom field embeddings must be a list of finite reals")
     if r1 < 0 or r2 < 0 or r1 + 2 * r2 != n:
         raise DescriptorInconsistent(

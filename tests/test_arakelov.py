@@ -655,6 +655,26 @@ def test_load_divisor_needs_a_json_array_of_reals():
             load_divisor(F, {"finite": [], "infinite": infinite})
 
 
+def test_load_divisor_refuses_ideal_rows_of_the_wrong_length():
+    # a short row raised IndexError in hnf_rows; a long one lost its extra
+    # entries, and the divisor loaded
+    for rows in ([[1, 0], [0]], [[1, 0], [0, 1], [5, 7, 9]]):
+        with pytest.raises(DescriptorInconsistent, match="must have 2 entries"):
+            load_divisor(QI, {"finite": {"ideal": {"numerator_basis": rows}},
+                              "infinite": [0.0]})
+
+
+def test_load_divisor_refuses_booleans():
+    # JSON true was read as the integer 1 and the real 1.0
+    for obj in ({"finite": [{"p": 2, "exponent": True}], "infinite": [0.0]},
+                {"finite": [{"p": 5, "index": True, "exponent": 1}], "infinite": [0.0]},
+                {"finite": {"ideal": {"numerator_basis": [[True, 0], [0, 1]]}},
+                 "infinite": [0.0]},
+                {"finite": [], "infinite": [True]}):
+        with pytest.raises(InvalidDivisor):
+            load_divisor(QI, obj)
+
+
 def test_h0_near_the_float_limit_gives_a_typed_error():
     # x_sigma = -354 scales the basis of P, P above 11, past 2^511: LLL ran
     # into NaN there, it now reduces at an exact scale 2^-e and the Gram's

@@ -361,6 +361,12 @@ _MALFORMED = {
     "field-different-int": ("field", {**_CUSTOM_QI, "different_basis": 5}),
     "divisor-rank-1": ("divisor", _ideal_divisor([[1, 0], [2, 0]])),
     "divisor-ragged": ("divisor", _ideal_divisor([[1, 0], [2]])),
+    # rows of the wrong length: an IndexError traceback, or the extra entry dropped
+    "divisor-row-short": ("divisor", _ideal_divisor([[1, 0], [0]])),
+    "divisor-row-long": ("divisor", _ideal_divisor([[1, 0], [0, 1], [5, 7, 9]])),
+    "field-different-row-long": ("field", {**_CUSTOM_QI, "different_basis": [[2, 0], [0, 2, 5]]}),
+    # JSON true, read as the exponent 1 and x_sigma = 1.0
+    "divisor-bool": ("divisor", {"finite": [{"p": 2, "exponent": True}], "infinite": [True]}),
     "divisor-zero": ("divisor", _ideal_divisor([[0, 0], [0, 0]])),
     "divisor-no-rows": ("divisor", _ideal_divisor([])),
     "divisor-basis-str": ("divisor", _ideal_divisor("x")),

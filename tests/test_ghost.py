@@ -233,6 +233,16 @@ def test_quotient_by_ghost_examples():
     assert np.allclose(uniform.mu, np.ones(3) / 3)
 
 
+def test_quotient_by_ghost_takes_any_u0_that_check_first_kind_passes():
+    # u(0) = 1 - 1e-12 passes check_first_kind; additivity asserted against
+    # log|G| alone refused it, by 1e-12
+    u = [1 - 1e-12, 0.5]
+    q = quotient_by_ghost(Z2, u)
+    assert q.mu.tolist() == [x / math.fsum(u) for x in u]
+    additivity = dim_first(GhostSpaceFirstKind(Z2, u)) + dim_second(q) - math.log(2)
+    assert abs(additivity - math.log(u[0])) <= 4 * math.ulp(math.log(2))
+
+
 def test_subgroup_from_generators():
     g = FiniteAbelianGroup((2, 4))
     assert subgroup_from_generators(g, []) == ((0, 0),)
@@ -649,4 +659,11 @@ def test_load_ghost_values_must_be_a_json_array():
     # nested lists were flattened by the constructors and loaded
     for key, values in (("u", [[1.0], [0.5]]), ("mu", [[0.75], [0.25]]), ("u", [[1.0, 0.5]])):
         with pytest.raises(InvalidGhostSpace, match=f"'{key}' must be a flat list of reals"):
+            load_ghost({"cyclic_orders": [2], key: values})
+
+
+def test_load_ghost_refuses_booleans():
+    # JSON true was read as 1.0: u = (1, 0.5) and mu = delta_0 loaded
+    for key, values in (("u", [True, 0.5]), ("mu", [True, False])):
+        with pytest.raises(InvalidGhostSpace, match=f"'{key}' must be a list of reals"):
             load_ghost({"cyclic_orders": [2], key: values})

@@ -479,6 +479,25 @@ def test_custom_descriptor_embeddings_must_be_a_json_array():
             make_field({**rational, "embeddings": embeddings})
 
 
+def test_custom_different_rows_of_the_wrong_length_are_refused():
+    # a long row lost its extra entries, and the field loaded
+    qi = {"degree": 2, "r1": 0, "r2": 1, "abs_discriminant": 4,
+          "embeddings": [1.0, 0.0, 0.0, 1.0]}
+    for rows in ([[2, 0], [0]], [[2, 0], [0, 2, 5]]):
+        with pytest.raises(DescriptorInconsistent, match="must have 2 entries"):
+            make_field({**qi, "different_basis": rows})
+
+
+def test_custom_descriptor_refuses_booleans():
+    # JSON true was read as the integer 1 and the real 1.0, and so as Q
+    rational = {"degree": 1, "r1": 1, "r2": 0, "abs_discriminant": 1,
+                "embeddings": [1.0], "different_basis": [[1]]}
+    for key, value in (("degree", True), ("r1", True), ("abs_discriminant", True),
+                       ("embeddings", [True]), ("different_basis", [[True]])):
+        with pytest.raises(InvalidFieldSpec):
+            make_field({**rational, key: value})
+
+
 def test_fractional_ideal_hnf_shape():
     Qi = make_field(("quadratic", -1))
     I = principal_ideal(Qi, (Fraction(3, 2), Fraction(1, 2)))
