@@ -355,8 +355,8 @@ def load_divisor(fld: NumberFieldDescriptor, obj: dict) -> ArakelovDivisor:
         infinite = [float(t) for t in obj["infinite"]]
     except (TypeError, ValueError) as exc:
         raise InvalidDivisor("infinite components must be reals") from exc
-    if any(isinstance(t, bool) for t in obj["infinite"]):
-        raise InvalidDivisor("infinite components must be reals, not booleans")
+    if any(isinstance(t, (bool, str)) for t in obj["infinite"]):  # float() reads "0.4"
+        raise InvalidDivisor("infinite components must be reals, not booleans or strings")
     finite = obj.get("finite", [])
     if isinstance(finite, dict):
         if "ideal" not in finite:

@@ -83,10 +83,17 @@ def _divisor(args):
 def _cmd_field_info(args) -> int:
     fld, field_sha = _field(args)
     deg_k = arakelov.degree(arakelov.canonical_divisor(fld))
-    lat = numfield.embed_ideal(fld, numfield.unit_ideal(fld),
-                               [0.0] * (fld.r1 + fld.r2))
+    unit = numfield.unit_ideal(fld)
+    lat = numfield.embed_ideal(fld, unit, [0.0] * (fld.r1 + fld.r2))
     expected = math.sqrt(fld.abs_discriminant)
     check_ok = abs(lat.covolume - expected) <= 1e-8 * expected
+    # a custom descriptor's different comes from outside: it must invert O^v,
+    # which the field derives from its trace form
+    product = numfield.ideal_mul(fld.different, fld.codifferent)
+    different_ok = (product.num, product.den) == (unit.num, unit.den)
+    if not different_ok:
+        _log(f"error: the different is not the inverse of the codifferent: its norm is "
+             f"{fld.different.norm()}, |disc| is {fld.abs_discriminant}")
     return _report("field-info", {
         "degree": fld.n,
         "signature": [fld.r1, fld.r2],
@@ -97,7 +104,7 @@ def _cmd_field_info(args) -> int:
         "deg_canonical": deg_k,
         "covolume_check": {"covolume": lat.covolume, "expected": expected,
                            "passed": check_ok},
-    }, check_ok, inputs={"field": field_sha})
+    }, check_ok and different_ok, inputs={"field": field_sha})
 
 
 def _cmd_h(args) -> int:

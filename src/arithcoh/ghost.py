@@ -19,7 +19,8 @@ probability measure.  Both are the mixed product
 the first kind at mu = delta_0 and the second at u = 1, and the code has one
 path for the three: one convolution body, and one associativity check.  That
 check compares the triples (0, a, b) only, in |G|^3 work and two |G|^3
-arrays of memory: with
+arrays of memory held in one allocation, and it skips each scaling by an
+exact 1: the second kind's twist, and c(0, a) when u(0) = 1.0.  With
 J(s, z, t) = (sum_w mu(w - s) c(w, z) mu(t - w - z)) / (u(s) u(z)) and
 c(x, y) = u(x) u(y) / u(x+y), the product is associative exactly when
 J(a, b, t) = J(a+b, 0, t), which is the x = 0 slice of the full comparison
@@ -491,11 +492,14 @@ def check_associativity(structure, tol: float = 1e-11) -> AssociativityCheck:
     x = 0 decide all |G|^3, in |G|^3 comparisons: c(0, a) core[a, b, t]
     against c(a, b) core[a+b, 0, t].
 
-    The check holds two |G|^3 arrays at a time: the contraction's operand
-    shift_mu[add] c, scaled in place, whose buffer then takes the right
-    side c(a, b) core[a+b, 0, t], and core, which is scaled in place to the
-    left side and holds the differences.  Each value is the float the
-    out-of-place products give, as IEEE multiplication commutes.
+    The check holds two |G|^3 arrays, in one allocation: the contraction's
+    operand shift_mu[add] c, scaled in place, whose buffer then takes the
+    right side c(a, b) core[a+b, 0, t], and core, which is scaled in place
+    to the left side and holds the differences.  Each value is the float the
+    out-of-place products give, as IEEE multiplication commutes.  A scaling
+    whose factor is exactly 1 is skipped, since x * 1.0 = x: the second kind
+    carries no twist (c = 1), and c(0, a) = u(0) u(a) / u(a) = 1 exactly
+    when u(0) = 1.0, as u is positive and finite.
 
     ``max_associativity_defect`` is the largest |difference| of the two
     orders over the triples (0, a, b) and the points t: a real triple's
@@ -510,32 +514,45 @@ def check_associativity(structure, tol: float = 1e-11) -> AssociativityCheck:
     its one-point axis), so the largest difference is max |c - c^T| times
     max |shift_mu|.  In floats c is symmetric bit for bit, as IEEE
     multiplication commutes, so the defect reads 0 unless c overflows to a
-    non-finite entry.  ``triples_checked`` counts the |G|^3 triples the
-    result covers.
+    non-finite entry; for the second kind, with no c, it is 0.0.
+    ``triples_checked`` counts the |G|^3 triples the result covers.
     """
     if not isinstance(structure, (GhostSpaceFirstKind, GhostSpaceSecondKind, MixedGhostSpace)):
         raise TypeError(f"cannot check associativity of {type(structure).__name__}")
     group = structure.group
     g = group.size
     add = group.add_table()
-    u = np.ones(g) if isinstance(structure, GhostSpaceSecondKind) else structure.u
-    c = (u[:, None] * u[None, :]) / u[add]
+    twisted = not isinstance(structure, GhostSpaceSecondKind)
+    if twisted:
+        u = structure.u
+        c = (u[:, None] * u[None, :]) / u[add]
     if isinstance(structure, GhostSpaceFirstKind):
         shift_mu = np.ones((g, 1))  # T_s delta_0 on its one-point axis t = s
         core = c[:, :, None].copy()
         work = np.empty_like(core)
     else:
         shift_mu = structure.mu[add[group.neg_table(), :]]  # shift_mu[s, w] = mu(w - s)
-        work = shift_mu[add, :]
-        work *= c[:, :, None]
-        core = np.tensordot(shift_mu, work, axes=1)
-    # rhs = core[add, 0] into work; mode="raise" would buffer a third array
-    rhs = np.take(core[:, 0], add, axis=0, out=work, mode="clip")
-    rhs *= c[:, :, None]
-    core *= c[0, :, None, None]  # lhs
+        # One block, not two: glibc maps a block above its mmap threshold
+        # afresh, then raises that threshold to the freed block's size and
+        # its trim threshold to twice that.  Two 885 KiB arrays (|G| = 48)
+        # were trimmed from the heap top and faulted in again on every call,
+        # 3,200-3,500 minor faults a seed-1 ghost_suite pass; one 1.77 MiB
+        # block stays on the heap, and the pass takes 0-2.
+        work, core = np.empty((2, g, g, g))
+        # mode="raise" would buffer out, a third array, here and below
+        np.take(shift_mu, add, axis=0, out=work, mode="clip")  # shift_mu[add, :]
+        if twisted:
+            work *= c[:, :, None]
+        # the GEMM np.tensordot makes; another shape would change its bits
+        np.dot(shift_mu, work.reshape(g, g * g), out=core.reshape(g, g * g))
+    rhs = np.take(core[:, 0], add, axis=0, out=work, mode="clip")  # core[add, 0]
+    if twisted:
+        rhs *= c[:, :, None]
+        if u[0] != 1.0:
+            core *= c[0, :, None, None]  # lhs
     core -= rhs
     assoc = float(np.max(np.abs(core, out=core)))
-    comm = float(np.max(np.abs(c - c.T))) * float(np.max(np.abs(shift_mu)))
+    comm = float(np.max(np.abs(c - c.T))) * float(np.max(np.abs(shift_mu))) if twisted else 0.0
     return AssociativityCheck(assoc <= tol and comm <= tol, assoc, comm, g ** 3)
 
 
@@ -551,7 +568,7 @@ def load_ghost(obj: dict):
     if ("u" in obj) == ("mu" in obj):
         raise InvalidGhostSpace("ghost descriptor needs exactly one of 'u' or 'mu'")
     key = "u" if "u" in obj else "mu"
-    if not isinstance(obj[key], list) or any(isinstance(x, bool) for x in obj[key]):
+    if not isinstance(obj[key], list) or any(isinstance(x, (bool, str)) for x in obj[key]):
         raise InvalidGhostSpace(f"'{key}' must be a list of reals")
     try:
         values = np.asarray(obj[key], dtype=float)

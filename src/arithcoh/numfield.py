@@ -339,7 +339,7 @@ def _make_custom(desc: dict) -> NumberFieldDescriptor:
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidFieldSpec(f"malformed custom field descriptor: {exc}") from exc
     if not isinstance(desc["embeddings"], list) or not all(map(math.isfinite, emb_flat)) \
-            or any(isinstance(x, bool) for x in desc["embeddings"]):
+            or any(isinstance(x, (bool, str)) for x in desc["embeddings"]):
         raise InvalidFieldSpec("custom field embeddings must be a list of finite reals")
     if r1 < 0 or r2 < 0 or r1 + 2 * r2 != n:
         raise DescriptorInconsistent(

@@ -675,6 +675,12 @@ def test_load_divisor_refuses_booleans():
             load_divisor(QI, obj)
 
 
+def test_load_divisor_refuses_strings():
+    # float() read the JSON string "0.4" as the real 0.4
+    with pytest.raises(InvalidDivisor, match="not booleans or strings"):
+        load_divisor(QI, {"finite": [], "infinite": ["0.4"]})
+
+
 def test_h0_near_the_float_limit_gives_a_typed_error():
     # x_sigma = -354 scales the basis of P, P above 11, past 2^511: LLL ran
     # into NaN there, it now reduces at an exact scale 2^-e and the Gram's

@@ -371,6 +371,10 @@ _MALFORMED = {
     "divisor-no-rows": ("divisor", _ideal_divisor([])),
     "divisor-basis-str": ("divisor", _ideal_divisor("x")),
     "divisor-infinite-str": ("divisor", {"finite": [], "infinite": ["a"]}),
+    # JSON strings of numbers, which float() read as reals
+    "divisor-infinite-digits": ("divisor", {"finite": [], "infinite": ["0.4"]}),
+    "field-embeddings-digits-list": ("field", {**_CUSTOM_QI, "embeddings": ["1", "0", "0", "1"]}),
+    "ghost-u-digits-list": ("ghost", {"cyclic_orders": [2], "u": ["1", "0.5"]}),
     "divisor-infinite-dict": ("divisor", {"finite": [], "infinite": {"x": 1}}),
     "divisor-p-str": ("divisor", {"finite": [{"p": "2", "exponent": 1}], "infinite": [0.0]}),
     # past the bound where primality is decided; trial division hung on it
@@ -474,3 +478,17 @@ def test_module_entry_point_matches_main(files, capsys):
     code, out, _ = run(capsys, argv)
     assert code == 0 and (proc.returncode, proc.stdout) == (code, out)
     assert json.loads(out)["command"] == "field-info"
+
+
+@pytest.mark.parametrize("different, ok", [([[1, 0], [0, 1]], False), ([[2, 0], [0, 2]], True)])
+def test_field_info_checks_the_custom_different(files, capsys, different, ok):
+    # the unit ideal as the different of Q(i) loaded, and field-info passed it
+    field = files["write"]("qi_custom.json", {**_CUSTOM_QI, "different_basis": different})
+    code, out, err = run(capsys, ["field-info", "--field", field])
+    report = json.loads(out)
+    assert (code, report["pass"]) == ((0, True) if ok else (2, False))
+    assert report["results"]["different"]["norm"] == ("4" if ok else "1")
+    errors = [line for line in err.splitlines() if line.startswith("error: ")]
+    assert errors == ([] if ok else
+                      ["error: the different is not the inverse of the codifferent: "
+                       "its norm is 1, |disc| is 4"])

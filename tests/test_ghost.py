@@ -572,18 +572,34 @@ def _reference_associativity_defect(structure) -> float:
     return float(np.max(np.abs(lhs, out=lhs)))
 
 
+def random_second_kind(rng, group):
+    """mu(x) = sum_y nu(x + y) nu(y) for a random probability measure nu:
+    even, and positive-definite, as its transform is |nu^|^2."""
+    nu = np.array([rng.uniform(0.0, 1.0) for _ in range(group.size)])
+    nu /= nu.sum()
+    return GhostSpaceSecondKind(group, nu[group.add_table()] @ nu)
+
+
 def test_associativity_defect_matches_the_five_array_formula_bit_for_bit():
-    # first kind, its quotient (second kind), a compatible mixed pair and an
-    # incompatible one, whose defect is far from zero
+    # first kind, its quotient (second kind), a second kind of its own, a
+    # compatible mixed pair, an incompatible one, whose defect is far from
+    # zero, and that one at u(0) = 1 - 2^-40, where c(0, a) is not all 1.0.
+    # Groups of order 42, 45 and 48 meet the GEMM's edge tiles
     rng = random.Random(29)
-    for orders in GROUP_POOL + [(4, 12)]:
+    for orders in GROUP_POOL + [(4, 12), (42,), (45,), (3, 15)]:
         group = FiniteAbelianGroup(orders)
         gs = random_first_kind(rng, orders)
         incompatible = random_mixed_pair(rng, group)
-        for structure in (gs, quotient_by_ghost(group, gs.u), compatible_mixed_pair(rng, group),
-                          incompatible):
+        u = np.array(incompatible.u)
+        u[0] = 1.0 - 2.0 ** -40
+        below_one = MixedGhostSpace(group, u, incompatible.mu)
+        for structure in (gs, quotient_by_ghost(group, gs.u), random_second_kind(rng, group),
+                          compatible_mixed_pair(rng, group), incompatible, below_one):
+            report = check_associativity(structure)
             want = _reference_associativity_defect(structure)
-            assert check_associativity(structure).max_associativity_defect.hex() == want.hex()
+            assert report.max_associativity_defect.hex() == want.hex()
+            # c is symmetric bit for bit, so max|c - c^T| max|mu| is 0
+            assert report.max_commutativity_defect.hex() == (0.0).hex()
         assert _reference_associativity_defect(incompatible) > 1e-6
 
 
@@ -659,6 +675,13 @@ def test_load_ghost_values_must_be_a_json_array():
     # nested lists were flattened by the constructors and loaded
     for key, values in (("u", [[1.0], [0.5]]), ("mu", [[0.75], [0.25]]), ("u", [[1.0, 0.5]])):
         with pytest.raises(InvalidGhostSpace, match=f"'{key}' must be a flat list of reals"):
+            load_ghost({"cyclic_orders": [2], key: values})
+
+
+def test_load_ghost_refuses_strings():
+    # np.asarray(..., dtype=float) read the JSON strings "1" and "0.5" as reals
+    for key, values in (("u", ["1", "0.5"]), ("mu", ["0.75", 0.25])):
+        with pytest.raises(InvalidGhostSpace, match=f"'{key}' must be a list of reals"):
             load_ghost({"cyclic_orders": [2], key: values})
 
 

@@ -498,6 +498,14 @@ def test_custom_descriptor_refuses_booleans():
             make_field({**rational, key: value})
 
 
+def test_custom_descriptor_refuses_strings():
+    # float() read the JSON strings "1" and "0" as reals, and so as Q(i)
+    qi = {"degree": 2, "r1": 0, "r2": 1, "abs_discriminant": 4,
+          "embeddings": ["1", "0", "0", "1"], "different_basis": [[2, 0], [0, 2]]}
+    with pytest.raises(InvalidFieldSpec, match="list of finite reals"):
+        make_field(qi)
+
+
 def test_fractional_ideal_hnf_shape():
     Qi = make_field(("quadratic", -1))
     I = principal_ideal(Qi, (Fraction(3, 2), Fraction(1, 2)))
