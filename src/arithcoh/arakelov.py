@@ -32,10 +32,10 @@ from .numfield import (
     NumberFieldDescriptor,
     PrimeIdeal,
     _embed_reduced,
+    _trace_dual,
     embed_ideal,
     ideal_inv,
     ideal_mul,
-    ideal_pow,
     infinite_weights,
     make_field,
     primes_above,
@@ -43,8 +43,8 @@ from .numfield import (
 )
 
 # n log 2^1024 caps sum |e| log N(P) over the exponents of each sign of a
-# prime-exponent divisor, so that the two exact ideal products of ideal()
-# stay cheap.  Such divisors exist only over Q and quadratic fields
+# prime-exponent divisor, so that the two one-sign products of ideal() stay
+# cheap.  Such divisors exist only over Q and quadratic fields
 # (primes_above), so n <= 2 wherever the cap is read.  One product beyond it
 # has an HNF entry above 2^1024 or below 2^-1024, out of the float range or
 # subnormal; the two signs may cancel (2^700 3^-442 is near 1), and an ideal
@@ -94,17 +94,18 @@ class ArakelovDivisor:
         """Associated fractional ideal prod P^(-x_P).
 
         Built as N * M^-1 with N = prod P^(-e) over the negative exponents and
-        M = prod P^e over the positive ones: one inverse, none when M = O.
-        HNF bases are canonical, so the order of the products does not show
-        in the result.
+        M^-1 = prod (P^-1)^e over the positive ones, from the inverse each
+        prime carries: sum |e| - 1 products and no inverse.  Each sign is its
+        own chain, joined by one last product: a chain that alternates signs
+        carries the large entries of both through every step.  HNF bases are
+        canonical, so the order of the products does not show in the result.
         """
         if self.explicit is not None:
             return self.explicit
-        num = [ideal_pow(prime.ideal, -e) for prime, e in self.primes if e < 0]
-        den = [ideal_pow(prime.ideal, e) for prime, e in self.primes if e > 0]
-        if den:
-            num.append(ideal_inv(functools.reduce(ideal_mul, den)))
-        return functools.reduce(ideal_mul, num) if num else unit_ideal(self.field)
+        neg = [prime.ideal for prime, e in self.primes for _ in range(-e)]
+        pos = [prime.inverse for prime, e in self.primes for _ in range(e)]
+        sides = [functools.reduce(ideal_mul, side) for side in (neg, pos) if side]
+        return functools.reduce(ideal_mul, sides) if sides else unit_ideal(self.field)
 
 
 def divisor_from_primes(fld, prime_exponents, infinite) -> ArakelovDivisor:
@@ -283,12 +284,19 @@ def verify_duality(D: ArakelovDivisor, tol: float = 1e-9, budget: int = DEFAULT_
     The ideal I of D is built once.  K has the ideal d^-1, so K - D has the
     ideal (d I)^-1, with d the descriptor's own different rather than the
     field's O^v: a descriptor whose different is wrong must still break the
-    identity.
+    identity.  That ideal is one trace dual: J^v = J^-1 O^v, so
+    (I d O^v)^v = (d I)^-1, with d O^v formed once by the field.  For the
+    true different d O^v = O and the dual is I^v.  The dual is taken of
+    I d O^v, not of I alone, because I^v is the ideal for the true different
+    whatever the descriptor says; a wrong d leaves d O^v != O, h0(K - D) is
+    then summed over the lattice of that d, and Riemann-Roch fails wherever
+    h0(K - D) is large enough to show it.
     """
     F, I = D.field, D.ideal()
     a = h0(divisor_from_ideal(F, I, D.infinite), tol / 4.0, budget)
-    b = h0(divisor_from_ideal(F, ideal_inv(ideal_mul(F.different, I)),
-                              [0.0 - x for x in D.infinite]), tol / 4.0, budget)
+    scale = F.different_codifferent
+    kd = _trace_dual(I if scale == unit_ideal(F) else ideal_mul(I, scale))
+    b = h0(divisor_from_ideal(F, kd, [0.0 - x for x in D.infinite]), tol / 4.0, budget)
     lhs = a.value - b.value
     rhs = degree(D) - 0.5 * math.log(D.field.abs_discriminant)
     rr_delta = abs(lhs - rhs)

@@ -89,8 +89,7 @@ def _cmd_field_info(args) -> int:
     check_ok = abs(lat.covolume - expected) <= 1e-8 * expected
     # a custom descriptor's different comes from outside: it must invert O^v,
     # which the field derives from its trace form
-    product = numfield.ideal_mul(fld.different, fld.codifferent)
-    different_ok = (product.num, product.den) == (unit.num, unit.den)
+    different_ok = fld.different_codifferent == unit
     if not different_ok:
         _log(f"error: the different is not the inverse of the codifferent: its norm is "
              f"{fld.different.norm()}, |disc| is {fld.abs_discriminant}")

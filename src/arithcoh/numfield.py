@@ -15,9 +15,13 @@ The trace dual of J = A / den is den adj(A)^T adj(T) / (det A det T): adj(A)
 comes from back-substitution on the triangular HNF A, and the field stores
 its trace form T_ij = Tr(w_i w_j), the traces of its multiplication table,
 as adj T and det T.  O^v, the trace dual of O, is computed once per field
-from the trace form alone when the descriptor is built; so is the covolume
-self-check.  The norm of an ideal is the product of its HNF pivots over
-den^n.  Only the embeddings are floating point.
+from the trace form alone when the descriptor is built; so are the covolume
+self-check and the product d * O^v of the descriptor's different with it.
+An inverse is one product and one trace dual, so the hot paths take none:
+each prime carries its inverse from primes_above, a divisor's ideal is a
+product of primes and their inverses, and J^v = (J d)^-1 when d * O^v = O.
+The norm of an ideal is the product of its HNF pivots over den^n.  Only the
+embeddings are floating point.
 
 Conventions fixed here because descriptor files depend on them:
   * archimedean places are ordered real-first (ascending value of the
@@ -74,6 +78,9 @@ class NumberFieldDescriptor:
     # O^v = {x : Tr(xO) in Z}, from the trace form: the descriptor's different
     # does not enter it
     codifferent: "FractionalIdeal" = field(init=False, repr=False, compare=False)
+    # d * O^v for the descriptor's different d, set with d by _set_different:
+    # O exactly when d is the true different
+    different_codifferent: "FractionalIdeal" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_covolume(self)
@@ -152,6 +159,8 @@ class PrimeIdeal:
     residue_degree: int
     ramification: int
     ideal: FractionalIdeal
+    # P^-1, formed with P by primes_above: derived, like residue_norm
+    inverse: FractionalIdeal = field(repr=False, compare=False)
 
     def __repr__(self):
         return f"Prime(p={self.p}, index={self.index}, N={self.residue_norm})"
@@ -258,6 +267,12 @@ def ideal_norm(I: FractionalIdeal) -> Fraction:
 # field construction
 
 
+def _set_different(fld: NumberFieldDescriptor, different: FractionalIdeal):
+    fld.different = different
+    fld.different_codifferent = ideal_mul(different, fld.codifferent)
+    return fld
+
+
 def _is_squarefree(m: int) -> bool:
     """Whether no square of a prime divides m.
 
@@ -291,8 +306,7 @@ def _make_rational() -> NumberFieldDescriptor:
         degree=1, signature=(1, 0), abs_discriminant=1,
         integral_basis_embeddings=np.array([[1.0]]),
         mult_table=(((1,),),), label="Q", quad_d=None)
-    fld.different = unit_ideal(fld)
-    return fld
+    return _set_different(fld, unit_ideal(fld))
 
 
 def _make_quadratic(d: int) -> NumberFieldDescriptor:
@@ -324,8 +338,7 @@ def _make_quadratic(d: int) -> NumberFieldDescriptor:
         degree=2, signature=signature, abs_discriminant=delta,
         integral_basis_embeddings=emb, mult_table=table,
         label=f"Q(sqrt({d}))", quad_d=d)
-    fld.different = principal_ideal(fld, (-a, 2))  # (f'(w)) = (2w - a)
-    return fld
+    return _set_different(fld, principal_ideal(fld, (-a, 2)))  # (f'(w)) = (2w - a)
 
 
 def _make_custom(desc: dict) -> NumberFieldDescriptor:
@@ -376,8 +389,7 @@ def _make_custom(desc: dict) -> NumberFieldDescriptor:
         degree=n, signature=(r1, r2), abs_discriminant=delta,
         integral_basis_embeddings=emb, mult_table=table,
         label=desc.get("label", f"custom_deg{n}"), quad_d=None)
-    fld.different = FractionalIdeal.from_rows(fld, diff_rows)
-    return fld
+    return _set_different(fld, FractionalIdeal.from_rows(fld, diff_rows))
 
 
 def make_field(spec) -> NumberFieldDescriptor:
@@ -465,7 +477,8 @@ def primes_above(fld: NumberFieldDescriptor, p: int) -> list[PrimeIdeal]:
     if not _is_prime(p):
         raise ValueError(f"{p} is not a rational prime")
     if fld.n == 1:
-        return [PrimeIdeal(p, 0, p, 1, 1, principal_ideal(fld, (p,)))]
+        ideal = principal_ideal(fld, (p,))
+        return [PrimeIdeal(p, 0, p, 1, 1, ideal, ideal_inv(ideal))]
     if fld.quad_d is None:
         raise UnsupportedField(
             "custom fields carry no splitting data; specify divisors by explicit ideal bases")
@@ -478,7 +491,7 @@ def primes_above(fld: NumberFieldDescriptor, p: int) -> list[PrimeIdeal]:
         roots = [] if root is None else sorted({(a + root) * half % p, (a - root) * half % p})
     if not roots:
         ideal = principal_ideal(fld, (p, 0))
-        return [PrimeIdeal(p, 0, p * p, 2, 1, ideal)]
+        return [PrimeIdeal(p, 0, p * p, 2, 1, ideal, ideal_inv(ideal))]
     ramified = fld.abs_discriminant % p == 0
     out = []
     for idx, r in enumerate(roots):
@@ -486,7 +499,7 @@ def primes_above(fld: NumberFieldDescriptor, p: int) -> list[PrimeIdeal]:
         rows = [[p, 0], [0, p], [-r, 1], [b, a - r]]
         ideal = FractionalIdeal.from_rows(fld, rows)
         e = 2 if ramified else 1
-        out.append(PrimeIdeal(p, idx, p, 1, e, ideal))
+        out.append(PrimeIdeal(p, idx, p, 1, e, ideal, ideal_inv(ideal)))
     return out
 
 

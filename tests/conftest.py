@@ -4,11 +4,14 @@ test suite."""
 import cmath
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 
 from arithcoh.ghost import FiniteAbelianGroup, GhostSpaceFirstKind, idft, quotient_group_map
+from arithcoh.intmat import inv_fraction
 from arithcoh.lattice import theta_sum
+from arithcoh.numfield import FractionalIdeal, elem_mul, elem_trace
 
 # group shapes with |G| <= 16 used by the randomized ghost suites
 GROUP_POOL = [
@@ -88,6 +91,35 @@ def hnf_sorting_loop(rows):
                 mat[i] = [a - q * b for a, b in zip(mat[i], mat[row])]
         row += 1
     return mat[:row]
+
+
+def fraction_ideal(F, frac_rows):
+    """Oracle: the ideal spanned by rational rows, as the Fraction path built
+    it: common denominator, sorting-loop HNF, content divided out."""
+    den = math.lcm(*(Fraction(x).denominator for r in frac_rows for x in r))
+    basis = hnf_sorting_loop([[int(x * den) for x in r] for r in frac_rows])
+    g = math.gcd(den, *(x for r in basis for x in r))
+    return FractionalIdeal(F, tuple(tuple(x // g for x in r) for r in basis), den // g)
+
+
+def fraction_trace_dual(I):
+    """Oracle: {x : Tr(xI) in Z} as the dot-product dual, by a Fraction
+    Gauss-Jordan, of the rows Tr(b_i w_j) of I's basis times the trace form."""
+    F = I.field
+    basis = [[int(i == j) for j in range(F.n)] for i in range(F.n)]
+    rows = [[elem_trace(F, elem_mul(F, b, w)) for w in basis] for b in I.num]
+    inv = inv_fraction(rows)
+    return fraction_ideal(F, [[I.den * inv[j][i] for j in range(F.n)] for i in range(F.n)])
+
+
+def product_oracle(I, J):
+    """Oracle: I * J as the span of the n^2 products, from the mult table."""
+    F = I.field
+    table = F.mult_table
+    rows = [[Fraction(sum(x[i] * y[j] * table[i][j][k] for i in range(F.n) for j in range(F.n)),
+                      I.den * J.den) for k in range(F.n)]
+            for x in I.num for y in J.num]
+    return fraction_ideal(F, rows)
 
 
 def random_pd_gram(rng: random.Random, n: int):

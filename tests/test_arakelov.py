@@ -51,6 +51,8 @@ from arithcoh.numfield import (
 from conftest import (
     brute_force_theta,
     cbrt2_descriptor,
+    fraction_trace_dual,
+    product_oracle,
     zeta7_plus_descriptor,
     zeta8_descriptor,
 )
@@ -400,47 +402,99 @@ def test_verify_duality_builds_the_ideal_of_k_minus_d_as_sub_does(monkeypatch):
 
 
 def test_divisor_ideal_equals_the_product_of_prime_powers():
-    # the oracle multiplies P^(-e) into O one factor at a time, inverting
-    # each prime of positive exponent
+    # the oracle multiplies P^(-e) into O one factor at a time by the Fraction
+    # product, each prime of positive exponent inverted as (P O^v)^v by the
+    # Fraction trace dual; the terms repeat one prime and put a split pair at
+    # opposite signs
     def oracle(D):
-        result = unit_ideal(D.field)
+        F = D.field
+        result = unit_ideal(F)
         for prime, e in D.primes:
-            power = unit_ideal(D.field)
-            base = prime.ideal if e < 0 else ideal_inv(prime.ideal)
+            base = prime.ideal if e < 0 else \
+                fraction_trace_dual(product_oracle(prime.ideal, F.codifferent))
             for _ in range(abs(e)):
-                power = ideal_mul(power, base)
-            result = ideal_mul(result, power)
+                result = product_oracle(result, base)
         return result
 
     rng = random.Random(10)
-    for d in (-1, -5, 2, 5, 13):
-        F = make_field(("quadratic", d))
+    for F in [Q] + [make_field(("quadratic", d)) for d in (-1, -3, -5, 2, 3, 5, 13)]:
         primes = [pr for p in (2, 3, 5, 7) for pr in primes_above(F, p)]
-        for _ in range(12):
-            terms = [(pr, rng.randint(-2, 2)) for pr in primes]
-            D = divisor_from_primes(F, terms, [0.0] * (F.r1 + F.r2))
+        split = [above for p in (2, 3, 5, 7, 11, 13) if len(above := primes_above(F, p)) == 2]
+        e = rng.randint(1, 3)
+        pair = [(split[0][0], e), (split[0][1], -e)] if split else []
+        for _ in range(6):
+            terms = [(pr, rng.randint(-3, 3)) for pr in primes]
+            terms.append((rng.choice(primes), rng.choice((-3, -2, -1, 1, 2, 3))))
+            D = divisor_from_primes(F, terms + pair, [0.0] * (F.r1 + F.r2))
             assert D.ideal() == oracle(D), (F.label, terms)
 
 
-def test_verify_duality_makes_at_most_two_inverses(monkeypatch):
-    # one for the positive exponents of D, one for K - D
-    calls = []
-    real = numfield.ideal_inv
-
-    def counting(I):
-        calls.append(I)
-        return real(I)
-
-    monkeypatch.setattr(numfield, "ideal_inv", counting)
-    monkeypatch.setattr(arakelov, "ideal_inv", counting)
+def test_verify_duality_makes_no_inverse_one_trace_dual_and_k_minus_1_products(monkeypatch):
+    # D's ideal is sum |e| - 1 products of the primes and the inverses they
+    # carry; K - D's is one trace dual, of I d O^v, which takes one more
+    # product only when the descriptor's different d does not invert O^v
+    wrong_q = make_field({"degree": 1, "r1": 1, "r2": 0, "abs_discriminant": 1,
+                          "embeddings": [1.0], "different_basis": [[2]]})
     rng = random.Random(11)
+    cases = []
+    for F in (make_field(("quadratic", -5)), make_field(("quadratic", 13)), Q, wrong_q):
+        primes = [pr for p in (2, 3, 5, 7) for pr in primes_above(F, p)]
+        for exponents in ([2, 1, -1, 2, -2, 1], [-1] * 6, [3], [0] * 6,
+                          [rng.randint(-2, 2) for _ in primes]):
+            cases.append(divisor_from_primes(F, list(zip(primes, exponents)),
+                                             [rng.uniform(-1.0, 1.0) for _ in range(F.r1 + F.r2)]))
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+        return wrapper
+
+    for name in ("ideal_inv", "ideal_mul", "_trace_dual"):
+        wrapped = counting(name, getattr(numfield, name))
+        for module in (numfield, arakelov):
+            monkeypatch.setattr(module, name, wrapped)
+    caught = 0
+    for D in cases:
+        calls.clear()
+        rr = verify_duality(D, 1e-8)[0]
+        k = sum(abs(e) for _, e in D.primes)
+        wrong = D.field is wrong_q
+        assert rr.passed or wrong, (D.field.label, D.primes, rr.delta)
+        caught += not rr.passed
+        assert calls.count("ideal_inv") == 0
+        assert calls.count("_trace_dual") == 1
+        assert calls.count("ideal_mul") == max(k - 1, 0) + wrong, (D.field.label, D.primes)
+    assert caught >= 3  # the wrong different breaks Riemann-Roch where h0(K - D) shows it
+
+
+def test_h0_of_k_minus_d_is_h0_of_the_inverse_of_d_times_i():
+    # the trace dual of I d O^v gives bit for bit the h0 of the ideal
+    # (d I)^-1 formed by a product and an inverse, also for the wrong
+    # different of Q(cbrt 2), whose d O^v is not O
+    rng = random.Random(24)
+    divisors = []
     F = make_field(("quadratic", -5))
     primes = [pr for p in (2, 3, 5, 7) for pr in primes_above(F, p)]
-    for exponents in ([2, 1, -1, 2, -2, 1], [-1] * 6, [0] * 6):
-        calls.clear()
-        D = divisor_from_primes(F, list(zip(primes, exponents)), [rng.uniform(-1.0, 1.0)])
-        assert verify_duality(D, 1e-8)[0].passed
-        assert len(calls) == (2 if max(exponents) > 0 else 1)
+    for _ in range(6):
+        divisors.append(divisor_from_primes(
+            F, [(pr, rng.randint(-2, 2)) for pr in primes], [rng.uniform(-1.0, 1.0)]))
+    for different in ([[0, 0, 3], [6, 0, 0], [0, 6, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]):
+        F = make_field({**cbrt2_descriptor(), "different_basis": different})
+        assert (F.different_codifferent == unit_ideal(F)) == (different[0] == [0, 0, 3])
+        for a, b in ELEMENT_PAIRS:
+            ideal = ideal_mul(principal_ideal(F, a), ideal_inv(principal_ideal(F, b)))
+            divisors.append(divisor_from_ideal(F, ideal, [rng.uniform(-1.0, 1.0)
+                                                         for _ in range(2)]))
+    tol = 1e-8
+    for D in divisors:
+        F = D.field
+        got = verify_riemann_roch(D, tol).h0_kd
+        want = h0(divisor_from_ideal(F, ideal_inv(ideal_mul(F.different, D.ideal())),
+                                     [-x for x in D.infinite]), tol / 4.0)
+        assert (got.value.hex(), got.tail_bound.hex(), got.points_enumerated) == \
+            (want.value.hex(), want.tail_bound.hex(), want.points_enumerated), (F.label, D)
 
 
 def test_verify_duality_runs_on_integers_only(monkeypatch):
@@ -717,7 +771,7 @@ def test_h0_on_numerically_dependent_rows_is_not_positive_definite():
 def test_prime_exponents_are_capped_before_any_ideal_product(monkeypatch):
     # ideal_pow(P, 10^5) took seconds and 10^6 hung: the cap on
     # sum |e| log N(P) is read before any product
-    monkeypatch.setattr(arakelov, "ideal_pow", None)
+    monkeypatch.setattr(arakelov, "ideal_mul", None)
     P = primes_above(QI, 2)[0]
     capped = r"sum \|e\| log N\(P\) = .* beyond the cap 1419\.5"
     for e in (10**5, -10**6, 10**400):

@@ -34,7 +34,8 @@ from arithcoh.numfield import (
 
 from conftest import (
     cbrt2_descriptor,
-    hnf_sorting_loop,
+    fraction_trace_dual,
+    product_oracle,
     zeta7_plus_descriptor,
     zeta8_descriptor,
 )
@@ -60,35 +61,6 @@ def trace_dual_of_ring(F):
     basis = [[int(i == j) for j in range(F.n)] for i in range(F.n)]
     form = [[elem_trace(F, elem_mul(F, x, y)) for y in basis] for x in basis]
     return FractionalIdeal.from_rows(F, inv_fraction(form))
-
-
-def fraction_ideal(F, frac_rows):
-    """Oracle: the ideal spanned by rational rows, as the Fraction path built
-    it: common denominator, sorting-loop HNF, content divided out."""
-    den = math.lcm(*(Fraction(x).denominator for r in frac_rows for x in r))
-    basis = hnf_sorting_loop([[int(x * den) for x in r] for r in frac_rows])
-    g = math.gcd(den, *(x for r in basis for x in r))
-    return FractionalIdeal(F, tuple(tuple(x // g for x in r) for r in basis), den // g)
-
-
-def fraction_trace_dual(I):
-    """Oracle: {x : Tr(xI) in Z} as the dot-product dual, by a Fraction
-    Gauss-Jordan, of the rows Tr(b_i w_j) of I's basis times the trace form."""
-    F = I.field
-    basis = [[int(i == j) for j in range(F.n)] for i in range(F.n)]
-    rows = [[elem_trace(F, elem_mul(F, b, w)) for w in basis] for b in I.num]
-    inv = inv_fraction(rows)
-    return fraction_ideal(F, [[I.den * inv[j][i] for j in range(F.n)] for i in range(F.n)])
-
-
-def product_oracle(I, J):
-    """Oracle: I * J as the span of the n^2 products, from the mult table."""
-    F = I.field
-    table = F.mult_table
-    rows = [[Fraction(sum(x[i] * y[j] * table[i][j][k] for i in range(F.n) for j in range(F.n)),
-                      I.den * J.den) for k in range(F.n)]
-            for x in I.num for y in J.num]
-    return fraction_ideal(F, rows)
 
 
 def test_integer_ideal_layer_matches_the_fraction_path():
@@ -199,6 +171,22 @@ def test_primes_multiply_to_p():
             for prime in above:
                 prod = ideal_mul(prod, ideal_pow(prime.ideal, prime.ramification))
             assert prod == principal_ideal(F, (p, 0))
+
+
+def test_every_prime_carries_its_exact_inverse():
+    # P^-1 = (P O^v)^v by the Fraction oracles, and P P^-1 = O; split,
+    # inert and ramified primes over Q and seven quadratic fields
+    fields = [make_field("rational")] + \
+        [make_field(("quadratic", d)) for d in (-1, -3, -5, 2, 3, 5, 13)]
+    kinds = set()
+    for F in fields:
+        for p in _sieve(51):
+            for P in primes_above(F, p):
+                kinds.add((F.n, P.residue_degree, P.ramification))
+                assert P.inverse == fraction_trace_dual(product_oracle(P.ideal, F.codifferent)), \
+                    (F.label, P)
+                assert ideal_mul(P.ideal, P.inverse) == unit_ideal(F), (F.label, P)
+    assert kinds == {(1, 1, 1), (2, 1, 1), (2, 2, 1), (2, 1, 2)}
 
 
 def test_primes_above_requires_prime():
