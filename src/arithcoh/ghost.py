@@ -439,7 +439,8 @@ def quasi_characters(structure) -> list[QuasiCharacter]:
     """All quasi-characters phi with phi(x) phi(y) = (delta_x * delta_y)(phi).
 
     First kind: exactly chi * u over all characters chi.  Second kind:
-    chi scaled by the inverse transform of mu at chi.
+    chi scaled by sum_w mu(w) chi(w), the forward transform of mu at chi, as
+    (delta_x * delta_y)(c chi) = c chi(x + y) sum_w mu(w) chi(w).
     """
     group = structure.group
     chi = group.character_table()

@@ -16,7 +16,7 @@ comes from back-substitution on the triangular HNF A, and the field stores
 its trace form T_ij = Tr(w_i w_j), the traces of its multiplication table,
 as adj T and det T.  O^v, the trace dual of O, is computed once per field
 from the trace form alone when the descriptor is built; so are the covolume
-self-check and the product d * O^v of the descriptor's different with it.
+self-check, the different from the descriptor's rows and the product d * O^v.
 An inverse is one product and one trace dual, so the hot paths take none:
 each prime carries its inverse from primes_above, a divisor's ideal is a
 product of primes and their inverses, and J^v = (J d)^-1 when d * O^v = O.
@@ -35,6 +35,7 @@ Conventions fixed here because descriptor files depend on them:
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -66,9 +67,9 @@ class NumberFieldDescriptor:
     abs_discriminant: int
     integral_basis_embeddings: np.ndarray  # rows = basis elements, n coords
     mult_table: tuple  # mult_table[i][j] = integer coords of w_i * w_j
+    different_basis: tuple | list  # integer rows spanning the different
     label: str  # for display only
     quad_d: int | None = None  # squarefree d, marking a built-in quadratic field
-    different: "FractionalIdeal | None" = None
     # the nonzero entries of mult_table as (i, j, ((k, c_ijk), ...)), for elem_mul
     mul_terms: tuple = field(init=False, repr=False, compare=False)
     # the trace form T_ij = Tr(w_i w_j) as adj T and det T, with det T > 0:
@@ -78,8 +79,9 @@ class NumberFieldDescriptor:
     # O^v = {x : Tr(xO) in Z}, from the trace form: the descriptor's different
     # does not enter it
     codifferent: "FractionalIdeal" = field(init=False, repr=False, compare=False)
-    # d * O^v for the descriptor's different d, set with d by _set_different:
-    # O exactly when d is the true different
+    different: "FractionalIdeal" = field(init=False, repr=False, compare=False)
+    # d * O^v for the descriptor's different d: O exactly when d is the true
+    # different
     different_codifferent: "FractionalIdeal" = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -93,6 +95,8 @@ class NumberFieldDescriptor:
                                for r in intmat.adjugate(form))
         self.trace_det = abs(det)
         self.codifferent = _trace_dual(unit_ideal(self))
+        self.different = FractionalIdeal.from_rows(self, self.different_basis)
+        self.different_codifferent = ideal_mul(self.different, self.codifferent)
 
     @property
     def n(self) -> int:
@@ -130,13 +134,16 @@ class FractionalIdeal:
             raise DescriptorInconsistent(f"ideal basis rows must have {fld.n} entries each")
         scale = math.lcm(*(x.denominator for r in frac_rows for x in r))
         try:
-            lat_num, lat_den = intmat.lattice_normalize(
-                [[int(x * scale) for x in r] for r in frac_rows], scale * den)
+            return cls._normalized(fld, [[int(x * scale) for x in r] for r in frac_rows],
+                                   scale * den)
         except ValueError as exc:  # no rows, or rank below their length
             raise DescriptorInconsistent(f"ideal basis rejected: {exc}") from exc
-        if len(lat_num) != fld.n:
-            raise DescriptorInconsistent("ideal basis is not full rank")
-        return cls(fld, tuple(tuple(r) for r in lat_num), lat_den)
+
+    @classmethod
+    def _normalized(cls, fld: NumberFieldDescriptor, rows, den: int) -> "FractionalIdeal":
+        """The ideal of the integer rows over den, in its HNF (num, den) form."""
+        num, den = intmat.lattice_normalize(rows, den)
+        return cls(fld, tuple(map(tuple, num)), den)
 
     def basis_rows(self) -> list[list[Fraction]]:
         return [[Fraction(x, self.den) for x in r] for r in self.num]
@@ -214,8 +221,7 @@ def ideal_mul(I: FractionalIdeal, J: FractionalIdeal) -> FractionalIdeal:
     if I.field is not J.field:
         raise ValueError("ideals live over different fields")
     rows = [elem_mul(I.field, x, y) for x in I.num for y in J.num]
-    num, den = intmat.lattice_normalize(rows, I.den * J.den)
-    return FractionalIdeal(I.field, tuple(tuple(r) for r in num), den)
+    return FractionalIdeal._normalized(I.field, rows, I.den * J.den)
 
 
 def _trace_dual(J: FractionalIdeal) -> FractionalIdeal:
@@ -233,8 +239,7 @@ def _trace_dual(J: FractionalIdeal) -> FractionalIdeal:
     # adj(A) is upper triangular: only k <= i contributes to row i
     rows = [[J.den * sum(adj[k][i] * t_adj[k][j] for k in range(i + 1)) for j in range(n)]
             for i in range(n)]
-    num, den = intmat.lattice_normalize(rows, det * fld.trace_det)
-    return FractionalIdeal(fld, tuple(tuple(r) for r in num), den)
+    return FractionalIdeal._normalized(fld, rows, det * fld.trace_det)
 
 
 def ideal_inv(I: FractionalIdeal) -> FractionalIdeal:
@@ -249,14 +254,11 @@ def ideal_inv(I: FractionalIdeal) -> FractionalIdeal:
 
 
 def ideal_pow(I: FractionalIdeal, e: int) -> FractionalIdeal:
-    if e < 0:
-        return ideal_pow(ideal_inv(I), -e)
+    """I^e as one chain of |e| - 1 products of I, or of I^-1 when e < 0."""
     if e == 0:
         return unit_ideal(I.field)
-    result = I
-    for _ in range(e - 1):
-        result = ideal_mul(result, I)
-    return result
+    base = I if e > 0 else ideal_inv(I)
+    return functools.reduce(ideal_mul, [base] * (abs(e) - 1), base)
 
 
 def ideal_norm(I: FractionalIdeal) -> Fraction:
@@ -265,12 +267,6 @@ def ideal_norm(I: FractionalIdeal) -> Fraction:
 
 # ---------------------------------------------------------------------------
 # field construction
-
-
-def _set_different(fld: NumberFieldDescriptor, different: FractionalIdeal):
-    fld.different = different
-    fld.different_codifferent = ideal_mul(different, fld.codifferent)
-    return fld
 
 
 def _is_squarefree(m: int) -> bool:
@@ -302,11 +298,10 @@ def _check_covolume(fld: NumberFieldDescriptor):
 
 
 def _make_rational() -> NumberFieldDescriptor:
-    fld = NumberFieldDescriptor(
+    return NumberFieldDescriptor(
         degree=1, signature=(1, 0), abs_discriminant=1,
         integral_basis_embeddings=np.array([[1.0]]),
-        mult_table=(((1,),),), label="Q", quad_d=None)
-    return _set_different(fld, unit_ideal(fld))
+        mult_table=(((1,),),), different_basis=((1,),), label="Q")
 
 
 def _make_quadratic(d: int) -> NumberFieldDescriptor:
@@ -334,11 +329,11 @@ def _make_quadratic(d: int) -> NumberFieldDescriptor:
         signature = (0, 1)
         emb = np.array([[1.0, 0.0], [a / 2.0, math.sqrt(delta) / 2.0]])
     table = (((1, 0), (0, 1)), ((0, 1), (b, a)))
-    fld = NumberFieldDescriptor(
+    return NumberFieldDescriptor(
         degree=2, signature=signature, abs_discriminant=delta,
         integral_basis_embeddings=emb, mult_table=table,
-        label=f"Q(sqrt({d}))", quad_d=d)
-    return _set_different(fld, principal_ideal(fld, (-a, 2)))  # (f'(w)) = (2w - a)
+        # (f'(w)) = (2w - a), spanned by (2w - a) * 1 and (2w - a) * w = 2b + a w
+        different_basis=((-a, 2), (2 * b, a)), label=f"Q(sqrt({d}))", quad_d=d)
 
 
 def _make_custom(desc: dict) -> NumberFieldDescriptor:
@@ -385,11 +380,10 @@ def _make_custom(desc: dict) -> NumberFieldDescriptor:
             f"product of basis elements {i} and {j} has non-integral coordinates; "
             "embeddings do not describe a ring of integers")
     table = tuple(tuple(tuple(map(int, w)) for w in row) for row in rounded.tolist())
-    fld = NumberFieldDescriptor(
+    return NumberFieldDescriptor(
         degree=n, signature=(r1, r2), abs_discriminant=delta,
-        integral_basis_embeddings=emb, mult_table=table,
-        label=desc.get("label", f"custom_deg{n}"), quad_d=None)
-    return _set_different(fld, FractionalIdeal.from_rows(fld, diff_rows))
+        integral_basis_embeddings=emb, mult_table=table, different_basis=diff_rows,
+        label=desc.get("label", f"custom_deg{n}"))
 
 
 def make_field(spec) -> NumberFieldDescriptor:

@@ -112,6 +112,18 @@ def test_sub_trivial_identities():
     assert degree(sub(D, zero_divisor(QI))) == pytest.approx(degree(D), abs=1e-14)
     assert sub(D, D).primes == ()
     assert degree(sub(D, D)) == 0.0
+    with pytest.raises(InvalidDivisor, match="different fields"):
+        sub(zero_divisor(QI), zero_divisor(make_field(("quadratic", -1))))
+
+
+def test_divisor_needs_one_finite_part_and_integer_exponents():
+    P = primes_above(QI, 5)[0]
+    for primes, explicit in (((), unit_ideal(QI)), (None, None)):
+        with pytest.raises(InvalidDivisor, match="exactly one of prime exponents"):
+            arakelov.ArakelovDivisor(QI, primes, explicit, (0.0,))
+    for e in (1.5, Fraction(1), 2.0):
+        with pytest.raises(InvalidDivisor, match="exponents must be integers"):
+            divisor_from_primes(QI, [(P, e)], [0.0])
 
 
 def test_h0_rational_zero_divisor():

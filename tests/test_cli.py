@@ -214,6 +214,32 @@ def test_verify_detects_corrupted_different(files, capsys):
     assert report["results"]["serre_duality"]["delta"] > 1e-3
 
 
+@pytest.mark.parametrize("what", ["rr", "duality", "both"])
+def test_verify_fails_a_wrong_different_that_both_identities_miss(files, capsys, what):
+    # with the different (2) of Q, h0(K - D) is below the tolerance on both
+    # lattices, so Riemann-Roch and Serre duality hold, and verify passed it
+    field = files["write"]("q_diff2.json", {"degree": 1, "r1": 1, "r2": 0,
+                                            "abs_discriminant": 1, "embeddings": [1.0],
+                                            "different_basis": [[2]]})
+    div = files["write"]("div2357.json", {
+        "finite": [{"p": 2, "exponent": 2}, {"p": 3, "exponent": 1},
+                   {"p": 5, "exponent": -1}, {"p": 7, "exponent": 2}],
+        "infinite": [0.3]})
+    argv = ["--divisor", div, "--tol", "1e-8", "--what", what]
+    code, out, err = run(capsys, ["verify", "--field", field, *argv])
+    report = json.loads(out)
+    assert (code, report["pass"]) == (2, False)
+    assert all(r["passed"] for r in report["results"].values() if isinstance(r, dict))
+    assert [line for line in err.splitlines() if line.startswith("error: ")] == \
+        ["error: the different is not the inverse of the codifferent: its norm is 2, "
+         "|disc| is 1"]
+    # the same report keys as on the true different of Q
+    code, good, _ = run(capsys, ["verify", "--field", files["rational"], *argv])
+    assert code == 0
+    assert json.loads(good).keys() == report.keys()
+    assert json.loads(good)["results"].keys() == report["results"].keys()
+
+
 def test_zeta_sweep_csv_symmetry(files, capsys):
     code, out, _ = run(capsys, ["zeta-sweep", "--s", "0.25", "--t-min", "-2",
                                 "--t-max", "2", "--steps", "5", "--format", "csv"])
@@ -317,6 +343,21 @@ def test_ghost_quotient(files, capsys):
     assert report["results"]["quotient_orders"] == [2]
     assert report["results"]["v"] == pytest.approx([1.0, 2 / 3])
     assert report["results"]["dimension_additive"]
+    code, out, err = run(capsys, ["ghost", "quotient", path, "--subgroup", "1,0"])
+    assert (code, out) == (2, "")
+    assert "InvalidGhostSpace" in err and "wrong rank" in err
+
+
+def test_ghost_actions_on_a_second_kind_descriptor(files, capsys):
+    mu = files["write"]("ghostmu.json", {"cyclic_orders": [3], "mu": [0.5, 0.25, 0.25]})
+    code, out, _ = run(capsys, ["ghost", "check", mu])
+    assert code == 0
+    assert json.loads(out)["results"] == {"kind": "second",
+                                          "dimension": pytest.approx(math.log(1.5))}
+    for action in ("dual", "quotient"):
+        code, out, err = run(capsys, ["ghost", action, mu])
+        assert (code, out) == (2, ""), action
+        assert "InvalidGhostSpace" in err and "first-kind descriptors" in err
 
 
 def test_ghost_assoc(files, capsys):
@@ -359,6 +400,9 @@ _MALFORMED = {
     "field-embeddings-str": ("field", {**_CUSTOM_QI, "embeddings": ["a"] * 4}),
     "field-embeddings-nan": ("field", {**_CUSTOM_QI, "embeddings": [math.nan, 0.0, 0.0, 1.0]}),
     "field-different-int": ("field", {**_CUSTOM_QI, "different_basis": 5}),
+    "field-embeddings-short": ("field", {**_CUSTOM_QI, "embeddings": [1.0, 0.0, 0.0]}),
+    "field-degree-0": ("field", {"degree": 0, "r1": 0, "r2": 0, "abs_discriminant": 1,
+                                 "embeddings": [], "different_basis": []}),
     "divisor-rank-1": ("divisor", _ideal_divisor([[1, 0], [2, 0]])),
     "divisor-ragged": ("divisor", _ideal_divisor([[1, 0], [2]])),
     # rows of the wrong length: an IndexError traceback, or the extra entry dropped
@@ -381,9 +425,14 @@ _MALFORMED = {
     "divisor-p-huge": ("divisor", {"finite": [{"p": 10 ** 30 + 57, "exponent": 1}],
                                    "infinite": [0.0]}),
     "divisor-finite-str": ("divisor", {"finite": "x", "infinite": [0.0]}),
+    "divisor-finite-no-ideal": ("divisor", {"finite": {}, "infinite": [0.0]}),
+    **{f"divisor-denominator-{den}": (
+        "divisor", {"finite": {"ideal": {"numerator_basis": [[1, 0], [0, 1]], "denominator": den}},
+                    "infinite": [0.0]}) for den in (0, -2)},
     "divisor-list": ("divisor", [0.0]),
     "ghost-u-str": ("ghost", {"cyclic_orders": [2], "u": ["a", 1]}),
     "ghost-u-dict": ("ghost", {"cyclic_orders": [2], "u": {"x": 1}}),
+    "ghost-u-dict-entry": ("ghost", {"cyclic_orders": [2], "u": [{}, 1]}),
     "ghost-mu-str": ("ghost", {"cyclic_orders": [2], "mu": ["a", 1]}),
     "ghost-mu-null": ("ghost", {"cyclic_orders": [2], "mu": None}),
     # nested lists, which the constructors flattened into a valid space

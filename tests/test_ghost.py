@@ -12,6 +12,7 @@ import pytest
 from arithcoh.errors import InvalidGhostSpace
 from arithcoh.ghost import (
     FiniteAbelianGroup,
+    GhostMeasure,
     GhostSpaceFirstKind,
     GhostSpaceSecondKind,
     MixedGhostSpace,
@@ -117,6 +118,7 @@ def test_check_first_kind_named_failures():
     assert "u(0)" in check_first_kind(Z2, [0.9, 0.5]).failing_invariant
     assert "positive" in check_first_kind(Z2, [1.0, -0.5]).failing_invariant
     assert "even" in check_first_kind(Z3, [1.0, 0.5, 0.6]).failing_invariant
+    assert "all group elements" in check_first_kind(Z4, [1.0, 0.5]).failing_invariant
     # positive-definite only up to the 1e-12 tolerances: {u = 1} = {0, 1, 3} on Z/4
     unit, near = 1.0 - 0.5e-12, 1.0 - 1.8e-12
     assert "closed" in check_first_kind(Z4, [1.0, unit, near, unit]).failing_invariant
@@ -126,6 +128,28 @@ def test_check_first_kind_named_failures():
     u = (1.0 - 6.2e-13) * np.where(x % 5 == 0, 1.0, 0.3) + 6.2e-13 * np.cos(2 * math.pi * x / 15)
     report = check_first_kind(FiniteAbelianGroup((15,)), u)
     assert "cosets" in report.failing_invariant and not report.coset_constant
+
+
+@pytest.mark.parametrize("build, message", [
+    pytest.param(lambda: dft(Z4, np.ones(3)), "function not defined", id="dft"),
+    pytest.param(lambda: GhostSpaceSecondKind(Z4, [0.5, 0.25, 0.25]), "mu must be", id="second"),
+    pytest.param(lambda: MixedGhostSpace(Z4, [1.0, 0.5, 0.5], [0.4, 0.2, 0.2, 0.2]),
+                 "u and mu", id="mixed-u"),
+    pytest.param(lambda: MixedGhostSpace(Z4, [1.0, 0.5, 0.5, 0.5], [0.4, 0.2, 0.4]),
+                 "u and mu", id="mixed-mu"),
+    pytest.param(lambda: GhostMeasure(Z4, np.zeros(5)), "measure not defined", id="measure"),
+])
+def test_input_of_the_wrong_size_is_refused(build, message):
+    with pytest.raises(InvalidGhostSpace, match=message):
+        build()
+
+
+def test_unsupported_structures_are_type_errors():
+    mixed = MixedGhostSpace(Z3, [1.0, 0.5, 0.5], [1.0, 0.0, 0.0])
+    with pytest.raises(TypeError, match="first- and second-kind"):
+        quasi_characters(mixed)
+    with pytest.raises(TypeError, match="of FiniteAbelianGroup"):
+        check_associativity(Z3)
 
 
 def test_first_kind_constructor_validates():
@@ -382,18 +406,17 @@ def test_quasi_characters_match_brute_force():
 
 
 def test_quasi_characters_satisfy_functional_equation():
+    # phi(x) phi(y) = (delta_x * delta_y)(phi), the product measure applied to phi
     rng = random.Random(59)
-    gs = random_first_kind(rng, (6,))
-    group = gs.group
-    u = gs.u
-    for q in quasi_characters(gs):
-        for x in group.elements():
-            for y in group.elements():
-                xi, yi = group.index(x), group.index(y)
-                si = group.index(group.add(x, y))
-                lhs = q.values[xi] * q.values[yi]
-                rhs = q.values[si] * u[xi] * u[yi] / u[si]
-                assert abs(lhs - rhs) < 1e-10
+    first = random_first_kind(rng, (6,))
+    for gs, convolve in ((first, convolve_first), (dual_ghost(first), convolve_second)):
+        group = gs.group
+        for q in quasi_characters(gs):
+            for x in group.elements():
+                for y in group.elements():
+                    lhs = q.values[group.index(x)] * q.values[group.index(y)]
+                    rhs = convolve(gs, x, y).weights @ q.values
+                    assert abs(lhs - rhs) < 1e-10
 
 
 def test_double_dual_recovers_quasi_characters():

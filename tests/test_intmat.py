@@ -127,6 +127,8 @@ def test_inv_fraction_roundtrip():
         prod = [[sum(Fraction(m[i][k]) * inv[k][j] for k in range(n)) for j in range(n)]
                 for i in range(n)]
         assert prod == [[Fraction(int(i == j)) for j in range(n)] for i in range(n)]
+    with pytest.raises(ZeroDivisionError, match="singular"):
+        inv_fraction([[1, 2], [2, 4]])
 
 
 def test_lattice_dual_involution():

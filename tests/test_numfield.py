@@ -26,6 +26,7 @@ from arithcoh.numfield import (
     ideal_mul,
     ideal_norm,
     ideal_pow,
+    infinite_weights,
     make_field,
     primes_above,
     principal_ideal,
@@ -111,6 +112,19 @@ def test_principal_ideal_needs_one_coordinate_per_basis_element():
         principal_ideal(Q, (2, 3))
     with pytest.raises(ValueError, match="expected 2 coordinates, got 1"):
         principal_ideal(Qi, (2,))
+    with pytest.raises(ValueError, match="zero element"):
+        principal_ideal(Qi, (0, Fraction(0, 3)))
+
+
+def test_ideals_and_metric_weights_are_refused_on_the_wrong_field():
+    Q, other_q = make_field("rational"), make_field("rational")
+    # two builds of Q are two fields: an ideal belongs to the object it names
+    with pytest.raises(ValueError, match="different fields"):
+        ideal_mul(unit_ideal(Q), unit_ideal(other_q))
+    Qi = make_field(("quadratic", -1))
+    for x_inf in ([], [0.0, 0.0]):
+        with pytest.raises(ValueError, match=f"expected 1 infinite components, got {len(x_inf)}"):
+            infinite_weights(Qi, x_inf)
 
 
 def test_golden_field_basis():
@@ -148,6 +162,9 @@ def test_different_norm_is_discriminant():
     for d in (-1, -2, -5, -7, 2, 3, 5, 13, 17, big, -big, 2 ** 53 - 1):
         F = make_field(("quadratic", d))
         assert ideal_norm(F.different) == F.abs_discriminant
+        # the different is (f'(w)) = (2w - a) for w^2 = b + a*w
+        a = F.mult_table[1][1][1]
+        assert F.different == principal_ideal(F, (-a, 2))
 
 
 def test_primes_above_gaussian():
