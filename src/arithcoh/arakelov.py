@@ -25,7 +25,7 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import CertificationFailed, InvalidDivisor
-from .intmat import adjugate, det_int, exact_int
+from .intmat import adjugate, det_int, exact_int, exact_reals
 from .lattice import DEFAULT_BUDGET, EmbeddedLattice, theta_sum
 from .numfield import (
     FractionalIdeal,
@@ -77,8 +77,8 @@ class ArakelovDivisor:
         if self.primes is not None:
             sides = [0.0, 0.0]  # sum |e| log N(P) over e <= 0 and over e > 0
             for prime, e in self.primes:
-                if not isinstance(e, int):
-                    raise InvalidDivisor("prime exponents must be integers")
+                if isinstance(e, bool) or not isinstance(e, int):
+                    raise InvalidDivisor(f"prime exponents must be integers, not {e!r}")
                 try:
                     sides[e > 0] += abs(e) * math.log(prime.residue_norm)
                 except OverflowError:  # an exponent beyond the float range
@@ -357,24 +357,18 @@ def zeta_integrand_sweep(s: complex, t_grid, tol: float = 1e-9,
 
 def load_divisor(fld: NumberFieldDescriptor, obj: dict) -> ArakelovDivisor:
     """Parse {finite: [{p, index, exponent}] | {ideal: ...}, infinite: [...]}"""
-    if not isinstance(obj, dict) or not isinstance(obj.get("infinite"), list):
-        raise InvalidDivisor("divisor descriptor needs an 'infinite' list")
     try:
-        infinite = [float(t) for t in obj["infinite"]]
-    except (TypeError, ValueError) as exc:
-        raise InvalidDivisor("infinite components must be reals") from exc
-    if any(isinstance(t, (bool, str)) for t in obj["infinite"]):  # float() reads "0.4"
-        raise InvalidDivisor("infinite components must be reals, not booleans or strings")
+        infinite = exact_reals(obj["infinite"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise InvalidDivisor(f"divisor needs an 'infinite' list of reals: {exc}") from exc
     finite = obj.get("finite", [])
     if isinstance(finite, dict):
-        if "ideal" not in finite:
-            raise InvalidDivisor("explicit finite part needs an 'ideal' entry")
-        spec = finite["ideal"]
         try:
+            spec = finite["ideal"]
             rows = [[exact_int(x) for x in row] for row in spec["numerator_basis"]]
             den = exact_int(spec.get("denominator", 1))
         except (KeyError, TypeError, ValueError) as exc:
-            raise InvalidDivisor(f"malformed ideal basis: {exc}") from exc
+            raise InvalidDivisor(f"malformed explicit ideal: {exc}") from exc
         if den <= 0:
             raise InvalidDivisor("ideal denominator must be positive")
         ideal = FractionalIdeal.from_rows(fld, rows, den)

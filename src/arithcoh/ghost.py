@@ -29,6 +29,15 @@ J(a, b, t) = J(a+b, 0, t), which is the x = 0 slice of the full comparison
 DFT) and quasi-characters are implemented so that every structural claim
 about these spaces can be checked exhaustively at finite scale.
 
+Each requirement on u and mu has one validator, which raises
+InvalidGhostSpace: (a) a finite function on all of G, even to _EVEN_TOL;
+(b) u(0) = 1 and u > 0; (c) no point mass below -_PD_TOL, total mass 1;
+(d) Bochner's test, a real DFT with no coefficient below -_PD_TOL.  The
+first kind runs (a), (b), (d) in ``check_first_kind``, which adds u <= 1
+and the unit subgroup; the second kind runs (a), (c), (d); the mixed pair
+runs (a), (b) on u and (a), (c) on mu.  So each requirement is checked
+once per space built.
+
 Elements of Z/n1 x ... x Z/nk are tuples ordered mixed-radix
 lexicographically (C order); functions and measures are flat arrays in that
 order.  Characters are indexed by the same tuples via
@@ -43,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGhostSpace
-from .intmat import diagonalize_int, exact_int
+from .intmat import diagonalize_int, exact_int, exact_reals
 
 _PD_TOL = 1e-12
 _EVEN_TOL = 1e-12
@@ -57,7 +66,10 @@ class FiniteAbelianGroup:
     cyclic_orders: tuple[int, ...]
 
     def __post_init__(self):
-        orders = tuple(int(n) for n in self.cyclic_orders)
+        try:
+            orders = tuple(map(exact_int, self.cyclic_orders))
+        except (TypeError, ValueError) as exc:
+            raise InvalidGhostSpace(f"cyclic orders must be integers: {exc}") from exc
         if any(n < 2 for n in orders):
             raise InvalidGhostSpace("cyclic orders must all be >= 2")
         object.__setattr__(self, "cyclic_orders", orders)
@@ -132,7 +144,46 @@ def idft(group: FiniteAbelianGroup, fhat) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# validity checking
+# validity checking: one validator per requirement, each raising
+# InvalidGhostSpace; the constructors and check_first_kind compose them
+
+
+def _even_function(group: FiniteAbelianGroup, f, name: str) -> np.ndarray:
+    """f as a flat array, finite on all of G and even to _EVEN_TOL."""
+    f = np.asarray(f, dtype=float).reshape(-1)
+    if f.size != group.size or not np.all(np.isfinite(f)):
+        raise InvalidGhostSpace(f"{name} must be a finite real function on all group elements")
+    if np.max(np.abs(f[group.neg_table()] - f)) > _EVEN_TOL:
+        raise InvalidGhostSpace(f"{name} is not even")
+    return f
+
+
+def _positive_unit_at_zero(u: np.ndarray) -> None:
+    """u(0) = 1 and u > 0."""
+    if abs(u[0] - 1.0) > _UNIT_TOL:
+        raise InvalidGhostSpace(f"u needs u(0) = 1, not {float(u[0])!r}")
+    if np.min(u) <= 0.0:
+        raise InvalidGhostSpace(f"u must be strictly positive, u > 0, but min u = {np.min(u):.3g}")
+
+
+def _probability(mu: np.ndarray) -> None:
+    """No point mass below -_PD_TOL, and total mass 1."""
+    if np.min(mu) < -_PD_TOL:
+        raise InvalidGhostSpace("mu has a negative point mass, so is not a probability measure")
+    if abs(math.fsum(mu.tolist()) - 1.0) > _UNIT_TOL:
+        raise InvalidGhostSpace("mu is not a probability measure: its total mass is not 1")
+
+
+def _bochner(group: FiniteAbelianGroup, f: np.ndarray, name: str) -> float:
+    """Bochner's test: the DFT of f is real and no coefficient lies below
+    -_PD_TOL.  Returns the least coefficient."""
+    fhat = dft(group, f)
+    if np.max(np.abs(fhat.imag)) > 1e-10:
+        raise InvalidGhostSpace(f"DFT of {name} is not real")
+    low = float(np.min(fhat.real))
+    if low < -_PD_TOL:
+        raise InvalidGhostSpace(f"{name} is not positive-definite (DFT coefficient {low:.3e} < 0)")
+    return low
 
 
 @dataclass(frozen=True)
@@ -151,36 +202,22 @@ def check_first_kind(group: FiniteAbelianGroup, u) -> FirstKindCheck:
     addition with u constant on its cosets (the finite-scale content of the
     u <= 1 theorem).
     """
-    u = np.asarray(u, dtype=float).reshape(-1)
-
-    def fail(reason):
-        return FirstKindCheck(False, reason, math.nan, (), False)
-
-    if u.size != group.size or not np.all(np.isfinite(u)):
-        return fail("u must be a finite real function on all group elements")
-    if abs(u[0] - 1.0) > _UNIT_TOL:
-        return fail("u(0) != 1")
-    if np.min(u) <= 0.0:
-        return fail("u is not strictly positive")
-    neg = group.neg_table()
-    if np.max(np.abs(u[neg] - u)) > _EVEN_TOL:
-        return fail("u is not even")
-    uhat = dft(group, u)
-    if np.max(np.abs(uhat.imag)) > 1e-10:
-        return fail("DFT of u is not real")
-    dft_min = float(np.min(uhat.real))
-    if dft_min < -_PD_TOL:
-        return fail(f"u is not positive-definite (DFT coefficient {dft_min:.3e} < 0)")
-    if np.max(u) > 1.0 + _UNIT_TOL:
-        return fail(f"u exceeds 1 (max {np.max(u):.12g})")
-    # the unit set must be a subgroup with u constant on its cosets
-    unit = u >= 1.0 - _UNIT_TOL
-    idx = np.flatnonzero(unit)
-    add = group.add_table()
-    if not np.all(unit[add[np.ix_(idx, idx)]]):
-        return fail("{u = 1} is not closed under addition")
-    if np.max(np.abs(u[add[idx]] - u)) > _UNIT_TOL:
-        return fail("u is not constant on the cosets of {u = 1}")
+    try:
+        u = _even_function(group, u, "u")
+        _positive_unit_at_zero(u)
+        dft_min = _bochner(group, u, "u")
+        if np.max(u) > 1.0 + _UNIT_TOL:
+            raise InvalidGhostSpace(f"u exceeds 1 (max u - 1 = {np.max(u) - 1.0:.3g})")
+        # the unit set must be a subgroup with u constant on its cosets
+        unit = u >= 1.0 - _UNIT_TOL
+        idx = np.flatnonzero(unit)
+        add = group.add_table()
+        if not np.all(unit[add[np.ix_(idx, idx)]]):
+            raise InvalidGhostSpace("{u = 1} is not closed under addition")
+        if np.max(np.abs(u[add[idx]] - u)) > _UNIT_TOL:
+            raise InvalidGhostSpace("u is not constant on the cosets of {u = 1}")
+    except InvalidGhostSpace as exc:
+        return FirstKindCheck(False, str(exc), math.nan, (), False)
     unit_subgroup = tuple(tuple(x) for x in group.coords_matrix()[idx].tolist())
     return FirstKindCheck(True, None, dft_min, unit_subgroup, True)
 
@@ -209,18 +246,9 @@ class GhostSpaceSecondKind:
     mu: np.ndarray
 
     def __post_init__(self):
-        mu = np.array(self.mu, dtype=float).reshape(-1)
-        if mu.size != self.group.size or not np.all(np.isfinite(mu)):
-            raise InvalidGhostSpace("mu must be a finite real measure on all group elements")
-        if np.min(mu) < -_PD_TOL:
-            raise InvalidGhostSpace("mu has a negative point mass")
-        if abs(math.fsum(mu.tolist()) - 1.0) > 1e-12:
-            raise InvalidGhostSpace("mu is not a probability measure")
-        if np.max(np.abs(mu[self.group.neg_table()] - mu)) > _EVEN_TOL:
-            raise InvalidGhostSpace("mu is not even")
-        muhat = dft(self.group, mu)
-        if float(np.min(muhat.real)) < -_PD_TOL or np.max(np.abs(muhat.imag)) > 1e-10:
-            raise InvalidGhostSpace("mu is not positive-definite")
+        mu = _even_function(self.group, np.array(self.mu, dtype=float), "mu")
+        _probability(mu)
+        _bochner(self.group, mu, "mu")
         mu.setflags(write=False)
         object.__setattr__(self, "mu", mu)
 
@@ -238,23 +266,13 @@ class MixedGhostSpace:
     mu: np.ndarray
 
     def __post_init__(self):
-        u = np.array(self.u, dtype=float).reshape(-1)
-        mu = np.array(self.mu, dtype=float).reshape(-1)
-        if u.size != self.group.size or mu.size != self.group.size:
-            raise InvalidGhostSpace("u and mu must be defined on all group elements")
-        if not (np.all(np.isfinite(u)) and np.all(np.isfinite(mu))):
-            raise InvalidGhostSpace("u and mu must be finite")
-        if abs(u[0] - 1.0) > _UNIT_TOL or np.min(u) <= 0.0:
-            raise InvalidGhostSpace("mixed structure needs u > 0 with u(0) = 1")
-        neg = self.group.neg_table()
-        if np.max(np.abs(u[neg] - u)) > _EVEN_TOL or np.max(np.abs(mu[neg] - mu)) > _EVEN_TOL:
-            raise InvalidGhostSpace("u and mu must both be even")
-        if np.min(mu) < -_PD_TOL or abs(math.fsum(mu.tolist()) - 1.0) > 1e-12:
-            raise InvalidGhostSpace("mu must be a probability measure")
-        u.setflags(write=False)
-        mu.setflags(write=False)
-        object.__setattr__(self, "u", u)
-        object.__setattr__(self, "mu", mu)
+        u = _even_function(self.group, np.array(self.u, dtype=float), "u")
+        _positive_unit_at_zero(u)
+        mu = _even_function(self.group, np.array(self.mu, dtype=float), "mu")
+        _probability(mu)
+        for name, f in (("u", u), ("mu", mu)):
+            f.setflags(write=False)
+            object.__setattr__(self, name, f)
 
 
 @dataclass(frozen=True)
@@ -425,8 +443,7 @@ def dual_ghost(gs: GhostSpaceFirstKind) -> GhostSpaceSecondKind:
     indexed so that chi_a(x) = exp(2 pi i sum a_j x_j / n_j).
     """
     uhat = dft(gs.group, gs.u) / gs.group.size
-    dual_group = FiniteAbelianGroup(gs.group.cyclic_orders)
-    return GhostSpaceSecondKind(dual_group, uhat.real)
+    return GhostSpaceSecondKind(gs.group, uhat.real)
 
 
 @dataclass(frozen=True)
@@ -561,20 +578,12 @@ def load_ghost(obj: dict):
     """Parse {cyclic_orders, u} or {cyclic_orders, mu} (mixed-radix order)."""
     if not isinstance(obj, dict) or "cyclic_orders" not in obj:
         raise InvalidGhostSpace("ghost descriptor needs 'cyclic_orders'")
-    try:
-        orders = tuple(exact_int(n) for n in obj["cyclic_orders"])
-    except (TypeError, ValueError) as exc:
-        raise InvalidGhostSpace("cyclic_orders must be a list of integers") from exc
-    group = FiniteAbelianGroup(orders)
+    group = FiniteAbelianGroup(obj["cyclic_orders"])
     if ("u" in obj) == ("mu" in obj):
         raise InvalidGhostSpace("ghost descriptor needs exactly one of 'u' or 'mu'")
     key = "u" if "u" in obj else "mu"
-    if not isinstance(obj[key], list) or any(isinstance(x, (bool, str)) for x in obj[key]):
-        raise InvalidGhostSpace(f"'{key}' must be a list of reals")
     try:
-        values = np.asarray(obj[key], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidGhostSpace(f"'{key}' must be a list of reals") from exc
-    if values.ndim != 1:  # the constructors flatten, and would read [[1], [0.5]] as (1, 0.5)
-        raise InvalidGhostSpace(f"'{key}' must be a flat list of reals, not nested lists")
+        values = exact_reals(obj[key])
+    except ValueError as exc:
+        raise InvalidGhostSpace(f"'{key}' must be a list of reals: {exc}") from exc
     return (GhostSpaceFirstKind if key == "u" else GhostSpaceSecondKind)(group, values)

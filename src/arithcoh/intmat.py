@@ -6,14 +6,17 @@ ints only: hnf_rows and lattice_normalize give the canonical basis of a
 product or a dual, triangular_adjugate inverts an HNF basis by
 back-substitution, and adjugate and det_int invert a field's trace form
 once.  diagonalize_int presents the finite group quotients of the ghost
-lab.  The Fraction and rational-lattice helpers at the end serve only the
-benchmark's trace hooks and the tests.
+lab.  exact_int and exact_reals read the numbers of the JSON loaders,
+refusing what int() and float() would silently convert.  The Fraction and
+rational-lattice helpers at the end serve only the benchmark's trace hooks
+and the tests.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, prod
+from sys import float_info
 
 
 def exact_int(x) -> int:
@@ -27,6 +30,20 @@ def exact_int(x) -> int:
     if isinstance(x, bool) or n != x:
         raise ValueError(f"{x!r} is not an integer")
     return n
+
+
+def exact_reals(xs) -> list[float]:
+    """[float(x) for x in xs] for a list of ints and floats; ValueError, naming
+    the item, for anything else: a bool, a string ("0.4"), a nested list or an
+    int above the largest float."""
+    if not isinstance(xs, list):
+        raise ValueError(f"{xs!r} is not a list")
+    for i, x in enumerate(xs):
+        if isinstance(x, bool) or not isinstance(x, (int, float)):
+            raise ValueError(f"item {i}, {x!r}, is not a real")
+        if isinstance(x, int) and abs(x) > float_info.max:
+            raise ValueError(f"item {i} is an integer beyond the float range")
+    return [float(x) for x in xs]
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:

@@ -342,12 +342,11 @@ def _make_custom(desc: dict) -> NumberFieldDescriptor:
         r1 = intmat.exact_int(desc["r1"])
         r2 = intmat.exact_int(desc["r2"])
         delta = intmat.exact_int(desc["abs_discriminant"])
-        emb_flat = [float(x) for x in desc["embeddings"]]
+        emb_flat = intmat.exact_reals(desc["embeddings"])
         diff_rows = [[intmat.exact_int(x) for x in row] for row in desc["different_basis"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise InvalidFieldSpec(f"malformed custom field descriptor: {exc}") from exc
-    if not isinstance(desc["embeddings"], list) or not all(map(math.isfinite, emb_flat)) \
-            or any(isinstance(x, (bool, str)) for x in desc["embeddings"]):
+    if not all(map(math.isfinite, emb_flat)):
         raise InvalidFieldSpec("custom field embeddings must be a list of finite reals")
     if r1 < 0 or r2 < 0 or r1 + 2 * r2 != n:
         raise DescriptorInconsistent(

@@ -121,7 +121,8 @@ def test_divisor_needs_one_finite_part_and_integer_exponents():
     for primes, explicit in (((), unit_ideal(QI)), (None, None)):
         with pytest.raises(InvalidDivisor, match="exactly one of prime exponents"):
             arakelov.ArakelovDivisor(QI, primes, explicit, (0.0,))
-    for e in (1.5, Fraction(1), 2.0):
+    # True loaded as the exponent 1, while load_divisor refused JSON true
+    for e in (1.5, Fraction(1), 2.0, True):
         with pytest.raises(InvalidDivisor, match="exponents must be integers"):
             divisor_from_primes(QI, [(P, e)], [0.0])
 
@@ -743,7 +744,7 @@ def test_load_divisor_refuses_booleans():
 
 def test_load_divisor_refuses_strings():
     # float() read the JSON string "0.4" as the real 0.4
-    with pytest.raises(InvalidDivisor, match="not booleans or strings"):
+    with pytest.raises(InvalidDivisor, match="item 0, '0.4', is not a real"):
         load_divisor(QI, {"finite": [], "infinite": ["0.4"]})
 
 

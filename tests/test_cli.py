@@ -360,6 +360,14 @@ def test_ghost_actions_on_a_second_kind_descriptor(files, capsys):
         assert "InvalidGhostSpace" in err and "first-kind descriptors" in err
 
 
+def test_ghost_actions_on_the_trivial_group(files, capsys):
+    trivial = files["write"]("ghost0.json", {"cyclic_orders": [], "u": [1.0]})
+    for action in ("check", "dual", "quotient", "assoc"):
+        code, out, _ = run(capsys, ["ghost", action, trivial])
+        assert code == 0 and json.loads(out)["pass"], action
+    assert json.loads(out)["results"]["triples_checked"] == 1
+
+
 def test_ghost_assoc(files, capsys):
     code, out, _ = run(capsys, ["ghost", "assoc", files["ghost_ok"]])
     assert code == 0
@@ -441,6 +449,11 @@ _MALFORMED = {
     "ghost-orders-str": ("ghost", {"cyclic_orders": "12", "u": [1.0, 0.5]}),
     "ghost-orders-float": ("ghost", {"cyclic_orders": [2.5], "u": [1.0, 0.5]}),
     "ghost-no-orders": ("ghost", {"u": [1.0, 0.5]}),
+    # a 400-digit integer, beyond the float range: float() raised OverflowError
+    "divisor-infinite-huge": ("divisor", {"finite": [], "infinite": [10 ** 400]}),
+    "field-embeddings-huge": ("field", {**_CUSTOM_QI, "embeddings": [10 ** 400, 0, 0, 1]}),
+    "ghost-u-huge": ("ghost", {"cyclic_orders": [2], "u": [1, 10 ** 400]}),
+    "ghost-mu-huge": ("ghost", {"cyclic_orders": [2], "mu": [10 ** 400, 0]}),
     **{f"{kind}-{name}": (kind, content)
        for kind in ("field", "divisor", "ghost")
        for name, content in (("not-json", "{"), ("not-utf8", b'{"type": "\xff"}'),

@@ -11,6 +11,7 @@ import pytest
 
 from arithcoh.errors import InvalidGhostSpace
 from arithcoh.ghost import (
+    AssociativityCheck,
     FiniteAbelianGroup,
     GhostMeasure,
     GhostSpaceFirstKind,
@@ -128,15 +129,52 @@ def test_check_first_kind_named_failures():
     u = (1.0 - 6.2e-13) * np.where(x % 5 == 0, 1.0, 0.3) + 6.2e-13 * np.cos(2 * math.pi * x / 15)
     report = check_first_kind(FiniteAbelianGroup((15,)), u)
     assert "cosets" in report.failing_invariant and not report.coset_constant
+    # u(0) - 1 = 0.9e-12 and the DFT (2 + 2.7e-12, -0.9e-12) pass within 1e-12,
+    # but u(1) - 1 = 1.8e-12; the message names that excess, not max u
+    report = check_first_kind(Z2, [1.0 + 0.9e-12, 1.0 + 1.8e-12])
+    assert report.failing_invariant == "u exceeds 1 (max u - 1 = 1.8e-12)"
+    # even to 9.0e-13, within 1e-12, but the odd sine term leaves
+    # max |Im DFT| = 2.25e-10, above 1e-10
+    x = np.arange(1000)
+    d = np.minimum(x, 1000 - x)
+    u = 0.5 + 0.5 * np.exp(-d**2 / 800) + 0.45e-12 * np.sin(2 * math.pi * x / 1000)
+    u[0] = 1.0
+    assert check_first_kind(FiniteAbelianGroup((1000,)), u).failing_invariant == \
+        "DFT of u is not real"
+
+
+def test_trivial_group_runs_every_operation():
+    # rank 0, |G| = 1: _shift and quotient_group_map take their own branches
+    group = FiniteAbelianGroup(())
+    gs = GhostSpaceFirstKind(group, [1.0])
+    assert check_first_kind(group, [1.0]).unit_subgroup == ((),)
+    assert convolve_first(gs, (), ()).weights.tolist() == [1.0]
+    assert mixed_convolve(group, [1.0], [1.0], (), ()).weights.tolist() == [1.0]
+    assert dual_ghost(gs).mu.tolist() == [1.0]
+    quotient = quotient_by_ghost(group, [1.0])
+    assert quotient.mu.tolist() == [1.0] and dim_first(gs) == dim_second(quotient) == 0.0
+    sq = sub_quotient_first(group, [1.0], [])
+    assert (sq.quotient_group.cyclic_orders, sq.projection.tolist()) == ((), [0])
+    assert [q.values.tolist() for q in quasi_characters(gs)] == [[1.0]]
+    for structure in (gs, quotient, MixedGhostSpace(group, [1.0], [1.0])):
+        assert check_associativity(structure) == AssociativityCheck(True, 0.0, 0.0, 1)
+
+
+@pytest.mark.parametrize("orders", [(6.7,), ("3",), (True, 2), (2, None), 5],
+                         ids=["float", "str", "bool", "none", "not-a-list"])
+def test_group_orders_must_be_integers(orders):
+    # int() read (6.7,) as Z/6 and ("3",) as Z/3
+    with pytest.raises(InvalidGhostSpace, match="cyclic orders must be integers"):
+        FiniteAbelianGroup(orders)
 
 
 @pytest.mark.parametrize("build, message", [
     pytest.param(lambda: dft(Z4, np.ones(3)), "function not defined", id="dft"),
     pytest.param(lambda: GhostSpaceSecondKind(Z4, [0.5, 0.25, 0.25]), "mu must be", id="second"),
     pytest.param(lambda: MixedGhostSpace(Z4, [1.0, 0.5, 0.5], [0.4, 0.2, 0.2, 0.2]),
-                 "u and mu", id="mixed-u"),
+                 "u must be a finite real function", id="mixed-u"),
     pytest.param(lambda: MixedGhostSpace(Z4, [1.0, 0.5, 0.5, 0.5], [0.4, 0.2, 0.4]),
-                 "u and mu", id="mixed-mu"),
+                 "mu must be a finite real function", id="mixed-mu"),
     pytest.param(lambda: GhostMeasure(Z4, np.zeros(5)), "measure not defined", id="measure"),
 ])
 def test_input_of_the_wrong_size_is_refused(build, message):
@@ -697,7 +735,8 @@ def test_load_ghost_values_must_be_a_json_array():
                 load_ghost({"cyclic_orders": [], key: values})
     # nested lists were flattened by the constructors and loaded
     for key, values in (("u", [[1.0], [0.5]]), ("mu", [[0.75], [0.25]]), ("u", [[1.0, 0.5]])):
-        with pytest.raises(InvalidGhostSpace, match=f"'{key}' must be a flat list of reals"):
+        nested = rf"'{key}' must be a list of reals: item 0, \[.*\], is not a real"
+        with pytest.raises(InvalidGhostSpace, match=nested):
             load_ghost({"cyclic_orders": [2], key: values})
 
 

@@ -480,7 +480,7 @@ def test_custom_descriptor_embeddings_must_be_a_json_array():
     rational = {"degree": 1, "r1": 1, "r2": 0, "abs_discriminant": 1,
                 "embeddings": [1.0], "different_basis": [[1]]}
     for embeddings in ("1", "10"):
-        with pytest.raises(InvalidFieldSpec, match="list of finite reals"):
+        with pytest.raises(InvalidFieldSpec, match=f"'{embeddings}' is not a list"):
             make_field({**rational, "embeddings": embeddings})
 
 
@@ -507,7 +507,7 @@ def test_custom_descriptor_refuses_strings():
     # float() read the JSON strings "1" and "0" as reals, and so as Q(i)
     qi = {"degree": 2, "r1": 0, "r2": 1, "abs_discriminant": 4,
           "embeddings": ["1", "0", "0", "1"], "different_basis": [[2, 0], [0, 2]]}
-    with pytest.raises(InvalidFieldSpec, match="list of finite reals"):
+    with pytest.raises(InvalidFieldSpec, match="item 0, '1', is not a real"):
         make_field(qi)
 
 
