@@ -31,24 +31,25 @@ from .numfield import (
     FractionalIdeal,
     NumberFieldDescriptor,
     PrimeIdeal,
+    _coordinate_weights,
     _embed_reduced,
     _trace_dual,
     embed_ideal,
     ideal_inv,
     ideal_mul,
-    infinite_weights,
     make_field,
     primes_above,
     unit_ideal,
 )
 
 # n log 2^1024 caps sum |e| log N(P) over the exponents of each sign of a
-# prime-exponent divisor, so that the two one-sign products of ideal() stay
-# cheap.  Such divisors exist only over Q and quadratic fields
-# (primes_above), so n <= 2 wherever the cap is read.  One product beyond it
-# has an HNF entry above 2^1024 or below 2^-1024, out of the float range or
-# subnormal; the two signs may cancel (2^700 3^-442 is near 1), and an ideal
-# that is still too large meets the typed errors of embed_ideal and LLL
+# prime-exponent divisor, as listed, so that the rational factor p^-k and
+# the two one-sign products of ideal() stay cheap.  Such divisors exist only
+# over Q and quadratic fields (primes_above), so n <= 2 wherever the cap is
+# read.  One product beyond it has an HNF entry above 2^1024 or below
+# 2^-1024, out of the float range or subnormal; the two signs may cancel
+# (2^700 3^-442 is near 1), and an ideal that is still too large meets the
+# typed errors of embed_ideal and LLL
 _LOG_FLOAT_RANGE = 1024 * math.log(2)
 
 
@@ -68,7 +69,7 @@ class ArakelovDivisor:
             raise InvalidDivisor(
                 f"divisor needs {self.field.r1 + self.field.r2} infinite components")
         try:
-            weights = infinite_weights(self.field, self.infinite)
+            weights = _coordinate_weights(self.field, self.infinite)
         except OverflowError:  # exp(-2 x_sigma) beyond the float range
             weights = [math.inf]
         if not all(sys.float_info.min <= w < math.inf for w in weights):  # subnormal: inexact
@@ -93,19 +94,69 @@ class ArakelovDivisor:
     def ideal(self) -> FractionalIdeal:
         """Associated fractional ideal prod P^(-x_P).
 
-        Built as N * M^-1 with N = prod P^(-e) over the negative exponents and
-        M^-1 = prod (P^-1)^e over the positive ones, from the inverse each
-        prime carries: sum |e| - 1 products and no inverse.  Each sign is its
+        The exponents of a prime listed more than once are added first.  Then,
+        for each p whose primes in D are all the primes above p (sum e(P) f(P)
+        = n) with exponents a_P of one sign, pO = prod P^e(P) (Cohen, GTM 138,
+        4.8) takes out of prod P^(-a_P) the rational factor p^-k for positive
+        a_P and p^k for negative ones, k = min floor(|a_P| / e(P)); over Q
+        every prime term is such a power.  The remainders b_P, a_P less
+        k e(P) in size, are built as N * M^-1 with
+        N = prod P^(-b) over the negative ones and M^-1 = prod (P^-1)^b over
+        the positive ones, from the inverse each prime carries: sum |b_P| - 1
+        products, none when every b_P is 0, and no inverse.  Each sign is its
         own chain, joined by one last product: a chain that alternates signs
-        carries the large entries of both through every step.  HNF bases are
-        canonical, so the order of the products does not show in the result.
+        carries the large entries of both through every step.  A positive
+        integer multiple of an HNF basis is an HNF basis, so the factor
+        up / down scales the rows by up and the denominator by down, and the
+        pair keeps content 1: the product R of the chains is integral at
+        each p in up, so p does not divide its den, and R has no valuation
+        above 0 at any prime above a p in down, so p does not divide all of
+        its rows.  HNF bases are canonical, so neither the order of the
+        products nor the split shows in the result.
         """
         if self.explicit is not None:
             return self.explicit
-        neg = [prime.ideal for prime, e in self.primes for _ in range(-e)]
-        pos = [prime.inverse for prime, e in self.primes for _ in range(e)]
+        fld = self.field
+        if not self.primes:
+            return unit_ideal(fld)
+        by_p: dict = {}
+        for prime, e in _merged(self.primes):
+            by_p.setdefault(prime.p, []).append((prime, e))
+        up = down = 1  # the rational factor up / down
+        neg, pos = [], []
+        for p, terms in by_p.items():
+            k = 0
+            if (len({e > 0 for _, e in terms}) == 1
+                    and sum(P.ramification * P.residue_degree for P, _ in terms) == fld.n):
+                k = min(abs(e) // P.ramification for P, e in terms)
+            sign = 1 if terms[0][1] > 0 else -1
+            if sign > 0:
+                down *= p ** k
+            else:
+                up *= p ** k
+            for prime, e in terms:
+                b = e - sign * k * prime.ramification
+                if b < 0:
+                    neg += [prime.ideal] * -b
+                else:
+                    pos += [prime.inverse] * b
         sides = [functools.reduce(ideal_mul, side) for side in (neg, pos) if side]
-        return functools.reduce(ideal_mul, sides) if sides else unit_ideal(self.field)
+        I = functools.reduce(ideal_mul, sides) if sides else unit_ideal(fld)
+        if up == down:
+            return I
+        return FractionalIdeal(fld, tuple(tuple(up * x for x in row) for row in I.num),
+                               down * I.den)
+
+
+def _merged(terms) -> tuple:
+    """The (prime, exponent) terms with the exponents of each prime added,
+    in the order of each prime's first term, and the zero totals dropped."""
+    exps: dict = {}
+    for prime, e in terms:
+        key = (prime.p, prime.index)
+        first, total = exps.get(key, (prime, 0))
+        exps[key] = (first, total + e)
+    return tuple((p, e) for p, e in exps.values() if e)
 
 
 def divisor_from_primes(fld, prime_exponents, infinite) -> ArakelovDivisor:
@@ -142,13 +193,7 @@ def sub(D1: ArakelovDivisor, D2: ArakelovDivisor) -> ArakelovDivisor:
         raise InvalidDivisor("divisors live over different fields")
     inf = tuple(a - b for a, b in zip(D1.infinite, D2.infinite))
     if D1.primes is not None and D2.primes is not None:
-        exps: dict = {}
-        for sign, primes in ((1, D1.primes), (-1, D2.primes)):
-            for prime, e in primes:
-                key = (prime.p, prime.index)
-                first, total = exps.get(key, (prime, 0))
-                exps[key] = (first, total + sign * e)
-        merged = tuple((p, e) for p, e in exps.values() if e)
+        merged = _merged(D1.primes + tuple((p, -e) for p, e in D2.primes))
         return ArakelovDivisor(D1.field, merged, None, inf)
     ideal = ideal_mul(D1.ideal(), ideal_inv(D2.ideal()))
     return ArakelovDivisor(D1.field, None, ideal, inf)
@@ -295,7 +340,9 @@ def verify_duality(D: ArakelovDivisor, tol: float = 1e-9, budget: int = DEFAULT_
     F, I = D.field, D.ideal()
     a = h0(divisor_from_ideal(F, I, D.infinite), tol / 4.0, budget)
     scale = F.different_codifferent
-    kd = _trace_dual(I if scale == unit_ideal(F) else ideal_mul(I, scale))
+    # an HNF over den 1 with unit pivots is the identity: d O^v = O
+    unit = scale.den == 1 and all(row[i] == 1 for i, row in enumerate(scale.num))
+    kd = _trace_dual(I if unit else ideal_mul(I, scale))
     b = h0(divisor_from_ideal(F, kd, [0.0 - x for x in D.infinite]), tol / 4.0, budget)
     lhs = a.value - b.value
     rhs = degree(D) - 0.5 * math.log(D.field.abs_discriminant)

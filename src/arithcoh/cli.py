@@ -229,8 +229,7 @@ def _cmd_ghost(args) -> int:
         return _report(command, {"kind": "second", "dimension": ghost.dim_second(structure)},
                        True, inputs=inputs)
     if args.action == "check":
-        # the constructor already validated; rerun for the full report
-        report = ghost.check_first_kind(structure.group, structure.u)
+        report = structure.check  # the constructor's own, passed
         return _report(command, {
             "kind": "first",
             "dimension": ghost.dim_first(structure),
@@ -247,7 +246,7 @@ def _cmd_ghost(args) -> int:
         ok = abs(dim_primal - dim_dual) <= 1e-12
         return _report(command, {"dual_mu": dual.mu.tolist(), "dim_primal": dim_primal,
                                  "dim_dual": dim_dual, "dims_match": ok}, ok, inputs=inputs)
-    sq = ghost.sub_quotient_first(structure.group, structure.u, args.subgroup)
+    sq = structure.sub_quotient(args.subgroup)
     # dimension additivity with the counting measures: dim G_u = dim H_u + dim (G/H)_v
     dim_h = math.log(math.fsum(
         float(structure.u[structure.group.index(x)]) for x in sq.subgroup))

@@ -47,7 +47,7 @@ chi_a(x) = exp(2 pi i sum a_j x_j / n_j).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -228,6 +228,8 @@ class GhostSpaceFirstKind:
 
     group: FiniteAbelianGroup
     u: np.ndarray
+    # the check_first_kind report that validated u, formed with it
+    check: FirstKindCheck = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         u = np.array(self.u, dtype=float).reshape(-1)
@@ -236,6 +238,22 @@ class GhostSpaceFirstKind:
             raise InvalidGhostSpace(report.failing_invariant)
         u.setflags(write=False)
         object.__setattr__(self, "u", u)
+        object.__setattr__(self, "check", report)
+
+    def sub_quotient(self, generators) -> SubQuotient:
+        """sub_quotient_first of this space's group and u, which are valid
+        already: only the quotient's v is checked."""
+        group = self.group
+        subgroup = subgroup_from_generators(group, generators)
+        qgroup, proj = quotient_group_map(group, generators)
+        if group.size != qgroup.size * len(subgroup):
+            raise InvalidGhostSpace("quotient presentation does not match the subgroup order")
+        coset_sums = np.zeros(qgroup.size)
+        np.add.at(coset_sums, proj, self.u)
+        v = coset_sums / coset_sums[0]
+        space = GhostSpaceFirstKind(qgroup, v)
+        return SubQuotient(space=space, quotient_group=qgroup, projection=proj,
+                           subgroup=subgroup)
 
 
 @dataclass(frozen=True)
@@ -419,17 +437,7 @@ def sub_quotient_first(group: FiniteAbelianGroup, u, generators) -> SubQuotient:
     DFT when the result is built (a failure would be a counterexample to the
     quotient positive-definiteness claim and raises InvalidGhostSpace).
     """
-    gs = GhostSpaceFirstKind(group, u)
-    subgroup = subgroup_from_generators(group, generators)
-    qgroup, proj = quotient_group_map(group, generators)
-    if group.size != qgroup.size * len(subgroup):
-        raise InvalidGhostSpace("quotient presentation does not match the subgroup order")
-    coset_sums = np.zeros(qgroup.size)
-    np.add.at(coset_sums, proj, gs.u)
-    v = coset_sums / coset_sums[0]
-    space = GhostSpaceFirstKind(qgroup, v)
-    return SubQuotient(space=space, quotient_group=qgroup, projection=proj,
-                       subgroup=subgroup)
+    return GhostSpaceFirstKind(group, u).sub_quotient(generators)
 
 
 # ---------------------------------------------------------------------------

@@ -10,10 +10,13 @@ discarded tail rigorously, so the returned value always carries a certified
 error.  All arithmetic is IEEE-754 binary64.  The enumeration (Fincke and
 Pohst, Math. Comp. 44, 1985) holds its candidate coordinates as exact float
 integers, below 2^52 in size, so every candidate v_i and every v_i + c_i is
-the float an integer type would give.  Its last level, which holds almost
-all of the points, comes in blocks: each block's Q is computed once, in
-place, in one float buffer, and is masked only when some candidate lies
-outside the ball.  The terms are added by math.fsum, which is correctly
+the float an integer type would give.  Its levels run in Python scalars
+while they hold only the zero row, the one partial assignment v = 0 at a
+zero centre, as every level of a one-point sum does, and in arrays from the
+first level that holds more.  Each level is masked to the ball only when
+some candidate lies outside it.  The last level, which holds almost all of
+the points, comes in blocks, and each block's Q is computed once, in place,
+in one float buffer.  The terms are added by math.fsum, which is correctly
 rounded: the value depends only on the exact sum of what it is given, not
 on its order, so it needs no sort, and repeated calls are bit-identical.  A
 large block of terms reaches fsum as the exact sums of an error-free split
@@ -187,7 +190,7 @@ class ThetaResult:
 
 
 def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget: int,
-           half: bool):
+           half: bool, zero: bool):
     """Candidate values lo .. lo + counts - 1 of coordinate i below each row of V.
 
     Also returns s, the part of (U (v + center))_i fixed by the row, and the
@@ -204,14 +207,21 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget
     steps on the least and the largest numerator.  A range beyond 2^52,
     infinite or nan raises, and once it fits no divide can overflow.  The
     array path's lo is a float array of exact integers, its counts int64,
-    for repeat.
+    for repeat; its bounds are computed in place, in the order above.
 
-    V and T are None at the top level, coordinate n - 1.  It has one row,
-    the empty assignment, with s = T = 0, so rad = sqrt(bound) and the
+    zero says that the whole centre is zero, +0.0 or -0.0.  The array path
+    then leaves out V + c and - c_i: V holds exact float integers, never
+    -0.0, so adding a zero returns it, and x - c_i is x or, for x = -0.0 and
+    c_i = -0.0, +0.0, which the slack step that follows maps to the same
+    float.
+
+    V and T are None while every coordinate above i has taken only v = 0 at
+    a zero centre coordinate: the one zero row, with s = T = 0, the top
+    level's empty assignment included.  Then rad = sqrt(bound) and the
     numerators are -rad and rad; s, lo, counts and total come back as
-    Python scalars.  These are the array path's IEEE operations on the one
-    row, as -rad - 0.0 = -rad and rad - 0.0 = rad, so every bound is the
-    same float.
+    Python scalars.  These are the array path's IEEE operations on that
+    row: its s is +-0.0, and -rad - s = -rad and rad - s = rad, so every
+    bound is the same float.
     """
     uii, ci = float(U[i, i]), float(center[i])
     if V is None:
@@ -219,11 +229,16 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget
         largest = math.sqrt(bound)
         least = -largest
     else:
-        s = (V + center[i + 1:]) @ U[i, i + 1:]
-        rad = np.sqrt(np.maximum(bound - T, 0.0))
-        below, above = -rad - s, rad - s
-        least = float(below.min(initial=math.inf))  # inf and -inf when V has no rows
-        largest = float(above.max(initial=-math.inf))
+        s = (V if zero else V + center[i + 1:]) @ U[i, i + 1:]
+        rad = bound - T
+        np.maximum(rad, 0.0, out=rad)
+        np.sqrt(rad, out=rad)
+        lo = np.negative(rad)
+        lo -= s
+        hi = rad
+        hi -= s
+        least = float(lo.min(initial=math.inf))  # inf and -inf when V has no rows
+        largest = float(hi.max(initial=-math.inf))
     lo_min = least / uii - ci - _BOUNDARY_SLACK
     hi_max = largest / uii - ci + _BOUNDARY_SLACK
     if not (hi_max < _MAX_REACH and -lo_min < _MAX_REACH):  # a nan fails too
@@ -236,11 +251,21 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget
             lo = max(lo, 0 if i else 1)
         total = counts = max(math.floor(hi_max) - lo + 1, 0)
     else:
-        lo = np.ceil(below / uii - ci - _BOUNDARY_SLACK)
-        hi = np.floor(above / uii - ci + _BOUNDARY_SLACK)
+        lo /= uii
+        hi /= uii
+        if not zero:
+            lo -= ci
+            hi -= ci
+        lo -= _BOUNDARY_SLACK
+        hi += _BOUNDARY_SLACK
+        np.ceil(lo, out=lo)
+        np.floor(hi, out=hi)
         if half:
             lo[0] = max(lo[0], 0 if i else 1)
-        counts = np.maximum(hi - lo + 1.0, 0.0).astype(np.int64)
+        hi -= lo
+        hi += 1.0
+        np.maximum(hi, 0.0, out=hi)
+        counts = hi.astype(np.int64)
         total = int(counts.sum(dtype=float))  # exact below 2^53, and an int64 sum could wrap
     if (2 * total + (1 if i == 0 else -1) if half else total) > budget:
         raise EnumerationBudgetExceeded(
@@ -269,12 +294,12 @@ def _candidates(lo: np.ndarray, counts: np.ndarray, total: int, V=None) -> np.nd
     candidate is the float of the integer that int64 arithmetic gives, and
     so is v + c_i for a float c_i.
     """
-    starts = np.cumsum(counts) - counts
+    starts = counts.cumsum() - counts
     if V is None:
-        v = np.repeat(lo - starts, counts)
+        v = (lo - starts).repeat(counts)
         v += np.arange(total, dtype=float)
         return v
-    W = np.repeat(np.column_stack([lo - starts, V]), counts, axis=0)
+    W = np.column_stack([lo - starts, V]).repeat(counts, axis=0)
     W[:, 0] += np.arange(total, dtype=float)
     return W
 
@@ -284,7 +309,7 @@ def _expand(v: np.ndarray, s, counts, T, uii, ci) -> np.ndarray:
     T + (uii (v + ci) + s)^2, with the s and T of each candidate's row
     (counts[k] candidates for row k), one in-place pass per operation.
 
-    T is None for the one row of the top level, where s = T = 0.  Adding 0.0
+    T is None for the one zero row (see _level), where s = T = 0.  Adding 0.0
     to a value that is then squared, and to a square, changes no float (a
     -0.0 becomes +0.0, and squares to +0.0 either way), so those two adds
     are left out.  So is v + ci for a zero shift ci, +0.0 or -0.0, as in
@@ -295,10 +320,10 @@ def _expand(v: np.ndarray, s, counts, T, uii, ci) -> np.ndarray:
         v += ci
     v *= uii
     if T is not None:
-        v += np.repeat(s, counts)
+        v += s.repeat(counts)
     np.square(v, out=v)
     if T is not None:
-        v += np.repeat(T, counts)
+        v += T.repeat(counts)
     return v
 
 
@@ -323,11 +348,17 @@ def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int,
 
     Each level's bounds, reach and budget checks are those of _level, and
     its candidates those of _candidates: exact float integers, with no
-    integer array built.  The top level, coordinate n - 1, has one row and
-    is computed in scalars (see _level and _expand), its candidates as one
-    arange; for n = 1 the last-level blocks are slices of it.  Below it, one
-    mask of the ball takes the next V whole from the array that _candidates
-    builds.
+    integer array built.  While the levels from the top down yield only
+    v_i = 0 at a zero centre coordinate c_i, V and T stay None: that is the
+    one zero row, with Q = 0, and the next level is computed in scalars like
+    the top one (see _level and _expand), its candidates as one arange.  The
+    first level that yields more, and the last level if none does, sees V
+    as that zero row, with a zero column for each coordinate it skipped; for
+    n = 1, or a zero row down to the last level, the last-level blocks are
+    slices of one arange.  A level's candidates are masked to the ball only
+    when some candidate lies outside it; otherwise the next V is the array
+    that _candidates builds, whole.  Whether the whole centre is zero is
+    decided once, here, not inferred from half.
 
     Points whose Q lands within roundoff of the boundary may be included;
     the caller's tail bound is evaluated at a slightly smaller radius so
@@ -335,26 +366,32 @@ def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int,
     """
     n = U.shape[0]
     bound = _ball_bound(radius)
-    V = T = None  # the top level's one row (see _level)
+    zero = not center.any()
+    V = T = None  # the zero row (see _level)
     for i in range(n - 1, 0, -1):
-        s, lo, counts, total = _level(U, center, bound, V, T, i, budget, half)
+        s, lo, counts, total = _level(U, center, bound, V, T, i, budget, half, zero)
         if T is None:
-            W = np.arange(lo, lo + total, dtype=float)[:, None]
+            if total == 1 and lo == 0 and center[i] == 0.0:
+                continue  # v_i = 0 with Q = 0: the zero row again
+            W = np.zeros((total, n - i))
+            W[:, 0] = np.arange(lo, lo + total, dtype=float)
         else:
             W = _candidates(lo, counts, total, V)
         Tn = _expand(W[:, 0].copy(), s, counts, T, U[i, i], center[i])
-        keep = Tn <= bound
-        V, T = W[keep], Tn[keep]
-    s, lo, counts, total = _level(U, center, bound, V, T, 0, budget, half)
+        if Tn.max(initial=0.0) > bound:
+            keep = Tn <= bound
+            W, Tn = W[keep], Tn[keep]
+        V, T = W, Tn
+    s, lo, counts, total = _level(U, center, bound, V, T, 0, budget, half, zero)
     if V is None:
-        V = np.zeros((1, 0))
+        V = np.zeros((1, n - 1))
     return V, _last_level(s, lo, counts, total, T, U[0, 0], center[0])
 
 
 def _last_level(s, lo, counts, total: int, T, uii, ci):
     # the blocks of _fincke_pohst, split by candidate index, so that one row
     # may span several blocks; a level that fits one block is that block.
-    # For n = 1 (T is None) the one row's blocks are slices of one arange.
+    # For the zero row (T is None) its blocks are slices of one arange.
     if T is None:
         for a in range(0, max(total, 1), _BLOCK_POINTS):
             c = min(_BLOCK_POINTS, total - a)
@@ -364,7 +401,7 @@ def _last_level(s, lo, counts, total: int, T, uii, ci):
     if total <= _BLOCK_POINTS:
         yield 0, counts, lo, _expand(_candidates(lo, counts, total), s, counts, T, uii, ci)
         return
-    ends = np.cumsum(counts)
+    ends = counts.cumsum()
     for a in range(0, total, _BLOCK_POINTS):
         b = min(a + _BLOCK_POINTS, total)
         r0 = int(np.searchsorted(ends, a, side="right"))

@@ -509,10 +509,15 @@ def infinite_weights(fld: NumberFieldDescriptor, x_inf) -> np.ndarray:
     x = [float(t) for t in x_inf]
     if len(x) != fld.r1 + fld.r2:
         raise ValueError(f"expected {fld.r1 + fld.r2} infinite components, got {len(x)}")
+    return np.array(_coordinate_weights(fld, x))
+
+
+def _coordinate_weights(fld: NumberFieldDescriptor, x) -> list[float]:
+    """infinite_weights as a list, for one float x_sigma per place."""
     w = [math.exp(-2.0 * t) for t in x[:fld.r1]]
     for t in x[fld.r1:]:
         w.extend([2.0 * math.exp(-t)] * 2)
-    return np.array(w)
+    return w
 
 
 def embed_ideal(fld: NumberFieldDescriptor, I: FractionalIdeal, x_inf) -> EmbeddedLattice:

@@ -440,12 +440,58 @@ def test_divisor_ideal_equals_the_product_of_prime_powers():
             terms.append((rng.choice(primes), rng.choice((-3, -2, -1, 1, 2, 3))))
             D = divisor_from_primes(F, terms + pair, [0.0] * (F.r1 + F.r2))
             assert D.ideal() == oracle(D), (F.label, terms)
+    # pO = prod P^e(P) lets ideal() take p^k or p^-k out of a p whose primes
+    # in D are all the primes above p at one sign: every kind of prime at
+    # exponents up to 4, a prime listed twice at the same and at opposite
+    # signs, a split pair at one sign and at opposite signs, and random
+    # mixes of them
+    kinds = set()
+    for F in [Q] + [make_field(("quadratic", d)) for d in (-1, -5, 2, 5, 13)]:
+        primes = [P for p in (2, 3, 5, 7, 11, 13) for P in primes_above(F, p)]
+        for _ in range(3):
+            terms = [(P, rng.randint(-4, 4)) for P in rng.sample(primes, 3)]
+            D = divisor_from_primes(F, terms, [0.0] * (F.r1 + F.r2))
+            assert D.ideal() == oracle(D), (F.label, terms)
+        for p in (2, 3, 5, 7, 11, 13):
+            above = primes_above(F, p)
+            P = above[0]
+            kinds.add((F.n, "split" if len(above) == F.n else
+                       "ramified" if P.ramification == 2 else "inert"))
+            cases = [[(P, e)] for e in (1, -1, 2, -2, 3, -3, 4, -4)]
+            cases += [[(P, 3), (P, 2)], [(P, -1), (P, -2)], [(P, 3), (P, -1)], [(P, -4), (P, 2)]]
+            if len(above) == 2:
+                P1, P2 = above
+                cases += [[(P1, 2), (P2, 3)], [(P1, -4), (P2, -1)], [(P1, 2), (P2, -3)],
+                          [(P1, -1), (P2, 4)], [(P1, 1), (P2, 1), (P1, -1)]]
+            for case in cases:
+                D = divisor_from_primes(F, case, [0.0] * (F.r1 + F.r2))
+                assert D.ideal() == oracle(D), (F.label, case)
+    assert kinds == {(1, "split"), (2, "split"), (2, "ramified"), (2, "inert")}
+
+
+def _expected_products(D) -> int:
+    """The products D.ideal() takes: sum |b_P| - 1 over the exponents b_P
+    left once each whole (p) is taken out (see ArakelovDivisor.ideal)."""
+    merged = {}
+    for P, e in D.primes:
+        first, total = merged.get((P.p, P.index), (P, 0))
+        merged[P.p, P.index] = (first, total + e)
+    left = 0
+    for p in {P.p for P, _ in D.primes}:
+        terms = [(P, e) for (q, _), (P, e) in merged.items() if q == p and e]
+        whole = sum(P.ramification * P.residue_degree for P, _ in terms) == D.field.n
+        one_sign = len({e > 0 for _, e in terms}) == 1
+        k = min(abs(e) // P.ramification for P, e in terms) if whole and one_sign else 0
+        left += sum(abs(e) - k * P.ramification for P, e in terms)
+    return max(left - 1, 0)
 
 
 def test_verify_duality_makes_no_inverse_one_trace_dual_and_k_minus_1_products(monkeypatch):
-    # D's ideal is sum |e| - 1 products of the primes and the inverses they
-    # carry; K - D's is one trace dual, of I d O^v, which takes one more
-    # product only when the descriptor's different d does not invert O^v
+    # D's ideal takes each whole (p) out as a rational factor and makes
+    # k - 1 products of the primes and the inverses they carry, k = sum |b|
+    # over the exponents b that remain (_expected_products); K - D's is one
+    # trace dual, of I d O^v, which takes one more product only when the
+    # descriptor's different d does not invert O^v
     wrong_q = make_field({"degree": 1, "r1": 1, "r2": 0, "abs_discriminant": 1,
                           "embeddings": [1.0], "different_basis": [[2]]})
     rng = random.Random(11)
@@ -472,13 +518,12 @@ def test_verify_duality_makes_no_inverse_one_trace_dual_and_k_minus_1_products(m
     for D in cases:
         calls.clear()
         rr = verify_duality(D, 1e-8)[0]
-        k = sum(abs(e) for _, e in D.primes)
         wrong = D.field is wrong_q
         assert rr.passed or wrong, (D.field.label, D.primes, rr.delta)
         caught += not rr.passed
         assert calls.count("ideal_inv") == 0
         assert calls.count("_trace_dual") == 1
-        assert calls.count("ideal_mul") == max(k - 1, 0) + wrong, (D.field.label, D.primes)
+        assert calls.count("ideal_mul") == _expected_products(D) + wrong, (D.field.label, D.primes)
     assert caught >= 3  # the wrong different breaks Riemann-Roch where h0(K - D) shows it
 
 

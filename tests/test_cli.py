@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from arithcoh import arakelov
+from arithcoh import arakelov, ghost
 from arithcoh.cli import main
 
 
@@ -346,6 +346,26 @@ def test_ghost_quotient(files, capsys):
     code, out, err = run(capsys, ["ghost", "quotient", path, "--subgroup", "1,0"])
     assert (code, out) == (2, "")
     assert "InvalidGhostSpace" in err and "wrong rank" in err
+
+
+def test_ghost_actions_check_each_u_once(files, capsys, monkeypatch):
+    # ghost check validates u once, in load_ghost, and reports that check;
+    # ghost quotient validates u once and the quotient's v once
+    calls = []
+    real = ghost.check_first_kind
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(ghost, "check_first_kind", counting)
+    path = files["write"]("ghost4.json", {"cyclic_orders": [4], "u": [1.0, 0.5, 0.5, 0.5]})
+    for argv, want in ((["ghost", "check", path], 1),
+                       (["ghost", "quotient", path, "--subgroup", "2"], 2)):
+        calls.clear()
+        code, out, _ = run(capsys, argv)
+        assert json.loads(out)["pass"]
+        assert (code, len(calls)) == (0, want), argv
 
 
 def test_ghost_actions_on_a_second_kind_descriptor(files, capsys):

@@ -98,6 +98,17 @@ def test_enumerate_skew_2d():
     assert len(got) == 7
 
 
+def test_enumerate_below_returns_the_zero_vector_alone():
+    # every level holds only the zero row: V stays None down to the last
+    # level, which rebuilds it n wide
+    for n in (1, 2, 3, 4):
+        for center in (None, [0.0] * n, [-0.0] * n):
+            got = enumerate_below(100.0 * np.eye(n), center, 1.0)
+            assert got.dtype == np.int64 and got.tolist() == [[0] * n]
+            V, norms = _enumerate_with_norms(100.0 * np.eye(n), center, 1.0, 10**8)
+            assert V.shape == (1, n) and norms.tolist() == [0.0]
+
+
 def test_enumerate_shifted_center():
     got = enumerate_below([[1.0]], [0.5], 0.3).ravel().tolist()
     assert got == [-1, 0]
@@ -833,22 +844,39 @@ def test_enumeration_matches_the_array_reference_bit_for_bit(monkeypatch):
     # (r0, c, v0, q, keep), of the all-array int64 enumeration, bit for bit:
     # n = 1-4, centre 0 and centres in [-1/2, 1/2]^n, half-space on and off,
     # one block and blocks of 7 candidates (for n = 1, slices of the one
-    # row), and 1 x 1 Grams with a candidate on the boundary.  A centre of
-    # -0.0s, and one with -0.0 at every other coordinate, pin the skipped
-    # v + c_i of a zero shift
+    # row), and 1 x 1 and 2 x 2 Grams with a candidate on the boundary.  A
+    # centre of -0.0s, and one with -0.0 at every other coordinate, pin the
+    # skipped v + c_i of a zero shift.  Grams of n = 2-4 whose top one, two or all
+    # levels hold only v_i = 0, at a zero centre coordinate, keep the zero
+    # row in scalars (V = T = None) down to the first level that yields
+    # more; a shifted centre gives those levels one candidate, 0, whose Q is
+    # not 0.  Their shifted centres are divided by 4 U_ii at those levels, so
+    # the zero row stays in the ball, as half-space mode needs
     rng = random.Random(41)
     radius = theta_sum([[1.0]], None, 1e-10).radius
     bound = radius + lattice._BOUNDARY_SLACK * max(radius, 1.0)
-    grams = [_random_gram(rng, n) for n in (1, 2, 3, 4) for _ in range(4)]
-    grams += [np.array([[bound / 25 * (1.0 + d)]]) for d in (1e-12, -1e-12)]
+    grams = [(_random_gram(rng, n), 1.0) for n in (1, 2, 3, 4) for _ in range(4)]
+    grams += [(np.array([[bound / 25 * (1.0 + d)]]), 1.0) for d in (1e-12, -1e-12)]
+    # the same candidate at the top level of n = 2, which is masked only
+    # when it lies outside the ball
+    grams += [(np.diag([0.7, bound / 25 * (1.0 + d)]), 1.0) for d in (1e-12, -1e-12)]
+    rng_zero = random.Random(28)
+    for n in (2, 3, 4):
+        for top in sorted({1, 2, n}):
+            scale = np.array([1.0] * (n - top) + [40.0] * top)
+            g = _random_gram(rng_zero, n) * np.outer(scale, scale)
+            U = cholesky(g).T
+            assert all(U[i, i] ** 2 > 4 * bound for i in range(n - top, n))
+            grams.append((g, np.where(scale > 1.0, 4.0 * U.diagonal(), 1.0)))
     # [[1e-8]] has about 56 k candidates: four default blocks, two in
     # half-space mode
-    for block, cases in ((lattice._BLOCK_POINTS, grams + [np.array([[1e-8]])]), (7, grams)):
+    for block, cases in ((lattice._BLOCK_POINTS, grams + [(np.array([[1e-8]]), 1.0)]),
+                         (7, grams)):
         monkeypatch.setattr(lattice, "_BLOCK_POINTS", block)
-        for g in cases:
+        for g, shrink in cases:
             n = g.shape[0]
             U = cholesky(g).T
-            shifted = np.array([rng.uniform(-0.5, 0.5) for _ in range(n)])
+            shifted = np.array([rng.uniform(-0.5, 0.5) for _ in range(n)]) / shrink
             signed_zeros = shifted.copy()
             signed_zeros[::2] = -0.0
             for center in (np.zeros(n), -np.zeros(n), shifted, signed_zeros):
