@@ -69,7 +69,6 @@ from .lattice import (
     ThetaResult,
     cholesky,
     dual_lattice,
-    enumerate_below,
     theta_sum,
 )
 from .numfield import (

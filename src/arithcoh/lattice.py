@@ -8,15 +8,16 @@ G and a shift c it evaluates
 by enumerating every lattice point below an explicit radius and bounding the
 discarded tail rigorously, so the returned value always carries a certified
 error.  All arithmetic is IEEE-754 binary64.  The enumeration (Fincke and
-Pohst, Math. Comp. 44, 1985) holds its candidate coordinates as exact float
-integers, below 2^52 in size, so every candidate v_i and every v_i + c_i is
-the float an integer type would give.  Its levels run in Python scalars
-while they hold only the zero row, the one partial assignment v = 0 at a
-zero centre, as every level of a one-point sum does, and in arrays from the
-first level that holds more.  Each level is masked to the ball only when
-some candidate lies outside it.  The last level, which holds almost all of
-the points, comes in blocks, and each block's Q is computed once, in place,
-in one float buffer.  The terms are added by math.fsum, which is correctly
+Pohst, Math. Comp. 44, 1985), whose one consumer is theta_sum, walks one
+half-space at a zero centre and the full space at any other.  It holds its
+candidate coordinates as exact float integers, below 2^52 in size, so every
+candidate v_i and every v_i + c_i is the float an integer type would give.
+Its levels run in Python scalars while they hold only the zero row, the one
+partial assignment v = 0 at a zero centre, as every level of a one-point sum
+does, and in arrays from the first level that holds more.  Each level is
+masked to the ball only when some candidate lies outside it.  The last
+level, which holds almost all of the points, comes in blocks, and each
+block's Q is computed once, in place, in one float buffer.  The terms are added by math.fsum, which is correctly
 rounded: the value depends only on the exact sum of what it is given, not
 on its order, so it needs no sort, and repeated calls are bit-identical.  A
 large block of terms reaches fsum as the exact sums of an error-free split
@@ -100,8 +101,7 @@ class GramMatrix:
     factor is the Cholesky factor of entries that validation computes; the
     theta sum enumerates with it rather than factoring again.  log_covolume
     is log sqrt(det), the sum of log diag of that factor.  Every matrix that
-    enters the lattice layer (theta_sum, enumerate_below) is validated and
-    factored here, once.
+    enters theta_sum is validated and factored here, once.
     """
 
     entries: np.ndarray
@@ -190,15 +190,18 @@ class ThetaResult:
 
 
 def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget: int,
-           half: bool, zero: bool):
+           zero: bool):
     """Candidate values lo .. lo + counts - 1 of coordinate i below each row of V.
 
     Also returns s, the part of (U (v + center))_i fixed by the row, and the
-    candidate total.  In half-space mode row 0 is the all-zero tail: it keeps
-    v_i >= 0, and v_0 >= 1 at the last level, so exactly one of each pair
-    +-v != 0 is enumerated.  The budget applies to the full space, whose
-    level holds 2 * total - 1 candidates above the last level (the zero row
-    keeps its v_i = 0) and 2 * total + 1 at it (the zero vector comes back).
+    candidate total.  zero says that the whole centre is zero, +0.0 or
+    -0.0, and selects the half-space.  There row 0 is the all-zero tail: it
+    keeps v_i >= 0, and v_0 >= 1 at the last level, so exactly one of each
+    pair +-v != 0 is enumerated.  Its lo is at most 0 at a zero centre, so
+    its first candidate is v_i = 0, whose Q = 0 keeps it in the ball as row
+    0 of the next level.  The budget applies to the full space, whose level
+    holds 2 * total - 1 candidates above the last level (the zero row keeps
+    its v_i = 0) and 2 * total + 1 at it (the zero vector comes back).
 
     The reach check runs on two floats before any array is divided: the
     bounds of a row are (-rad - s) / uii - c_i - slack and (rad - s) / uii -
@@ -209,11 +212,10 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget
     array path's lo is a float array of exact integers, its counts int64,
     for repeat; its bounds are computed in place, in the order above.
 
-    zero says that the whole centre is zero, +0.0 or -0.0.  The array path
-    then leaves out V + c and - c_i: V holds exact float integers, never
-    -0.0, so adding a zero returns it, and x - c_i is x or, for x = -0.0 and
-    c_i = -0.0, +0.0, which the slack step that follows maps to the same
-    float.
+    At a zero centre the array path also leaves out V + c and - c_i: V
+    holds exact float integers, never -0.0, so adding a zero returns it, and
+    x - c_i is x or, for x = -0.0 and c_i = -0.0, +0.0, which the slack step
+    that follows maps to the same float.
 
     V and T are None while every coordinate above i has taken only v = 0 at
     a zero centre coordinate: the one zero row, with s = T = 0, the top
@@ -247,7 +249,7 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget
             "the metric spans too wide a range")
     if V is None:
         lo = math.ceil(lo_min)
-        if half:
+        if zero:
             lo = max(lo, 0 if i else 1)
         total = counts = max(math.floor(hi_max) - lo + 1, 0)
     else:
@@ -260,14 +262,14 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget
         hi += _BOUNDARY_SLACK
         np.ceil(lo, out=lo)
         np.floor(hi, out=hi)
-        if half:
+        if zero:
             lo[0] = max(lo[0], 0 if i else 1)
         hi -= lo
         hi += 1.0
         np.maximum(hi, 0.0, out=hi)
         counts = hi.astype(np.int64)
         total = int(counts.sum(dtype=float))  # exact below 2^53, and an int64 sum could wrap
-    if (2 * total + (1 if i == 0 else -1) if half else total) > budget:
+    if (2 * total + (1 if i == 0 else -1) if zero else total) > budget:
         raise EnumerationBudgetExceeded(
             f"enumeration needs more than {budget} points; the metric is too flat")
     return s, lo, counts, total
@@ -327,24 +329,23 @@ def _expand(v: np.ndarray, s, counts, T, uii, ci) -> np.ndarray:
     return v
 
 
-def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int,
-                  half: bool = False):
+def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int):
     """Vectorized Fincke-Pohst enumeration of v in Z^n with Q(v + center) <= radius.
 
-    Q(x) = ||U x||^2 with U upper triangular.  Coordinates are assigned from
-    the last down.  Coordinates n-1 .. 1 are expanded in full into V (one
-    row per partial assignment, v_1 first, as exact float integers) and T
-    (its partial Q).  The last coordinate, which holds almost all of the
-    points, is expanded lazily.  Returns V and a generator of blocks
-    (r0, c, lo, q) of at most _BLOCK_POINTS candidates: rows r0, r0 + 1, ...
-    of V contribute c[k] candidates each, with last coordinate
-    v_0 = lo[k], ..., lo[k] + c[k] - 1 (_candidates rebuilds them), and q
-    holds their Q in that order, computed once, in place, in one float
-    buffer (_expand).  q is not masked: a candidate at the end of a row's
-    range can have Q above _ball_bound(radius), and the caller drops it, as
-    theta_sum does only when q.max() exceeds the bound, since a block rarely
-    holds one.  Every budget check runs before this returns, so no level is
-    allocated over budget.
+    Q(x) = ||U x||^2 with U upper triangular.  A zero centre, +0.0 or -0.0
+    in every coordinate, enumerates one half-space (see _level and
+    theta_sum), any other centre the full space.  Coordinates are assigned
+    from the last down.  Coordinates n-1 .. 1 are expanded in full into V
+    (one row per partial assignment, v_1 first, as exact float integers) and
+    T (its partial Q).  The last coordinate, which holds almost all of the
+    points, is expanded lazily.  Returns a generator of the Q of its
+    candidates, in blocks q of at most _BLOCK_POINTS, row by row of V, each
+    computed once, in place, in one float buffer (_expand).  An empty last
+    level yields no block.  q is not masked: a candidate at the end of a
+    row's range can have Q above _ball_bound(radius), and the caller drops
+    it, as theta_sum does only when q.max() exceeds the bound, since a block
+    rarely holds one.  Every budget check runs before this returns, so no
+    level is allocated over budget.
 
     Each level's bounds, reach and budget checks are those of _level, and
     its candidates those of _candidates: exact float integers, with no
@@ -352,13 +353,11 @@ def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int,
     v_i = 0 at a zero centre coordinate c_i, V and T stay None: that is the
     one zero row, with Q = 0, and the next level is computed in scalars like
     the top one (see _level and _expand), its candidates as one arange.  The
-    first level that yields more, and the last level if none does, sees V
-    as that zero row, with a zero column for each coordinate it skipped; for
-    n = 1, or a zero row down to the last level, the last-level blocks are
-    slices of one arange.  A level's candidates are masked to the ball only
-    when some candidate lies outside it; otherwise the next V is the array
-    that _candidates builds, whole.  Whether the whole centre is zero is
-    decided once, here, not inferred from half.
+    first level that yields more sees V as that zero row, with a zero column
+    for each coordinate it skipped; for n = 1, or a zero row down to the
+    last level, the last-level blocks are slices of one arange.  A level's
+    candidates are masked to the ball only when some candidate lies outside
+    it; otherwise the next V is the array that _candidates builds, whole.
 
     Points whose Q lands within roundoff of the boundary may be included;
     the caller's tail bound is evaluated at a slightly smaller radius so
@@ -369,7 +368,7 @@ def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int,
     zero = not center.any()
     V = T = None  # the zero row (see _level)
     for i in range(n - 1, 0, -1):
-        s, lo, counts, total = _level(U, center, bound, V, T, i, budget, half, zero)
+        s, lo, counts, total = _level(U, center, bound, V, T, i, budget, zero)
         if T is None:
             if total == 1 and lo == 0 and center[i] == 0.0:
                 continue  # v_i = 0 with Q = 0: the zero row again
@@ -382,10 +381,8 @@ def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int,
             keep = Tn <= bound
             W, Tn = W[keep], Tn[keep]
         V, T = W, Tn
-    s, lo, counts, total = _level(U, center, bound, V, T, 0, budget, half, zero)
-    if V is None:
-        V = np.zeros((1, n - 1))
-    return V, _last_level(s, lo, counts, total, T, U[0, 0], center[0])
+    s, lo, counts, total = _level(U, center, bound, V, T, 0, budget, zero)
+    return _last_level(s, lo, counts, total, T, U[0, 0], center[0])
 
 
 def _last_level(s, lo, counts, total: int, T, uii, ci):
@@ -393,13 +390,13 @@ def _last_level(s, lo, counts, total: int, T, uii, ci):
     # may span several blocks; a level that fits one block is that block.
     # For the zero row (T is None) its blocks are slices of one arange.
     if T is None:
-        for a in range(0, max(total, 1), _BLOCK_POINTS):
-            c = min(_BLOCK_POINTS, total - a)
-            v = np.arange(lo + a, lo + a + c, dtype=float)
-            yield 0, np.array([c]), np.array([lo + a], dtype=float), _expand(v, s, c, None, uii, ci)
+        for a in range(0, total, _BLOCK_POINTS):
+            v = np.arange(lo + a, lo + min(a + _BLOCK_POINTS, total), dtype=float)
+            yield _expand(v, s, None, None, uii, ci)
         return
     if total <= _BLOCK_POINTS:
-        yield 0, counts, lo, _expand(_candidates(lo, counts, total), s, counts, T, uii, ci)
+        if total:
+            yield _expand(_candidates(lo, counts, total), s, counts, T, uii, ci)
         return
     ends = counts.cumsum()
     for a in range(0, total, _BLOCK_POINTS):
@@ -409,8 +406,7 @@ def _last_level(s, lo, counts, total: int, T, uii, ci):
         start = ends[r0:r1] - counts[r0:r1]
         skip = np.maximum(a - start, 0)
         c = np.minimum(b - start, counts[r0:r1]) - skip
-        lo_b = lo[r0:r1] + skip
-        yield r0, c, lo_b, _expand(_candidates(lo_b, c, b - a), s[r0:r1], c, T[r0:r1], uii, ci)
+        yield _expand(_candidates(lo[r0:r1] + skip, c, b - a), s[r0:r1], c, T[r0:r1], uii, ci)
 
 
 def _shift(center, n: int) -> np.ndarray:
@@ -429,45 +425,6 @@ def _check_budget(budget) -> None:
     integer.  A float is refused, nan and whole ones included."""
     if not (isinstance(budget, numbers.Integral) and budget >= 1):
         raise ValueError(f"budget must be an integer >= 1, not {budget!r}")
-
-
-def _enumerate_with_norms(gram, center, radius: float,
-                          budget: int) -> tuple[np.ndarray, np.ndarray]:
-    """All v in Z^n with Q(v + center) <= radius, with the Q values; gram
-    and center as for enumerate_below.  Rebuilds each block's last
-    coordinate and its mask of the ball, which the theta sum does without."""
-    gram = gram if isinstance(gram, GramMatrix) else GramMatrix(gram)
-    n = gram.n
-    bound = _ball_bound(radius)
-    V, blocks = _fincke_pohst(gram.factor.T, _shift(center, n), radius, budget)
-    points = [np.zeros((0, n), dtype=np.int64)]
-    norms = [np.zeros(0)]
-    for r0, c, lo, q in blocks:
-        keep = q <= bound
-        points.append(_candidates(lo, c, q.size, V[r0:r0 + c.size])[keep].astype(np.int64))
-        norms.append(q[keep])
-    return np.concatenate(points), np.concatenate(norms)
-
-
-def enumerate_below(gram, center, radius: float,
-                    budget: int = DEFAULT_BUDGET) -> np.ndarray:
-    """Integer vectors v with (v+center)^T gram (v+center) <= radius.
-
-    gram is a GramMatrix, whose factor is used as it stands, or a matrix of
-    entries, validated as a GramMatrix (square, finite, symmetric to 1e-12
-    relative, positive definite; NotPositiveDefinite otherwise).  center is
-    None, for the zero vector, or n finite reals.  radius is a finite number
-    >= 0.  A negative, infinite or nan radius, a nan or infinite entry of
-    center, or a budget that is not an integer >= 1 raises ValueError.  More
-    than budget candidates raise EnumerationBudgetExceeded.
-
-    Returns each vector exactly once, lexicographically sorted.
-    """
-    if not 0.0 <= radius < math.inf:
-        raise ValueError(f"radius must be a finite number >= 0, not {radius!r}")
-    _check_budget(budget)
-    V, _ = _enumerate_with_norms(gram, center, float(radius), budget)
-    return V[np.lexsort(V.T[::-1])]  # keys v_n-1 .. v_0; lexsort's primary is the last
 
 
 def _exact_partials(t: np.ndarray):
@@ -601,15 +558,15 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
     fsum(1, twice each term), bit for bit.  points_enumerated still counts
     the ball, 1 + 2h.
 
-    The last coordinate is expanded and summed in blocks (r0, c, lo, q) of
-    at most _BLOCK_POINTS candidates (_fincke_pohst), whose Q arrive
-    computed in one float buffer.  Only a block whose q.max() exceeds the
-    bound, which few do, is masked to the ball; the rest go whole.  Each
-    block's exp(-pi Q) is computed in place, and the block is released
-    before the next one is built.  All blocks feed one fsum, so the sum
-    stays correctly rounded over every term, and the arrays of a call stay
-    bounded whatever its point count; the list fsum reads grows by at most
-    31 floats a full block.  A block of more than _BIN_MIN terms
+    The last coordinate is expanded and summed in blocks q of at most
+    _BLOCK_POINTS candidates (_fincke_pohst), whose Q arrive computed in one
+    float buffer; a one-point sum gets none.  Only a block whose q.max()
+    exceeds the bound, which few do, is masked to the ball; the rest go
+    whole.  Each block's exp(-pi Q) is computed in place, and the block is
+    released before the next one is built.  All blocks feed one fsum, so
+    the sum stays correctly rounded over every term, and the arrays of a
+    call stay bounded whatever its point count; the list fsum reads grows
+    by at most 31 floats a full block.  A block of more than _BIN_MIN terms
     goes in as the exact sums of an error-free split on a fixed ladder of
     grids (_exact_partials), one float per rung, and only as many rungs as
     its smallest term needs: three for a block of theta terms above 2^-53.
@@ -651,10 +608,10 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
         raise EnumerationBudgetExceeded(
             f"estimated point count exceeds the budget of {budget}")
     bound = _ball_bound(radius)
-    _, blocks = _fincke_pohst(L.T, c, radius, budget, half)
+    blocks = _fincke_pohst(L.T, c, radius, budget)
     parts = [0.5] if half else []  # the zero vector, halved with the rest
     kept = 0
-    for *_, q in blocks:
+    for q in blocks:
         if q.max(initial=0.0) > bound:
             q = q[q <= bound]
         q *= -math.pi

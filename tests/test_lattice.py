@@ -16,16 +16,11 @@ from arithcoh.lattice import (
     GramMatrix,
     cholesky,
     dual_lattice,
-    enumerate_below,
     lll_reduce_rows,
     theta_sum,
 )
 from arithcoh import lattice
-from arithcoh.lattice import (
-    _enumerate_with_norms,
-    _exact_partials,
-    _fincke_pohst,
-)
+from arithcoh.lattice import _exact_partials, _fincke_pohst
 
 from conftest import brute_force_points, brute_force_theta, centred_theta_bound, random_pd_gram
 
@@ -82,52 +77,39 @@ def test_raw_non_symmetric_gram_is_rejected_by_every_entry_point():
     # theta of the identity for it
     for g in ([[1.0, 100.0], [0.0, 1.0]], [[1.0, 0.5], [0.4, 1.0]]):
         for attempt in (lambda: theta_sum(g, None, 1e-9),
-                        lambda: theta_sum(g, [0.25, 0.0], 1e-9, theta0=2.0),
-                        lambda: enumerate_below(g, None, 3.0)):
+                        lambda: theta_sum(g, [0.25, 0.0], 1e-9, theta0=2.0)):
             with pytest.raises(NotPositiveDefinite, match="not symmetric"):
                 attempt()
 
 
 def test_enumerate_1d_squares():
-    assert enumerate_below([[1.0]], [0.0], 4.0).ravel().tolist() == [-2, -1, 0, 1, 2]
+    assert _points_below([[1.0]], [0.0], 4.0) == [[-2], [-1], [0], [1], [2]]
 
 
 def test_enumerate_skew_2d():
-    got = enumerate_below([[2.0, 1.0], [1.0, 2.0]], [0.0, 0.0], 2.0).tolist()
+    got = _points_below([[2.0, 1.0], [1.0, 2.0]], [0.0, 0.0], 2.0)
     assert got == brute_force_points([[2, 1], [1, 2]], None, 2.0, box=3)
     assert len(got) == 7
 
 
 def test_enumerate_below_returns_the_zero_vector_alone():
-    # every level holds only the zero row: V stays None down to the last
-    # level, which rebuilds it n wide
+    # every level holds only the zero row, so V stays None down to the last
+    # level, whose half-space is empty: the enumeration yields no block, and
+    # theta is the zero vector's term alone
     for n in (1, 2, 3, 4):
+        g = 100.0 * np.eye(n)
         for center in (None, [0.0] * n, [-0.0] * n):
-            got = enumerate_below(100.0 * np.eye(n), center, 1.0)
-            assert got.dtype == np.int64 and got.tolist() == [[0] * n]
-            V, norms = _enumerate_with_norms(100.0 * np.eye(n), center, 1.0, 10**8)
-            assert V.shape == (1, n) and norms.tolist() == [0.0]
+            assert _points_below(g, center, 1.0) == [[0] * n]
+            c = np.zeros(n) if center is None else np.array(center)
+            assert list(_fincke_pohst(cholesky(g).T, c, 1.0, 10**8)) == []
+            res = theta_sum(g, center, 1e-9)
+            assert res.value == 1.0 and res.points_enumerated == 1
 
 
 def test_enumerate_shifted_center():
-    got = enumerate_below([[1.0]], [0.5], 0.3).ravel().tolist()
-    assert got == [-1, 0]
+    assert _points_below([[1.0]], [0.5], 0.3) == [[-1], [0]]
     # no integer v_1 has |v_1 + 0.5| <= 0.32: the lower level gets no rows
-    assert enumerate_below(np.eye(2), [0.5, 0.5], 0.1).shape == (0, 2)
-
-
-def test_enumerate_rejects_negative_radius():
-    with pytest.raises(ValueError):
-        enumerate_below([[1.0]], [0.0], -1.0)
-
-
-def test_enumerate_rejects_a_radius_that_is_not_a_finite_number():
-    # nan and inf got past a radius < 0 test and blamed the metric with
-    # EnumerationBudgetExceeded
-    for radius in (math.nan, math.inf, -math.inf, -1.0):
-        for gram in ([[1.0]], GramMatrix(np.eye(1))):
-            with pytest.raises(ValueError, match="finite number >= 0"):
-                enumerate_below(gram, None, radius)
+    assert _points_below(np.eye(2), [0.5, 0.5], 0.1) == []
 
 
 def test_a_non_finite_shift_is_a_value_error():
@@ -139,17 +121,16 @@ def test_a_non_finite_shift_is_a_value_error():
             for gram in ([[1.0]], GramMatrix(np.eye(1))):
                 with pytest.raises(ValueError, match="finite reals"):
                     theta_sum(gram, bad, 1e-9, theta0=2.0)
-                with pytest.raises(ValueError, match="finite reals"):
-                    enumerate_below(gram, bad, 2.0)
-        with pytest.raises(ValueError, match="finite reals"):
-            theta_sum(np.eye(2), [0.5, math.nan], 1e-9, theta0=2.0)
-        with pytest.raises(ValueError, match="finite reals"):
-            enumerate_below(np.eye(2), [math.inf, 0.0], 2.0)
+        for bad in ([0.5, math.nan], [math.inf, 0.0]):
+            with pytest.raises(ValueError, match="finite reals"):
+                theta_sum(np.eye(2), bad, 1e-9, theta0=2.0)
 
 
 def test_enumerate_budget():
-    with pytest.raises(EnumerationBudgetExceeded):
-        enumerate_below([[1e-6]], [0.0], 100.0, budget=10)
+    U = cholesky([[1e-6]]).T
+    for center in ([0.0], [0.5]):
+        with pytest.raises(EnumerationBudgetExceeded):
+            _fincke_pohst(U, np.array(center), 100.0, 10)
 
 
 def test_enumerate_matches_brute_force_randomized():
@@ -159,8 +140,7 @@ def test_enumerate_matches_brute_force_randomized():
         g = random_pd_gram(rng, n)
         center = [rng.uniform(-1.5, 1.5) for _ in range(n)]
         radius = rng.uniform(0.0, 12.0)
-        got = enumerate_below(g, center, radius).tolist()
-        assert got == brute_force_points(g, center, radius, box=12)
+        assert _points_below(g, center, radius) == brute_force_points(g, center, radius, box=12)
 
 
 def test_theta_centered_1d_oracle():
@@ -234,20 +214,27 @@ def test_theta_uses_the_factor_of_a_gram_matrix(monkeypatch):
 
 
 def test_enumerate_uses_the_factor_of_a_gram_matrix(monkeypatch):
+    # theta_sum hands the enumeration the transposed factor of a GramMatrix
+    # as it stands, and there the enumeration's blocks are the reference's
     rng = random.Random(19)
     cases = []
     for n in (1, 2, 3):
         a = np.array([[rng.uniform(-1.0, 1.0) for _ in range(n)] for _ in range(n)])
         gram = GramMatrix(a @ a.T + 0.5 * np.eye(n))
-        for center in (None, [0.3] * n):
-            cases.append((gram, center, enumerate_below(gram.entries, center, 6.0)))
+        theta0 = centred_theta_bound(gram.entries, 1e-10)
+        cases += [(gram, center, theta0) for center in (None, [0.3] * n)]
+    handed = []
+    real = lattice._fincke_pohst
+    monkeypatch.setattr(lattice, "_fincke_pohst", lambda U, *args: handed.append(U) or real(U, *args))
     factored = []
     monkeypatch.setattr(lattice, "cholesky", lambda g: factored.append(g) or cholesky(g))
-    for gram, center, expected in cases:
-        assert np.array_equal(enumerate_below(gram, center, 6.0), expected)
+    for gram, center, theta0 in cases:
+        theta_sum(gram, center, 1e-10, theta0=theta0)
+        U = handed.pop()
+        assert np.shares_memory(U, gram.factor) and np.array_equal(U, gram.factor.T)
+        c = np.zeros(gram.n) if center is None else np.array(center)
+        _assert_blocks_match_reference(U, c, 6.0)
     assert factored == []
-    enumerate_below(cases[0][0].entries, None, 6.0)
-    assert len(factored) == 1  # a raw array is factored once per call
 
 
 def test_theta_budget_exceeded_on_flat_metric():
@@ -263,11 +250,11 @@ def test_a_budget_that_is_not_an_integer_of_at_least_1_is_a_value_error():
     # nan switched the cap off and returned a value
     for budget in (0, -5, math.nan, 1.5):
         for attempt in (lambda: theta_sum([[1.0]], None, 1e-9, budget=budget),
-                        lambda: theta_sum([[1.0]], [0.5], 1e-9, budget, theta0=2.0),
-                        lambda: enumerate_below([[1.0]], None, 4.0, budget=budget)):
+                        lambda: theta_sum([[1.0]], [0.5], 1e-9, budget, theta0=2.0)):
             with pytest.raises(ValueError, match="budget must be an integer >= 1"):
                 attempt()
-    assert enumerate_below([[1.0]], None, 0.5, budget=1).tolist() == [[0]]
+    # a budget of 1 admits the zero vector alone
+    assert theta_sum([[100.0]], None, 1e-9, budget=1).points_enumerated == 1
 
 
 def test_theta_oracle_equivalence_randomized():
@@ -287,8 +274,8 @@ def test_theta_tail_bound_soundness():
     for _ in range(100):
         g = np.asarray(random_pd_gram(rng, 2), dtype=float)
         res = theta_sum(g, None, 1e-8)
-        _, q1 = _enumerate_with_norms(g, np.zeros(2), res.radius, 10**8)
-        _, q2 = _enumerate_with_norms(g, np.zeros(2), res.radius + 4.0, 10**8)
+        _, q1 = _reference_points(g, None, res.radius)
+        _, q2 = _reference_points(g, None, res.radius + 4.0)
         v1 = math.fsum(np.exp(-math.pi * np.sort(q1)).tolist())
         v2 = math.fsum(np.exp(-math.pi * np.sort(q2)).tolist())
         assert 0.0 <= v2 - v1 < res.tail_bound
@@ -329,8 +316,7 @@ def test_theta_tail_bound_holds_at_twice_the_radius(monkeypatch):
                     shift *= min(1.0, 2.0 / math.sqrt(shift @ g @ shift))
                     for center in (None, shift):
                         res = theta_sum(g, center, tol, theta0=theta0)
-                        c = np.zeros(n) if center is None else center
-                        _, q = _enumerate_with_norms(g, c, 2.0 * res.radius, 10**7)
+                        _, q = _reference_points(g, center, 2.0 * res.radius)
                         wide = math.fsum(np.exp(-math.pi * q).tolist())
                         slack = 4 * 2.0 ** -53 * wide  # two enumerations, each rounded
                         assert -slack <= wide - res.value <= res.tail_bound + slack, (n, g, tol)
@@ -559,32 +545,38 @@ def test_level_bounds_beyond_int64_exceed_the_budget():
     # bounds beyond the float range: the divides of coordinate 0 overflowed
     # with a RuntimeWarning before the typed error, as the top level and
     # below a 1e300 axis; a bare math.ceil of inf would be an untyped
-    # OverflowError
+    # OverflowError.  theta_sum's radius depends on n and tol alone and its
+    # centre is reduced mod 1, so these radii and centres reach the
+    # enumeration only directly
+    def enumerate_at(gram, radius, center=None, budget=lattice.DEFAULT_BUDGET):
+        U = GramMatrix(gram).factor.T
+        c = np.zeros(U.shape[0]) if center is None else np.array(center)
+        return _fincke_pohst(U, c, radius, budget)
+
     for gram in ([[5e-324]], np.diag([5e-324, 1e300])):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(EnumerationBudgetExceeded, match="coordinate 0 .* of inf"):
-                enumerate_below(gram, None, 1e308)
+                enumerate_at(gram, 1e308)
     # the top level, coordinate n - 1, names itself, and counts its budget
     with pytest.raises(EnumerationBudgetExceeded, match="coordinate 0"):
-        enumerate_below([[1e-300]], None, 1e10)
+        enumerate_at([[1e-300]], 1e10)
     with pytest.raises(EnumerationBudgetExceeded, match="coordinate 1"):
-        enumerate_below(np.diag([1.0, 1e-300]), None, 1e10)
+        enumerate_at(np.diag([1.0, 1e-300]), 1e10)
     with pytest.raises(EnumerationBudgetExceeded, match="more than 10 points"):
-        enumerate_below([[1e-6]], None, 10.0, budget=10)
+        enumerate_at([[1e-6]], 10.0, budget=10)
     # candidates are exact float integers, so the reach is 2^52: bounds near
     # 2^61, whose int64 counts once wrapped in their sum, and a few
     # candidates near 2^55, which a float cannot all hold, raise
     with pytest.raises(EnumerationBudgetExceeded, match="coordinate 0 .* 2.29427e\\+18, beyond 2\\^52"):
         theta_sum(np.diag([1.7e-36, 1.0, 1.0 / 1.7e-36]), None, 1e-9)
     with pytest.raises(EnumerationBudgetExceeded, match="coordinate 0 .* 3.60288e\\+16, beyond 2\\^52"):
-        enumerate_below([[1.0]], [2.0 ** 55], 1.0)
+        enumerate_at([[1.0]], 1.0, [2.0 ** 55])
     # bounds near 2^51 on each row are within reach, and their counts, about
     # 2^52 a row, exceed the budget
     with pytest.raises(EnumerationBudgetExceeded, match="more than 100000000 points"):
         theta_sum(np.diag([1.5e-30, 1.0, 1.0 / 1.5e-30]), None, 1e-9)
-    assert enumerate_below([[1.0]], [2.0 ** 51], 1.0).ravel().tolist() == [
-        -2 ** 51 - 1, -2 ** 51, -2 ** 51 + 1]
+    assert _points_below([[1.0]], [2.0 ** 51], 1.0) == [[-2 ** 51 - 1], [-2 ** 51], [-2 ** 51 + 1]]
 
 
 def test_embedded_lattice_rejects_an_overflowed_gram():
@@ -633,7 +625,7 @@ def test_shifted_theta_floor_at_the_nearest_plane_point():
             tracemalloc.stop()
         assert 1 <= res.points_enumerated <= 10
         assert peak < 2**20
-        V, q = _enumerate_with_norms(g, center, res.radius, 10**6)
+        _, q = _reference_points(g, center, res.radius)
         assert res.value == math.fsum(np.exp(-math.pi * q).tolist())
         # the radius is Q at a lattice point, the nearest one here
         assert q.min() <= res.radius * (1 + 1e-9)
@@ -685,7 +677,8 @@ def _random_gram(rng: random.Random, n: int) -> np.ndarray:
 
 
 def test_centred_theta_equals_full_enumeration_bit_for_bit(monkeypatch):
-    # with _BIN_MIN = 0 every block reaches fsum as exact partials
+    # the half-space sum, doubled, is the fsum over the reference's full
+    # space; with _BIN_MIN = 0 every block reaches fsum as exact partials
     for bin_min in (lattice._BIN_MIN, 0):
         monkeypatch.setattr(lattice, "_BIN_MIN", bin_min)
         rng = random.Random(5)
@@ -693,8 +686,7 @@ def test_centred_theta_equals_full_enumeration_bit_for_bit(monkeypatch):
             for _ in range(6):
                 g = _random_gram(rng, n)
                 res = theta_sum(g, None, 1e-10)
-                V, Q = _enumerate_with_norms(g, np.zeros(n), res.radius, 10**8)
-                assert sorted(V.tolist()) == enumerate_below(g, None, res.radius).tolist()
+                V, Q = _reference_points(g, None, res.radius)
                 assert res.value == math.fsum(np.exp(-math.pi * Q).tolist())
                 assert res.points_enumerated == V.shape[0]
                 for center in ([3.0] * n, [-0.0] * n,
@@ -720,8 +712,7 @@ def test_block_size_does_not_change_results(monkeypatch):
         g = _random_gram(rng, n) * scale
         big += [(g, None), (g, shift[:n])]
     theta0 = [centred_theta_bound(g, 1e-10) for g, _ in cases + big]
-    before = [(theta_sum(g, c, 1e-10, theta0=t0),
-               _enumerate_with_norms(g, np.zeros(g.shape[0]), 9.0, 10**8))
+    before = [(theta_sum(g, c, 1e-10, theta0=t0), _reference_points(g, None, 9.0))
               for (g, c), t0 in zip(cases + big, theta0)]
     assert all(res.points_enumerated > 6 * 2**14 for res, _ in before[len(cases):])
     # blocks of 7 candidates split rows of the last level between blocks;
@@ -736,7 +727,7 @@ def test_block_size_does_not_change_results(monkeypatch):
         for (g, c), t0, (res, (V, Q)) in zip(grams, theta0, before):
             got = theta_sum(g, c, 1e-10, theta0=t0)
             assert got == res and got.value.hex() == res.value.hex()
-            V2, Q2 = _enumerate_with_norms(g, np.zeros(g.shape[0]), 9.0, 10**8)
+            V2, Q2 = _reference_points(g, None, 9.0)
             assert np.array_equal(V2, V) and np.array_equal(Q2, Q)
 
 
@@ -749,17 +740,13 @@ def test_theta_drops_a_last_level_candidate_outside_the_ball():
     bound = radius + lattice._BOUNDARY_SLACK * max(radius, 1.0)
     a = bound / k**2 * (1.0 + 1e-12)
     U = np.sqrt([[a]])
-    _, blocks = _fincke_pohst(U, np.zeros(1), radius, 10**8, half=True)
-    block, = blocks
-    unpacked = _unpacked(block, bound)
-    _, _, v0, q, keep = unpacked
+    q, = _fincke_pohst(U, np.zeros(1), radius, 10**8)
+    (_, _, v0, q_ref, keep), = _reference_fincke_pohst(U, np.zeros(1), radius, half=True)[1]
     assert v0.tolist() == list(range(1, k + 1)) and keep.tolist() == [True] * (k - 1) + [False]
     # the block is unmasked; theta_sum masks it, as its q.max() exceeds the
-    # bound, and so does the reference, bit for bit
-    assert q.max() > bound
-    (block_ref,) = _reference_fincke_pohst(U, np.zeros(1), radius, half=True)[1]
-    assert all(_same_bits(x, y) for x, y in zip(unpacked[1:], block_ref[1:]))
-    V, Q = _enumerate_with_norms([[a]], None, radius, 10**8)
+    # bound, and the reference's q is the same, bit for bit
+    assert q.max() > bound and _same_bits(q, q_ref)
+    V, Q = _reference_points([[a]], None, radius)
     assert sorted(V.ravel().tolist()) == list(range(1 - k, k))
     res = theta_sum([[a]], None, tol)
     assert res.value == math.fsum(np.exp(-math.pi * Q).tolist())
@@ -794,21 +781,26 @@ def _reference_expand(s, lo, counts, total, T, uii, ci, bound):
 
 def _reference_fincke_pohst(U, center, radius, half):
     """Oracle: the enumeration with every level, the top one included, in
-    arrays; V and the list of its last level's blocks."""
+    arrays, of one half-space or, for half false, the full space; V, the
+    list of its last level's blocks (r0, c, v0, q, keep) and the candidate
+    total of each level."""
     n = U.shape[0]
     bound = radius + lattice._BOUNDARY_SLACK * max(radius, 1.0)
     V = np.zeros((1, 0), dtype=np.int64)
     T = np.zeros(1)
+    totals = []
     for i in range(n - 1, 0, -1):
         s, lo, counts, total = _reference_level(U, center, bound, V, T, i, half)
+        totals.append(total)
         vi, Tn, keep = _reference_expand(s, lo, counts, total, T, U[i, i], center[i], bound)
         rows = np.repeat(np.arange(counts.size), counts)[keep]
         V = np.column_stack([vi[keep], V[rows]])
         T = Tn[keep]
     s, lo, counts, total = _reference_level(U, center, bound, V, T, 0, half)
+    totals.append(total)
     if total <= lattice._BLOCK_POINTS:
         return V, [(0, counts) + _reference_expand(s, lo, counts, total, T, U[0, 0], center[0],
-                                                   bound)]
+                                                   bound)], totals
     ends = np.cumsum(counts)
     blocks = []
     for a in range(0, total, lattice._BLOCK_POINTS):
@@ -820,7 +812,22 @@ def _reference_fincke_pohst(U, center, radius, half):
         c = np.minimum(b - start, counts[r0:r1]) - skip
         blocks.append((r0, c) + _reference_expand(s[r0:r1], lo[r0:r1] + skip, c, b - a,
                                                   T[r0:r1], U[0, 0], center[0], bound))
-    return V, blocks
+    return V, blocks, totals
+
+
+def _reference_points(gram, center, radius):
+    """Oracle: the points v in Z^n with Q(v + center) within the bound of
+    radius, in int64, and their Q, from the reference's full space."""
+    U = GramMatrix(gram).factor.T
+    n = U.shape[0]
+    c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
+    V, blocks, _ = _reference_fincke_pohst(U, c, radius, half=False)
+    points, norms = [np.zeros((0, n), dtype=np.int64)], [np.zeros(0)]
+    for r0, counts, v0, q, keep in blocks:
+        rows = V[r0 + np.repeat(np.arange(counts.size), counts)]
+        points.append(np.column_stack([v0, rows])[keep])
+        norms.append(q[keep])
+    return np.concatenate(points), np.concatenate(norms)
 
 
 def _same_bits(a, b) -> bool:
@@ -828,38 +835,45 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _unpacked(block, bound):
-    """A block (r0, c, lo, q) as the reference's (r0, c, v0, q, keep): v0
-    rebuilt in int64 from each row's lo and count, keep = q <= bound."""
-    r0, c, lo, q = block
-    lo = np.asarray(lo).astype(np.int64)  # exact: lo holds float integers below 2^52
-    starts = np.cumsum(c) - c
-    v0 = np.repeat(lo - starts, c) + np.arange(c.sum(), dtype=np.int64)
-    return r0, c, v0, q, q <= bound
+def _assert_blocks_match_reference(U, center, radius):
+    """The enumeration's blocks q are the reference's nonempty ones, bit for
+    bit, in the half-space a zero centre selects; no block is empty."""
+    got = list(_fincke_pohst(U, center, radius, 10**8))
+    _, blocks, _ = _reference_fincke_pohst(U, center, radius, not center.any())
+    want = [q for _, _, _, q, _ in blocks if q.size]
+    assert len(got) == len(want) and all(map(_same_bits, got, want))
+
+
+def _points_below(gram, center, radius) -> list:
+    """The points v with Q(v + center) <= radius, sorted, from the reference,
+    whose blocks the enumeration's must match there."""
+    U = GramMatrix(gram).factor.T
+    _assert_blocks_match_reference(U, np.zeros(U.shape[0]) if center is None
+                                   else np.asarray(center, dtype=float), radius)
+    return sorted(_reference_points(gram, center, radius)[0].tolist())
 
 
 def test_enumeration_matches_the_array_reference_bit_for_bit(monkeypatch):
-    # the float candidates and the top level in scalars give V, as exact
-    # float integers, and every block (r0, c, lo, q), rebuilt as
-    # (r0, c, v0, q, keep), of the all-array int64 enumeration, bit for bit:
-    # n = 1-4, centre 0 and centres in [-1/2, 1/2]^n, half-space on and off,
-    # one block and blocks of 7 candidates (for n = 1, slices of the one
-    # row), and 1 x 1 and 2 x 2 Grams with a candidate on the boundary.  A
-    # centre of -0.0s, and one with -0.0 at every other coordinate, pin the
-    # skipped v + c_i of a zero shift.  Grams of n = 2-4 whose top one, two or all
-    # levels hold only v_i = 0, at a zero centre coordinate, keep the zero
-    # row in scalars (V = T = None) down to the first level that yields
-    # more; a shifted centre gives those levels one candidate, 0, whose Q is
-    # not 0.  Their shifted centres are divided by 4 U_ii at those levels, so
-    # the zero row stays in the ball, as half-space mode needs
+    # the float candidates and the top level in scalars give every block q
+    # of the all-array int64 enumeration, bit for bit, the half-space at a
+    # zero centre and the full space at any other: n = 1-4, centre 0 and
+    # centres in [-1/2, 1/2]^n, one block and blocks of 7 candidates (for
+    # n = 1, slices of the one row), and 1 x 1 and 2 x 2 Grams with a
+    # candidate on the boundary.  A centre of -0.0s, and one with -0.0 at
+    # every other coordinate, pin the skipped v + c_i of a zero shift.
+    # Grams of n = 2-4 whose top one, two or all levels hold only v_i = 0,
+    # at a zero centre coordinate, keep the zero row in scalars
+    # (V = T = None) down to the first level that yields more; a shifted
+    # centre gives those levels one candidate, 0, whose Q is not 0 and may
+    # lie outside the ball
     rng = random.Random(41)
     radius = theta_sum([[1.0]], None, 1e-10).radius
     bound = radius + lattice._BOUNDARY_SLACK * max(radius, 1.0)
-    grams = [(_random_gram(rng, n), 1.0) for n in (1, 2, 3, 4) for _ in range(4)]
-    grams += [(np.array([[bound / 25 * (1.0 + d)]]), 1.0) for d in (1e-12, -1e-12)]
+    grams = [_random_gram(rng, n) for n in (1, 2, 3, 4) for _ in range(4)]
+    grams += [np.array([[bound / 25 * (1.0 + d)]]) for d in (1e-12, -1e-12)]
     # the same candidate at the top level of n = 2, which is masked only
     # when it lies outside the ball
-    grams += [(np.diag([0.7, bound / 25 * (1.0 + d)]), 1.0) for d in (1e-12, -1e-12)]
+    grams += [np.diag([0.7, bound / 25 * (1.0 + d)]) for d in (1e-12, -1e-12)]
     rng_zero = random.Random(28)
     for n in (2, 3, 4):
         for top in sorted({1, 2, n}):
@@ -867,28 +881,19 @@ def test_enumeration_matches_the_array_reference_bit_for_bit(monkeypatch):
             g = _random_gram(rng_zero, n) * np.outer(scale, scale)
             U = cholesky(g).T
             assert all(U[i, i] ** 2 > 4 * bound for i in range(n - top, n))
-            grams.append((g, np.where(scale > 1.0, 4.0 * U.diagonal(), 1.0)))
+            grams.append(g)
     # [[1e-8]] has about 56 k candidates: four default blocks, two in
-    # half-space mode
-    for block, cases in ((lattice._BLOCK_POINTS, grams + [(np.array([[1e-8]]), 1.0)]),
-                         (7, grams)):
+    # the half-space
+    for block, cases in ((lattice._BLOCK_POINTS, grams + [np.array([[1e-8]])]), (7, grams)):
         monkeypatch.setattr(lattice, "_BLOCK_POINTS", block)
-        for g, shrink in cases:
+        for g in cases:
             n = g.shape[0]
             U = cholesky(g).T
-            shifted = np.array([rng.uniform(-0.5, 0.5) for _ in range(n)]) / shrink
+            shifted = np.array([rng.uniform(-0.5, 0.5) for _ in range(n)])
             signed_zeros = shifted.copy()
             signed_zeros[::2] = -0.0
             for center in (np.zeros(n), -np.zeros(n), shifted, signed_zeros):
-                for half in (False, True):
-                    V, blocks = _fincke_pohst(U, center, radius, 10**8, half)
-                    V_ref, blocks_ref = _reference_fincke_pohst(U, center, radius, half)
-                    assert _same_bits(V, V_ref.astype(float))
-                    blocks = [_unpacked(b, bound) for b in blocks]
-                    assert len(blocks) == len(blocks_ref)
-                    for got, want in zip(blocks, blocks_ref):
-                        assert got[0] == want[0]
-                        assert all(_same_bits(x, y) for x, y in zip(got[1:], want[1:]))
+                _assert_blocks_match_reference(U, center, radius)
 
 
 def _assert_partials_sum_like_fsum(terms, rungs=None):
@@ -972,23 +977,17 @@ def test_exact_partials_sum_like_fsum():
 
 def test_half_space_budget_matches_full_space():
     # the centred half-space must raise at exactly the budget where the full
-    # enumeration does
+    # enumeration does: the largest level total of the reference's full space
     rng = random.Random(13)
     for n in (1, 2, 3):
         g = _random_gram(rng, n)
         U = cholesky(g).T
         zero = np.zeros(n)
         for radius in (1.0, 6.5, 15.0):
-            need = 0
-            while True:
-                try:
-                    _fincke_pohst(U, zero, radius, need)
-                    break
-                except EnumerationBudgetExceeded:
-                    need += 1
+            need = max(_reference_fincke_pohst(U, zero, radius, half=False)[2])
             with pytest.raises(EnumerationBudgetExceeded):
-                _fincke_pohst(U, zero, radius, need - 1, half=True)
-            _fincke_pohst(U, zero, radius, need, half=True)
+                _fincke_pohst(U, zero, radius, need - 1)
+            _fincke_pohst(U, zero, radius, need)
 
 
 def test_theta_peak_memory_is_bounded():
