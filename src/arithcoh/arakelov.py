@@ -259,10 +259,13 @@ def _reduced_coords(D: ArakelovDivisor, coords) -> tuple[EmbeddedLattice, np.nda
 
     x = c H = (c M^-1) B, and M^-1 = det(M) adj(M) with det(M) = +-1, so the
     new coordinates are exact sums of integer multiples of the given floats,
-    rounded once.
+    rounded once.  A nan or infinite coordinate raises ValueError.
     """
+    xs = [float(x) for x in coords]
+    if not all(map(math.isfinite, xs)):
+        raise ValueError(f"coords must be finite reals, not {coords!r}")
     lat, M = _embed_reduced(D.field, D.ideal(), D.infinite)
-    c = [Fraction(float(x)) for x in coords]
+    c = list(map(Fraction, xs))
     det = det_int(M)
     return lat, np.array([float(det * sum(a * x for a, x in zip(col, c, strict=True)))
                           for col in zip(*adjugate(M))])
@@ -272,8 +275,9 @@ def effectivity_u(D: ArakelovDivisor, coords) -> float:
     """u(x) = exp(-pi ||x||_D^2) for x given by its coordinates over the
     ideal's HNF basis (the rows of FractionalIdeal)."""
     lat, c = _reduced_coords(D, coords)
-    vec = c @ lat.basis
-    return math.exp(-math.pi * float(vec @ vec))
+    with np.errstate(over="ignore"):  # a norm beyond the float range gives u = 0
+        vec = c @ lat.basis
+        return math.exp(-math.pi * float(vec @ vec))
 
 
 def effectivity_v(D: ArakelovDivisor, coords, tol: float = 1e-9,
@@ -339,10 +343,7 @@ def verify_duality(D: ArakelovDivisor, tol: float = 1e-9, budget: int = DEFAULT_
     """
     F, I = D.field, D.ideal()
     a = h0(divisor_from_ideal(F, I, D.infinite), tol / 4.0, budget)
-    scale = F.different_codifferent
-    # an HNF over den 1 with unit pivots is the identity: d O^v = O
-    unit = scale.den == 1 and all(row[i] == 1 for i, row in enumerate(scale.num))
-    kd = _trace_dual(I if unit else ideal_mul(I, scale))
+    kd = _trace_dual(I if F.true_different else ideal_mul(I, F.different_codifferent))
     b = h0(divisor_from_ideal(F, kd, [0.0 - x for x in D.infinite]), tol / 4.0, budget)
     lhs = a.value - b.value
     rhs = degree(D) - 0.5 * math.log(D.field.abs_discriminant)

@@ -87,11 +87,10 @@ def _different_ok(fld) -> bool:
     derives O^v from its trace form.  Riemann-Roch can hold with a wrong
     different where h0(K - D) is below the tolerance, so verify asks this too.
     """
-    ok = fld.different_codifferent == numfield.unit_ideal(fld)
-    if not ok:
+    if not fld.true_different:
         _log(f"error: the different is not the inverse of the codifferent: its norm is "
              f"{fld.different.norm()}, |disc| is {fld.abs_discriminant}")
-    return ok
+    return fld.true_different
 
 
 def _cmd_field_info(args) -> int:

@@ -5,26 +5,28 @@ G and a shift c it evaluates
 
     sum over v in Z^n of exp(-pi * (v+c)^T G (v+c))
 
-by enumerating every lattice point below an explicit radius and bounding the
-discarded tail rigorously, so the returned value always carries a certified
-error.  All arithmetic is IEEE-754 binary64.  The enumeration (Fincke and
-Pohst, Math. Comp. 44, 1985), whose one consumer is theta_sum, walks one
-half-space at a zero centre and the full space at any other.  It holds its
-candidate coordinates as exact float integers, below 2^52 in size, so every
-candidate v_i and every v_i + c_i is the float an integer type would give.
-Its levels run in Python scalars while they hold only the zero row, the one
-partial assignment v = 0 at a zero centre, as every level of a one-point sum
-does, and in arrays from the first level that holds more.  Each level is
-masked to the ball only when some candidate lies outside it.  The last
-level, which holds almost all of the points, comes in blocks, and each
-block's Q is computed once, in place, in one float buffer.  The terms are added by math.fsum, which is correctly
-rounded: the value depends only on the exact sum of what it is given, not
-on its order, so it needs no sort, and repeated calls are bit-identical.  A
-large block of terms reaches fsum as the exact sums of an error-free split
-on a fixed ladder of grids (_exact_partials), a few floats per block instead
-of one per point, and only as many rungs as the block's smallest term
-needs; their exact sum is that of the terms, so the value is the same float
-either way.
+by enumerating every lattice point of a ball and bounding the discarded tail
+rigorously, so the returned value always carries a certified error.  The
+ball's radius is one closed form in n and tol, from one split of
+Banaszczyk's tail bound, and theta_sum computes the bound on Q that the
+enumeration tests once, from it.  All arithmetic is IEEE-754 binary64.  The
+enumeration (Fincke and Pohst, Math. Comp. 44, 1985), whose one consumer
+is theta_sum, walks one half-space at a zero centre and the full space at
+any other.  It holds its candidate coordinates as exact float integers,
+below 2^52 in size, so every candidate v_i and every v_i + c_i is the float
+an integer type would give.  Its levels run in Python scalars while they
+hold only the zero row, the one partial assignment v = 0 at a zero centre,
+as every level of a one-point sum does, and in arrays from the first level
+that holds more.  Each level is masked to the ball only when some candidate
+lies outside it.  The last level, which holds almost all of the points,
+comes in blocks, and each block's Q is computed once, in place, in one float
+buffer.  The terms are added by math.fsum, which is correctly rounded: the
+value depends only on the exact sum of what it is given, not on its order,
+so it needs no sort, and repeated calls are bit-identical.  A large block of
+terms reaches fsum as the exact sums of an error-free split on a fixed
+ladder of grids (_exact_partials), a few floats per block instead of one per
+point, and only as many rungs as the block's smallest term needs; their
+exact sum is that of the terms, so the value is the same float either way.
 """
 
 from __future__ import annotations
@@ -44,8 +46,9 @@ from .errors import (
 DEFAULT_BUDGET = 10**8
 
 _SYM_RTOL = 1e-12
-# relative slack on the enumeration boundary; the tail bound is evaluated at
-# R*(1 - 2*slack) so points lost to roundoff at the boundary stay covered
+# relative slack on the enumeration boundary: theta_sum enumerates the ball
+# Q <= R (1 + slack) and evaluates the tail bound at R (1 - 2 slack), so
+# points lost to roundoff at the boundary stay covered
 _BOUNDARY_SLACK = 1e-9
 # candidates of the last enumeration level expanded at a time; bounds the
 # memory of one theta sum whatever its point count; the exact rung sums of
@@ -61,10 +64,11 @@ _BLOCK_POINTS = 1 << 14
 # tolist + fsum about 37 ns per term: the two cross at 330-370 terms,
 # by best-of timing of both on one block fed with 40 other floats to fsum
 _BIN_MIN = 352
-# splits eps of the tail bound that theta_sum chooses from (see there): the
-# small ones give the shorter radii at tight tolerances, the large ones at
-# loose tolerances or in many dimensions; each with its log
-_TAIL_SPLITS = {eps: math.log(eps) for eps in (0.0625, 0.125, 0.25, 0.5)}
+# the split eps of the tail bound (see theta_sum) and its log.  Of 1/16,
+# 1/8, 1/4 and 1/2, 1/16 gives the shortest radius whenever tol <=
+# exp(-3.81 n): every default tolerance for n <= 5
+_TAIL_EPS = 0.0625
+_LOG_TAIL_EPS = math.log(_TAIL_EPS)
 # candidate bounds of a level must lie below this in size: candidates are
 # exact float integers, so each candidate, each lo - start + k that builds
 # one (start below 2^52 too, see _candidates) and each count hi - lo + 1 must
@@ -117,7 +121,10 @@ class GramMatrix:
         scale = float(np.max(np.abs(m)))
         if scale == 0.0 or float(np.max(np.abs(m - m.T))) > _SYM_RTOL * scale:
             raise NotPositiveDefinite("matrix is not symmetric to 1e-12 relative")
-        self._factor(0.5 * (m + m.T))
+        # below 2^1023 no sum m_ij + m_ji overflows; from there on a positive
+        # definite m, whose largest entry lies on its diagonal, overflows in
+        # 2 m_ii, so it halves first, exactly for every entry of 2^-1021 or more
+        self._factor(0.5 * (m + m.T) if scale < 2.0 ** 1023 else 0.5 * m + 0.5 * m.T)
 
     @classmethod
     def _of_basis(cls, b: np.ndarray) -> "GramMatrix":
@@ -232,8 +239,11 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget
         least = -largest
     else:
         s = (V if zero else V + center[i + 1:]) @ U[i, i + 1:]
+        # every row of V has T <= bound, so rad needs no clamp at 0: a masked
+        # level keeps Tn <= bound, an unmasked one has Tn.max() <= bound, and
+        # Tn is never nan (s is finite past the reach check, and an
+        # overflowed uii v gives +inf, which is masked)
         rad = bound - T
-        np.maximum(rad, 0.0, out=rad)
         np.sqrt(rad, out=rad)
         lo = np.negative(rad)
         lo -= s
@@ -273,12 +283,6 @@ def _level(U: np.ndarray, center: np.ndarray, bound: float, V, T, i: int, budget
         raise EnumerationBudgetExceeded(
             f"enumeration needs more than {budget} points; the metric is too flat")
     return s, lo, counts, total
-
-
-def _ball_bound(radius: float) -> float:
-    """The bound on Q that the enumeration of radius tests: radius plus the
-    boundary slack, relative to radius and at least _BOUNDARY_SLACK."""
-    return radius + _BOUNDARY_SLACK * max(radius, 1.0)
 
 
 def _candidates(lo: np.ndarray, counts: np.ndarray, total: int, V=None) -> np.ndarray:
@@ -329,8 +333,8 @@ def _expand(v: np.ndarray, s, counts, T, uii, ci) -> np.ndarray:
     return v
 
 
-def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int):
-    """Vectorized Fincke-Pohst enumeration of v in Z^n with Q(v + center) <= radius.
+def _fincke_pohst(U: np.ndarray, center: np.ndarray, bound: float, budget: int):
+    """Vectorized Fincke-Pohst enumeration of v in Z^n with Q(v + center) <= bound.
 
     Q(x) = ||U x||^2 with U upper triangular.  A zero centre, +0.0 or -0.0
     in every coordinate, enumerates one half-space (see _level and
@@ -342,10 +346,10 @@ def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int)
     candidates, in blocks q of at most _BLOCK_POINTS, row by row of V, each
     computed once, in place, in one float buffer (_expand).  An empty last
     level yields no block.  q is not masked: a candidate at the end of a
-    row's range can have Q above _ball_bound(radius), and the caller drops
-    it, as theta_sum does only when q.max() exceeds the bound, since a block
-    rarely holds one.  Every budget check runs before this returns, so no
-    level is allocated over budget.
+    row's range can have Q above the bound, and the caller drops it, as
+    theta_sum does only when q.max() exceeds the bound, since a block rarely
+    holds one.  Every budget check runs before this returns, so no level is
+    allocated over budget.
 
     Each level's bounds, reach and budget checks are those of _level, and
     its candidates those of _candidates: exact float integers, with no
@@ -364,7 +368,6 @@ def _fincke_pohst(U: np.ndarray, center: np.ndarray, radius: float, budget: int)
     exclusions stay covered.
     """
     n = U.shape[0]
-    bound = _ball_bound(radius)
     zero = not center.any()
     V = T = None  # the zero row (see _level)
     for i in range(n - 1, 0, -1):
@@ -485,13 +488,6 @@ def _exact_partials(t: np.ndarray):
     yield float(t.sum())
 
 
-def _tail_split(n: int, log_tol: float) -> tuple[float, float]:
-    """(radius, eps) for the eps of _TAIL_SPLITS whose radius R(eps) + 1/2
-    is smallest (see theta_sum); the smaller eps on a tie."""
-    return min(((-0.5 * n * log_eps - log_tol) / (math.pi * (1.0 - eps)) + 0.5, eps)
-               for eps, log_eps in _TAIL_SPLITS.items())
-
-
 def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
               theta0: float | None = None) -> ThetaResult:
     """Gaussian theta sum over Z^n + center with its tail certified below tol
@@ -511,20 +507,24 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
         tail <= r theta_0(G),   r = eps^(-n/2) exp(-pi (1 - eps) R),
 
     with no eigenvalue of G in it.  r meets tol at
-    R(eps) = (n/2 log(1/eps) - log tol) / (pi (1 - eps)); the radius is
-    R(eps) + 1/2, at least 1, for the eps of _TAIL_SPLITS with the smallest
-    such radius.  A small eps shortens the radius when -log tol dominates, a
-    larger one when n does.  The choice depends on n and tol only, so
-    repeated calls stay bit-identical.  The 1/2 margin covers the boundary
-    slack of the enumeration, at whose smaller radius r is evaluated.  A
-    shifted sum whose radius falls short of Q(c), for the shift c reduced
-    into [-1/2, 1/2]^n, raises it to the smaller of Q(c) and Q at the
-    nearest-plane point of an LLL-reduced basis (_nearest_plane_q).  So it
-    reaches a lattice point, and its value is positive unless that term
-    underflows; a sum far from the lattice would otherwise come out as 0,
-    within tol but useless as a ratio.  Q(c) alone can lie far above the
-    nearest point on an ill-conditioned Gram, and its ball then holds
-    millions of points.
+
+        R = (n/2 log(1/eps) - log tol) / (pi (1 - eps)),
+
+    and the radius is R + 1/2, at least 1, for the one split eps = 1/16
+    (_TAIL_EPS).  A small eps shortens the radius when -log tol dominates, a
+    larger one when n does: of 1/16, 1/8, 1/4 and 1/2, 1/16 is the shortest
+    whenever tol <= exp(-3.81 n), as every default tolerance is for n <= 5.
+    The radius depends on n and tol only, so repeated calls stay
+    bit-identical.  The enumeration's ball is Q <= R' (1 + slack) for this
+    radius R', and the 1/2 margin covers the boundary slack, at whose
+    smaller radius R' (1 - 2 slack) r is evaluated.  A shifted sum whose
+    radius falls short of Q(c), for the shift c reduced into [-1/2, 1/2]^n,
+    raises it to the smaller of Q(c) and Q at the nearest-plane point of an
+    LLL-reduced basis (_nearest_plane_q).  So it reaches a lattice point,
+    and its value is positive unless that term underflows; a sum far from
+    the lattice would otherwise come out as 0, within tol but useless as a
+    ratio.  Q(c) alone can lie far above the nearest point on an
+    ill-conditioned Gram, and its ball then holds millions of points.
 
     tol is relative, in (0, 1).  A centred sum bounds theta_0 from its own
     value V: theta_0 <= V + r theta_0, so theta_0 <= V / (1 - r) and it
@@ -585,30 +585,29 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
     n = gram.n
     c = _shift(center, n)
     if center is not None:
-        c = c - np.round(c)  # theta is Z^n-periodic in the shift
+        c = c - np.rint(c)  # theta is Z^n-periodic in the shift
     half = center is None or not c.any()
     if not half and not (theta0 is not None and 0.0 < theta0 < math.inf):
         raise ValueError("a shifted sum needs theta0, a positive finite bound on the centred sum")
     log_tol = math.log(tol)
-    radius, eps = _tail_split(n, log_tol)
-    radius = max(1.0, radius)
+    radius = max(1.0, (-0.5 * n * _LOG_TAIL_EPS - log_tol) / (math.pi * (1.0 - _TAIL_EPS)) + 0.5)
     if not half:
         q_c = float(np.sum((L.T @ c) ** 2))
         if q_c > radius:
             radius = max(radius, min(q_c, _nearest_plane_q(L, c)))
     safe_radius = radius * (1.0 - 2.0 * _BOUNDARY_SLACK) - 1e-12
-    log_r = -0.5 * n * _TAIL_SPLITS[eps] - math.pi * (1.0 - eps) * safe_radius
+    log_r = -0.5 * n * _LOG_TAIL_EPS - math.pi * (1.0 - _TAIL_EPS) * safe_radius
     if not log_r <= log_tol:
         raise ToleranceUnreachable(
             f"relative tail bound exp({log_r:.6g}) at radius {radius:.6g} exceeds tol "
-            f"{tol:.3e}: split eps = {eps}, n = {n}")
+            f"{tol:.3e}: split eps = {_TAIL_EPS}, n = {n}")
     # the expected point count, ellipsoid volume over covolume, in logs
     log_points = 0.5 * n * math.log(math.pi * radius) - math.lgamma(0.5 * n + 1) - gram.log_covolume
     if log_points > math.log(2 * budget):  # an int budget may exceed the float range
         raise EnumerationBudgetExceeded(
             f"estimated point count exceeds the budget of {budget}")
-    bound = _ball_bound(radius)
-    blocks = _fincke_pohst(L.T, c, radius, budget)
+    bound = radius + _BOUNDARY_SLACK * radius
+    blocks = _fincke_pohst(L.T, c, bound, budget)
     parts = [0.5] if half else []  # the zero vector, halved with the rest
     kept = 0
     for q in blocks:

@@ -83,6 +83,8 @@ class NumberFieldDescriptor:
     # d * O^v for the descriptor's different d: O exactly when d is the true
     # different
     different_codifferent: "FractionalIdeal" = field(init=False, repr=False, compare=False)
+    # d * O^v == O: the descriptor's different is the true one
+    true_different: bool = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _check_covolume(self)
@@ -97,6 +99,7 @@ class NumberFieldDescriptor:
         self.codifferent = _trace_dual(unit_ideal(self))
         self.different = FractionalIdeal.from_rows(self, self.different_basis)
         self.different_codifferent = ideal_mul(self.different, self.codifferent)
+        self.true_different = self.different_codifferent == unit_ideal(self)
 
     @property
     def n(self) -> int:

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -255,6 +256,22 @@ def test_effectivity_v_examples():
     # the two nearest points at Q = e^5 / 4, beyond the tail radius
     far = effectivity_v(degree_divisor(-2.5), [0.5], 1e-8)
     assert far == pytest.approx(2.0 * math.exp(-math.pi * math.exp(5.0) / 4.0), rel=1e-12, abs=0.0)
+
+
+def test_effectivity_refuses_non_finite_coordinates():
+    # inf gave an untyped OverflowError from Fraction, nan Fraction's own
+    # ValueError; both now name the coordinates
+    for F in (Q, make_field(("quadratic", 2))):
+        D = zero_divisor(F)
+        for bad in (math.inf, -math.inf, math.nan):
+            coords = [bad] + [0.0] * (F.n - 1)
+            for fn in (effectivity_u, effectivity_v):
+                with pytest.raises(ValueError, match="coords must be finite reals"):
+                    fn(D, coords)
+    # a norm beyond the float range is u = 0, without an overflow warning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert effectivity_u(zero_divisor(Q), [1e200]) == 0.0
 
 
 def _box_theta(gram, center, box: int = 10) -> float:
@@ -540,7 +557,7 @@ def test_h0_of_k_minus_d_is_h0_of_the_inverse_of_d_times_i():
             F, [(pr, rng.randint(-2, 2)) for pr in primes], [rng.uniform(-1.0, 1.0)]))
     for different in ([[0, 0, 3], [6, 0, 0], [0, 6, 0]], [[1, 0, 0], [0, 1, 0], [0, 0, 1]]):
         F = make_field({**cbrt2_descriptor(), "different_basis": different})
-        assert (F.different_codifferent == unit_ideal(F)) == (different[0] == [0, 0, 3])
+        assert F.true_different == (F.different_codifferent == unit_ideal(F)) == (different[0] == [0, 0, 3])
         for a, b in ELEMENT_PAIRS:
             ideal = ideal_mul(principal_ideal(F, a), ideal_inv(principal_ideal(F, b)))
             divisors.append(divisor_from_ideal(F, ideal, [rng.uniform(-1.0, 1.0)

@@ -71,6 +71,17 @@ def test_gram_matrix_validation():
     assert g.n == 2
 
 
+def test_a_gram_beyond_half_the_largest_float_is_valid():
+    # 0.5 (m + m^T) overflowed in m + m^T, and the Cholesky factor of the
+    # infinite result refused a valid Gram after a RuntimeWarning
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for g in ([[1e308]], np.diag([1e308, 1e308]), [[1.7e308, 1e307], [1e307, 1.7e308]]):
+            assert np.array_equal(GramMatrix(np.array(g)).entries, g)
+            res = theta_sum(g, None, 1e-9)
+            assert res.value == 1.0 and res.points_enumerated == 1
+
+
 def test_raw_non_symmetric_gram_is_rejected_by_every_entry_point():
     # a raw array is validated as a GramMatrix: [[1, 100], [0, 1]] was read
     # from its lower triangle, as the identity, and theta_sum certified
@@ -101,7 +112,7 @@ def test_enumerate_below_returns_the_zero_vector_alone():
         for center in (None, [0.0] * n, [-0.0] * n):
             assert _points_below(g, center, 1.0) == [[0] * n]
             c = np.zeros(n) if center is None else np.array(center)
-            assert list(_fincke_pohst(cholesky(g).T, c, 1.0, 10**8)) == []
+            assert list(_fincke_pohst(cholesky(g).T, c, _ball(1.0), 10**8)) == []
             res = theta_sum(g, center, 1e-9)
             assert res.value == 1.0 and res.points_enumerated == 1
 
@@ -130,7 +141,7 @@ def test_enumerate_budget():
     U = cholesky([[1e-6]]).T
     for center in ([0.0], [0.5]):
         with pytest.raises(EnumerationBudgetExceeded):
-            _fincke_pohst(U, np.array(center), 100.0, 10)
+            _fincke_pohst(U, np.array(center), _ball(100.0), 10)
 
 
 def test_enumerate_matches_brute_force_randomized():
@@ -233,7 +244,7 @@ def test_enumerate_uses_the_factor_of_a_gram_matrix(monkeypatch):
         U = handed.pop()
         assert np.shares_memory(U, gram.factor) and np.array_equal(U, gram.factor.T)
         c = np.zeros(gram.n) if center is None else np.array(center)
-        _assert_blocks_match_reference(U, c, 6.0)
+        _assert_blocks_match_reference(U, c, _ball(6.0))
     assert factored == []
 
 
@@ -281,18 +292,11 @@ def test_theta_tail_bound_soundness():
         assert 0.0 <= v2 - v1 < res.tail_bound
 
 
-def test_theta_tail_bound_holds_at_twice_the_radius(monkeypatch):
+def test_theta_tail_bound_holds_at_twice_the_radius():
     # the sum over the ball of twice the radius exceeds the value by at most
-    # tail_bound, centred and shifted, with every tail split in play: n = 1-4,
-    # smallest eigenvalues 1e-3 to 1, condition numbers 1, 1e4 and 1e12
-    chosen = []
-    real = lattice._tail_split
-
-    def recording(*args):
-        chosen.append(real(*args))
-        return chosen[-1]
-
-    monkeypatch.setattr(lattice, "_tail_split", recording)
+    # tail_bound, centred and shifted: n = 1-4, smallest eigenvalues 1e-3 to
+    # 1, condition numbers 1, 1e4 and 1e12, tolerances 1e-12 to 0.5
+    eps = lattice._TAIL_EPS
     rng = np.random.default_rng(30)
     seen = set()
     for n in (1, 2, 3, 4):
@@ -326,43 +330,62 @@ def test_theta_tail_bound_holds_at_twice_the_radius(monkeypatch):
                                               else res.value + res.tail_bound)
                         # r is eps^(-n/2) exp(-pi (1 - eps) R) at the radius
                         # the enumeration is sure to cover
-                        eps = chosen[-1][1]
                         safe = res.radius * (1 - 2 * lattice._BOUNDARY_SLACK) - 1e-12
                         assert r == pytest.approx(
                             eps ** (-n / 2) * math.exp(-math.pi * (1 - eps) * safe), rel=1e-9)
                         assert r <= tol * (1 + 1e-12)
                         # at the split's own radius (not raised to 1 or to Q(c)) the
                         # 1/2 margin costs a factor exp(-pi (1 - eps) / 2), no more
-                        if res.radius == chosen[-1][0]:
+                        own = (-0.5 * n * math.log(eps) - math.log(tol)) / (math.pi * (1 - eps)) + 0.5
+                        if math.isclose(res.radius, own, rel_tol=1e-12):
                             assert r >= math.exp(-math.pi / 2) * tol * (1 - 1e-6)
-    assert {eps for _, eps in chosen} == set(lattice._TAIL_SPLITS)
     assert {n for n, _, _ in seen} == {1, 2, 3, 4}
     assert {s for _, s, _ in seen} == {1e-3, 0.1, 1.0}
     assert {c for _, _, c in seen} == {1.0, 1e4, 1e12}
 
 
-def test_tail_split_radius_is_the_smallest_and_at_most_the_half_split():
-    # the relative bound r = eps^(-n/2) exp(-pi (1 - eps) R) of the chosen
-    # split meets tol at R = radius - 1/2, and no split of _TAIL_SPLITS,
-    # the half split 1/2 among them, meets it at a smaller R
-    def log_bound(eps, n, R):
-        return -0.5 * n * math.log(eps) - math.pi * (1.0 - eps) * R
+def test_theta_radius_is_the_closed_form_of_the_one_split():
+    # the radius of a centred sum is max(1, R + 1/2), where the relative
+    # bound 16^(n/2) exp(-pi (15/16) R) of the split eps = 1/16 meets tol,
+    # and the reported relative bound r = tail / (value + tail) is that
+    # bound at the radius the enumeration is sure to cover
+    def log_bound(n, R):
+        return 0.5 * n * math.log(16.0) - math.pi * (15.0 / 16.0) * R
 
     for n in range(1, 9):
-        for tol in np.geomspace(1e-300, 0.5, 61).tolist():
+        g = 1e4 * np.eye(n)  # the zero vector alone: every radius is below 300
+        for tol in np.geomspace(1e-300, 0.99, 61).tolist():
             log_tol = math.log(tol)
-            radius, eps = lattice._tail_split(n, log_tol)
-            assert eps in lattice._TAIL_SPLITS
-            slack = 1e-12 * abs(log_tol)
-            assert abs(log_bound(eps, n, radius - 0.5) - log_tol) <= slack, (n, tol)
-            for other in lattice._TAIL_SPLITS:
-                assert log_bound(other, n, radius - 0.5) >= log_tol - slack, (n, tol, other)
+            res = theta_sum(g, None, tol)
+            assert res.value == 1.0 and res.points_enumerated == 1
+            R = (0.5 * n * math.log(16.0) - log_tol) / (math.pi * 15.0 / 16.0)
+            assert abs(res.radius - max(1.0, R + 0.5)) <= 1e-12 * abs(log_tol), (n, tol)
+            if res.radius > 1.0:
+                assert abs(log_bound(n, res.radius - 0.5) - log_tol) <= 1e-12 * abs(log_tol)
+            safe = res.radius * (1 - 2 * lattice._BOUNDARY_SLACK) - 1e-12
+            r = res.tail_bound / (res.value + res.tail_bound)
+            assert r == pytest.approx(math.exp(log_bound(n, safe)), rel=1e-9), (n, tol)
+            assert r <= tol * (1 + 1e-12)
+
+
+def test_theta_enumerates_a_point_inside_the_boundary_slack():
+    # Q(+-e) = a lies above the radius but within its relative slack of
+    # 1e-9: the ball holds it, so the sum has 3 points, not 1.  For n = 1 the
+    # point is on the last level, whose blocks theta_sum masks; for n = 2 on
+    # the top level, which the enumeration masks to the bound it is handed
+    for n in (1, 2):
+        radius = theta_sum(np.eye(n), None, 1e-9).radius  # a function of n and tol only
+        a = radius * (1.0 + 5e-10)
+        assert a > radius
+        res = theta_sum(np.diag([100.0] * (n - 1) + [a]), None, 1e-9)
+        assert res.radius == radius and res.points_enumerated == 3
+        assert res.value == pytest.approx(1.0 + 2.0 * math.exp(-math.pi * a), rel=1e-15)
 
 
 def test_theta_tail_guard_raises_with_the_numbers(monkeypatch):
     # a boundary slack that eats the 1/2 margin leaves the tail above tol
     monkeypatch.setattr(lattice, "_BOUNDARY_SLACK", 0.25)
-    with pytest.raises(ToleranceUnreachable, match=r"exceeds tol 1\.000e-09: split eps = "):
+    with pytest.raises(ToleranceUnreachable, match=r"exceeds tol 1\.000e-09: split eps = 0\.0625, n = 1"):
         theta_sum([[1.0]], None, 1e-9)
 
 
@@ -551,7 +574,7 @@ def test_level_bounds_beyond_int64_exceed_the_budget():
     def enumerate_at(gram, radius, center=None, budget=lattice.DEFAULT_BUDGET):
         U = GramMatrix(gram).factor.T
         c = np.zeros(U.shape[0]) if center is None else np.array(center)
-        return _fincke_pohst(U, c, radius, budget)
+        return _fincke_pohst(U, c, _ball(radius), budget)
 
     for gram in ([[5e-324]], np.diag([5e-324, 1e300])):
         with warnings.catch_warnings():
@@ -737,11 +760,11 @@ def test_theta_drops_a_last_level_candidate_outside_the_ball():
     # just above the bound: its keep is false, and the sum stops at k - 1
     tol, k = 1e-10, 5
     radius = theta_sum([[1.0]], None, tol).radius  # a function of n and tol only
-    bound = radius + lattice._BOUNDARY_SLACK * max(radius, 1.0)
+    bound = _ball(radius)
     a = bound / k**2 * (1.0 + 1e-12)
     U = np.sqrt([[a]])
-    q, = _fincke_pohst(U, np.zeros(1), radius, 10**8)
-    (_, _, v0, q_ref, keep), = _reference_fincke_pohst(U, np.zeros(1), radius, half=True)[1]
+    q, = _fincke_pohst(U, np.zeros(1), bound, 10**8)
+    (_, _, v0, q_ref, keep), = _reference_fincke_pohst(U, np.zeros(1), bound, half=True)[1]
     assert v0.tolist() == list(range(1, k + 1)) and keep.tolist() == [True] * (k - 1) + [False]
     # the block is unmasked; theta_sum masks it, as its q.max() exceeds the
     # bound, and the reference's q is the same, bit for bit
@@ -779,13 +802,18 @@ def _reference_expand(s, lo, counts, total, T, uii, ci, bound):
     return vi, Tn, Tn <= bound
 
 
-def _reference_fincke_pohst(U, center, radius, half):
-    """Oracle: the enumeration with every level, the top one included, in
-    arrays, of one half-space or, for half false, the full space; V, the
-    list of its last level's blocks (r0, c, v0, q, keep) and the candidate
-    total of each level."""
+def _ball(radius):
+    """The bound on Q that theta_sum's enumeration tests for radius: radius
+    plus the boundary slack, relative to radius and at least the slack."""
+    return radius + lattice._BOUNDARY_SLACK * max(radius, 1.0)
+
+
+def _reference_fincke_pohst(U, center, bound, half):
+    """Oracle: the enumeration of Q <= bound with every level, the top one
+    included, in arrays, of one half-space or, for half false, the full
+    space; V, the list of its last level's blocks (r0, c, v0, q, keep) and
+    the candidate total of each level."""
     n = U.shape[0]
-    bound = radius + lattice._BOUNDARY_SLACK * max(radius, 1.0)
     V = np.zeros((1, 0), dtype=np.int64)
     T = np.zeros(1)
     totals = []
@@ -821,7 +849,7 @@ def _reference_points(gram, center, radius):
     U = GramMatrix(gram).factor.T
     n = U.shape[0]
     c = np.zeros(n) if center is None else np.asarray(center, dtype=float)
-    V, blocks, _ = _reference_fincke_pohst(U, c, radius, half=False)
+    V, blocks, _ = _reference_fincke_pohst(U, c, _ball(radius), half=False)
     points, norms = [np.zeros((0, n), dtype=np.int64)], [np.zeros(0)]
     for r0, counts, v0, q, keep in blocks:
         rows = V[r0 + np.repeat(np.arange(counts.size), counts)]
@@ -835,11 +863,11 @@ def _same_bits(a, b) -> bool:
     return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def _assert_blocks_match_reference(U, center, radius):
+def _assert_blocks_match_reference(U, center, bound):
     """The enumeration's blocks q are the reference's nonempty ones, bit for
     bit, in the half-space a zero centre selects; no block is empty."""
-    got = list(_fincke_pohst(U, center, radius, 10**8))
-    _, blocks, _ = _reference_fincke_pohst(U, center, radius, not center.any())
+    got = list(_fincke_pohst(U, center, bound, 10**8))
+    _, blocks, _ = _reference_fincke_pohst(U, center, bound, not center.any())
     want = [q for _, _, _, q, _ in blocks if q.size]
     assert len(got) == len(want) and all(map(_same_bits, got, want))
 
@@ -849,7 +877,7 @@ def _points_below(gram, center, radius) -> list:
     whose blocks the enumeration's must match there."""
     U = GramMatrix(gram).factor.T
     _assert_blocks_match_reference(U, np.zeros(U.shape[0]) if center is None
-                                   else np.asarray(center, dtype=float), radius)
+                                   else np.asarray(center, dtype=float), _ball(radius))
     return sorted(_reference_points(gram, center, radius)[0].tolist())
 
 
@@ -867,8 +895,7 @@ def test_enumeration_matches_the_array_reference_bit_for_bit(monkeypatch):
     # centre gives those levels one candidate, 0, whose Q is not 0 and may
     # lie outside the ball
     rng = random.Random(41)
-    radius = theta_sum([[1.0]], None, 1e-10).radius
-    bound = radius + lattice._BOUNDARY_SLACK * max(radius, 1.0)
+    bound = _ball(theta_sum([[1.0]], None, 1e-10).radius)
     grams = [_random_gram(rng, n) for n in (1, 2, 3, 4) for _ in range(4)]
     grams += [np.array([[bound / 25 * (1.0 + d)]]) for d in (1e-12, -1e-12)]
     # the same candidate at the top level of n = 2, which is masked only
@@ -893,7 +920,7 @@ def test_enumeration_matches_the_array_reference_bit_for_bit(monkeypatch):
             signed_zeros = shifted.copy()
             signed_zeros[::2] = -0.0
             for center in (np.zeros(n), -np.zeros(n), shifted, signed_zeros):
-                _assert_blocks_match_reference(U, center, radius)
+                _assert_blocks_match_reference(U, center, bound)
 
 
 def _assert_partials_sum_like_fsum(terms, rungs=None):
@@ -983,11 +1010,11 @@ def test_half_space_budget_matches_full_space():
         g = _random_gram(rng, n)
         U = cholesky(g).T
         zero = np.zeros(n)
-        for radius in (1.0, 6.5, 15.0):
-            need = max(_reference_fincke_pohst(U, zero, radius, half=False)[2])
+        for bound in map(_ball, (1.0, 6.5, 15.0)):
+            need = max(_reference_fincke_pohst(U, zero, bound, half=False)[2])
             with pytest.raises(EnumerationBudgetExceeded):
-                _fincke_pohst(U, zero, radius, need - 1)
-            _fincke_pohst(U, zero, radius, need)
+                _fincke_pohst(U, zero, bound, need - 1)
+            _fincke_pohst(U, zero, bound, need)
 
 
 def test_theta_peak_memory_is_bounded():
