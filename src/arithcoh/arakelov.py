@@ -31,12 +31,12 @@ from .numfield import (
     FractionalIdeal,
     NumberFieldDescriptor,
     PrimeIdeal,
-    _coordinate_weights,
     _embed_reduced,
     _trace_dual,
     embed_ideal,
     ideal_inv,
     ideal_mul,
+    infinite_weights,
     make_field,
     primes_above,
     unit_ideal,
@@ -69,7 +69,7 @@ class ArakelovDivisor:
             raise InvalidDivisor(
                 f"divisor needs {self.field.r1 + self.field.r2} infinite components")
         try:
-            weights = _coordinate_weights(self.field, self.infinite)
+            weights = infinite_weights(self.field, self.infinite)
         except OverflowError:  # exp(-2 x_sigma) beyond the float range
             weights = [math.inf]
         if not all(sys.float_info.min <= w < math.inf for w in weights):  # subnormal: inexact
@@ -253,13 +253,15 @@ def _h1_from_h0(D: ArakelovDivisor, base: CohomologyValue) -> CohomologyValue:
                            points_enumerated=base.points_enumerated)
 
 
-def _reduced_coords(D: ArakelovDivisor, coords) -> tuple[EmbeddedLattice, np.ndarray]:
-    """The divisor lattice, and coords over the ideal's HNF basis H as
+def _reduced_coords(D: ArakelovDivisor, coords) -> tuple[EmbeddedLattice, list[Fraction]]:
+    """The divisor lattice, and coords over the ideal's HNF basis H as exact
     coordinates over the lattice's reduced basis B = M H.
 
     x = c H = (c M^-1) B, and M^-1 = det(M) adj(M) with det(M) = +-1, so the
-    new coordinates are exact sums of integer multiples of the given floats,
-    rounded once.  A nan or infinite coordinate raises ValueError.
+    new coordinates are sums of integer multiples of the given floats, kept
+    as Fractions: rounding them here would let a large integer part swallow
+    the fractional part that a shifted theta sum reads.  A nan or infinite
+    coordinate raises ValueError.
     """
     xs = [float(x) for x in coords]
     if not all(map(math.isfinite, xs)):
@@ -267,8 +269,8 @@ def _reduced_coords(D: ArakelovDivisor, coords) -> tuple[EmbeddedLattice, np.nda
     lat, M = _embed_reduced(D.field, D.ideal(), D.infinite)
     c = list(map(Fraction, xs))
     det = det_int(M)
-    return lat, np.array([float(det * sum(a * x for a, x in zip(col, c, strict=True)))
-                          for col in zip(*adjugate(M))])
+    return lat, [det * sum(a * x for a, x in zip(col, c, strict=True))
+                 for col in zip(*adjugate(M))]
 
 
 def effectivity_u(D: ArakelovDivisor, coords) -> float:
@@ -276,7 +278,7 @@ def effectivity_u(D: ArakelovDivisor, coords) -> float:
     ideal's HNF basis (the rows of FractionalIdeal)."""
     lat, c = _reduced_coords(D, coords)
     with np.errstate(over="ignore"):  # a norm beyond the float range gives u = 0
-        vec = c @ lat.basis
+        vec = np.array([float(x) for x in c]) @ lat.basis
         return math.exp(-math.pi * float(vec @ vec))
 
 
@@ -287,15 +289,17 @@ def effectivity_v(D: ArakelovDivisor, coords, tol: float = 1e-9,
     The centred denominator's value plus its tail bound is the bound on
     theta_0 that the shifted numerator's relative tolerance needs.  Both
     tails stay below tol times the denominator, so the ratio is correct to
-    about 2 tol.  Periodic under the ideal by construction.  The shift is
-    given by its coordinates over the ideal's HNF basis (the rows of
-    FractionalIdeal), as for effectivity_u.
+    about 2 tol.  The shift is given by its coordinates over the ideal's HNF
+    basis (the rows of FractionalIdeal), as for effectivity_u.  Periodic
+    under the ideal: the exact reduced coordinates are taken mod 1 before
+    they are rounded to floats, so a shift by an element of the ideal, however
+    large, gives the same float.
     """
     if not tol > 0.0:
         raise ValueError("tol must be positive")
     lat, c = _reduced_coords(D, coords)
     den = _theta_of_divisor(lat, tol, budget)
-    num = theta_sum(lat.gram, c, 0.5 * min(tol, 1.0),
+    num = theta_sum(lat.gram, [float(x % 1) for x in c], 0.5 * min(tol, 1.0),
                     budget=budget, theta0=den.value + den.tail_bound)
     return num.value / den.value
 

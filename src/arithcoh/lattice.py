@@ -27,10 +27,17 @@ terms reaches fsum as the exact sums of an error-free split on a fixed
 ladder of grids (_exact_partials), a few floats per block instead of one per
 point, and only as many rungs as the block's smallest term needs; their
 exact sum is that of the terms, so the value is the same float either way.
+
+A lattice given by basis rows (EmbeddedLattice) takes its Gram matrix and
+Cholesky factor from a Gram-Schmidt of the rows in Python floats, in a fixed
+order (_dot, _gram_schmidt), which the LLL (lll_reduce_rows) shares: no BLAS
+or LAPACK kernel, whose rounding varies with the CPU, enters them.  Only a
+Gram matrix given by its entries is factored by LAPACK (cholesky).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -102,10 +109,12 @@ def cholesky(gram) -> np.ndarray:
 class GramMatrix:
     """Symmetric positive-definite matrix of inner products.
 
-    factor is the Cholesky factor of entries that validation computes; the
-    theta sum enumerates with it rather than factoring again.  log_covolume
-    is log sqrt(det), the sum of log diag of that factor.  Every matrix that
-    enters theta_sum is validated and factored here, once.
+    factor is a lower-triangular L with L L^T = entries; the theta sum
+    enumerates with it rather than factoring again.  log_covolume is
+    log sqrt(det), the sum of log diag of that factor.  A matrix given as
+    entries is validated here and factored by cholesky (LAPACK), once.  The
+    Gram matrix of an EmbeddedLattice comes with its factor from the
+    Gram-Schmidt of the basis rows instead, and skips both.
     """
 
     entries: np.ndarray
@@ -124,31 +133,10 @@ class GramMatrix:
         # below 2^1023 no sum m_ij + m_ji overflows; from there on a positive
         # definite m, whose largest entry lies on its diagonal, overflows in
         # 2 m_ii, so it halves first, exactly for every entry of 2^-1021 or more
-        self._factor(0.5 * (m + m.T) if scale < 2.0 ** 1023 else 0.5 * m + 0.5 * m.T)
-
-    @classmethod
-    def _of_basis(cls, b: np.ndarray) -> "GramMatrix":
-        """The Gram matrix b b^T of a square basis b with n >= 1.
-
-        numpy computes b @ b.T by a symmetric rank-k update, which fills one
-        triangle and mirrors it, so the product is exactly symmetric and
-        needs neither the symmetry check nor the symmetrising step.  An
-        overflowed (infinite) or nan entry needs no check of its own either:
-        cholesky rejects every non-finite Gram with NotPositiveDefinite.
-        """
-        with np.errstate(over="ignore", invalid="ignore"):  # cholesky rejects inf and nan
-            m = b @ b.T
-        gram = object.__new__(cls)
-        gram._factor(m)
-        return gram
-
-    def _factor(self, m: np.ndarray) -> None:
-        m.setflags(write=False)
-        object.__setattr__(self, "entries", m)
+        m = 0.5 * (m + m.T) if scale < 2.0 ** 1023 else 0.5 * m + 0.5 * m.T
         L = cholesky(m)
-        L.setflags(write=False)
-        object.__setattr__(self, "factor", L)
-        object.__setattr__(self, "log_covolume", math.fsum(map(math.log, L.diagonal().tolist())))
+        _set_fields(self, entries=m, factor=L,
+                    log_covolume=math.fsum(map(math.log, L.diagonal().tolist())))
 
     @property
     def n(self) -> int:
@@ -160,10 +148,18 @@ class EmbeddedLattice:
     """A full-rank lattice given by basis row vectors in a metrized R^n.
 
     The coordinates already absorb the metric, so the plain dot product of
-    two basis rows is their inner product and gram = basis @ basis.T.  The
-    covolume is kept as its log, the sum of log diag of the Cholesky factor:
-    a divisor metric scales it by exp(-deg D), which leaves the float range
-    long before the metric does.
+    two basis rows is their inner product.  The Gram matrix and its factor
+    come from the rows in Python floats, in a fixed order, with no BLAS or
+    LAPACK call: entry (i, j) is the dot product b_i . b_j (_dot), which is
+    symmetric by construction, as b_i . b_j and b_j . b_i multiply the same
+    pairs, exactly commutative, and add them in the same order; and the
+    factor is the Gram-Schmidt of the rows (_gram_schmidt):
+    L_ii = |b*_i| and L_ij = mu_ij |b*_j| for j < i, since
+    b_i = sum_j mu_ij b*_j.  The covolume is kept as its log,
+    (1/2) fsum(log |b*_i|^2): a divisor metric scales it by exp(-deg D),
+    which leaves the float range long before the metric does.  A Gram entry
+    beyond the float range, or rows that are numerically dependent, raise
+    NotPositiveDefinite.
     """
 
     basis: np.ndarray
@@ -173,9 +169,15 @@ class EmbeddedLattice:
         b = np.array(self.basis, dtype=float)
         if b.ndim != 2 or b.shape[0] != b.shape[1] or b.shape[0] < 1:
             raise NotPositiveDefinite("lattice basis must be a square matrix with n >= 1")
-        b.setflags(write=False)
-        object.__setattr__(self, "basis", b)
-        object.__setattr__(self, "gram", GramMatrix._of_basis(b))
+        rows = b.tolist()
+        g = [[_dot(r, t) for t in rows] for r in rows]
+        if not all(map(math.isfinite, itertools.chain(*g))):
+            raise NotPositiveDefinite("the basis has a Gram entry beyond the float range")
+        _, mu, norms = _gram_schmidt(rows)
+        a = np.array([g, [[m * math.sqrt(t) for m, t in zip(r, norms)] for r in mu]])
+        gram = _set_fields(object.__new__(GramMatrix), entries=a[0], factor=a[1],
+                           log_covolume=0.5 * math.fsum(map(math.log, norms)))
+        _set_fields(self, basis=b, gram=gram)
 
     @property
     def log_covolume(self) -> float:
@@ -184,6 +186,53 @@ class EmbeddedLattice:
     @property
     def covolume(self) -> float:
         return math.exp(self.log_covolume)
+
+
+def _dot(a, b) -> float:
+    """sum a_k b_k in binary64, added left to right: the same float on every
+    CPU and every Python, which a BLAS dot, with its kernel's own order and
+    fused multiply-adds, and sum(), compensated from Python 3.12 on, are not.
+    Products and sums beyond the float range give inf or nan, never an
+    OverflowError."""
+    s = 0.0
+    for x, y in zip(a, b):
+        s += x * y
+    return s
+
+
+def _gram_schmidt(rows, gs=None, indices=None):
+    """The Gram-Schmidt of the rows as (b*, mu, |b*|^2), mu with a unit
+    diagonal and zeros above it: of every row, or, given gs, that triple
+    for these rows, of the rows i in indices, ascending, in place.  The LLL
+    keeps one triple across its steps and recomputes the rows it changed.
+
+    Row i is computed from the b*_j, mu_j and |b*_j|^2 of j < i:
+    mu_ij = (b_i . b*_j) / |b*_j|^2, b*_i = b_i - sum_j mu_ij b*_j,
+    subtracted in the order of j, and |b*_i|^2 = b*_i . b*_i, every dot a
+    _dot.  A norm that is not positive and finite (numerically dependent
+    rows, or an overflow) raises NotPositiveDefinite.
+    """
+    n = len(rows)
+    star, mu, norms = gs or ([None] * n, [[0.0] * n for _ in rows], [0.0] * n)
+    for i in range(n) if indices is None else indices:
+        s = r = rows[i]
+        for j in range(i):
+            m = mu[i][j] = _dot(r, star[j]) / norms[j]
+            s = [x - m * y for x, y in zip(s, star[j])]
+        star[i], norms[i], mu[i][i] = s, _dot(s, s), 1.0
+        if not 0.0 < norms[i] < math.inf:
+            raise NotPositiveDefinite(f"Gram-Schmidt norm {norms[i]:.6g} of row {i} is not "
+                                      "positive and finite: the rows are numerically dependent")
+    return star, mu, norms
+
+
+def _set_fields(obj, **values):
+    """Sets fields of a frozen dataclass, arrays read-only, and returns it."""
+    for name, value in values.items():
+        if isinstance(value, np.ndarray):
+            value.setflags(write=False)
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -412,24 +461,6 @@ def _last_level(s, lo, counts, total: int, T, uii, ci):
         yield _expand(_candidates(lo[r0:r1] + skip, c, b - a), s[r0:r1], c, T[r0:r1], uii, ci)
 
 
-def _shift(center, n: int) -> np.ndarray:
-    """center as n finite floats, the zero vector for None; a nan or
-    infinite entry raises ValueError."""
-    if center is None:
-        return np.zeros(n)
-    c = np.asarray(center, dtype=float).reshape(n)
-    if not np.isfinite(c).all():
-        raise ValueError(f"center must be n finite reals, not {center!r}")
-    return c
-
-
-def _check_budget(budget) -> None:
-    """Raises ValueError unless budget is an integer >= 1: a Python or numpy
-    integer.  A float is refused, nan and whole ones included."""
-    if not (isinstance(budget, numbers.Integral) and budget >= 1):
-        raise ValueError(f"budget must be an integer >= 1, not {budget!r}")
-
-
 def _exact_partials(t: np.ndarray):
     """Yields a few floats whose exact sum is that of the terms t, which it
     overwrites as it goes.
@@ -579,12 +610,18 @@ def theta_sum(gram, center, tol: float, budget: int = DEFAULT_BUDGET, *,
     """
     if not 0.0 < tol < 1.0:
         raise ValueError("tol is relative to the centred sum and must lie in (0, 1)")
-    _check_budget(budget)
+    # a Python or numpy integer: a float is refused, nan and whole ones included
+    if not (isinstance(budget, numbers.Integral) and budget >= 1):
+        raise ValueError(f"budget must be an integer >= 1, not {budget!r}")
     gram = gram if isinstance(gram, GramMatrix) else GramMatrix(gram)
     L = gram.factor
     n = gram.n
-    c = _shift(center, n)
-    if center is not None:
+    if center is None:
+        c = np.zeros(n)
+    else:
+        c = np.asarray(center, dtype=float).reshape(n)
+        if not np.isfinite(c).all():
+            raise ValueError(f"center must be n finite reals, not {center!r}")
         c = c - np.rint(c)  # theta is Z^n-periodic in the shift
     half = center is None or not c.any()
     if not half and not (theta0 is not None and 0.0 < theta0 < math.inf):
@@ -633,22 +670,24 @@ def _nearest_plane_q(L: np.ndarray, c: np.ndarray) -> float:
     plane (Combinatorica 6, 1986) on an LLL reduction of the basis rows of L.
 
     The reduced rows are B = M L, M unimodular.  A point x = v + c is
-    M^T (y + z) with v = M^T y and z = M^-T c, and Q(x) = ||R (y + z)||^2 for
-    the triangular factor R of B B^T.  The coordinates y_i are rounded from
-    the last down, each against the plane the later ones fix.  M is the
+    M^T (y + z) with v = M^T y and z = M^-T c, and Q(x) is the squared
+    length of (y + z) B, with B = mu B* by the Gram-Schmidt of the rows
+    (_gram_schmidt, in Python floats).  The coordinates y_i are rounded from
+    the last down, each against the plane the later ones fix:
+    y_i = round(-z_i - sum_(j > i) mu_ji (y_j + z_j)).  M is the
     reduction's own exact transform, so v is an integer vector, and Q is
     taken in L's own coordinates: the value is Q at a lattice point.  On a
     reduced basis that point's distance is within a factor 2^(n/2) of the
     nearest one's.
     """
     B, M = lll_reduce_rows(L)
-    M = np.array(M, dtype=float)
-    R = cholesky(B @ B.T).T
-    z = np.linalg.solve(M.T, c)
-    y = np.zeros_like(z)
-    for i in range(z.size - 1, -1, -1):
-        y[i] = np.round(-z[i] - R[i, i + 1:] @ (y[i + 1:] + z[i + 1:]) / R[i, i])
-    return float(np.sum((L.T @ (M.T @ y + c)) ** 2))
+    mu = _gram_schmidt(B)[1]
+    Mf = np.array(M, dtype=float)
+    z = np.linalg.solve(Mf.T, c).tolist()
+    y = [0] * len(z)
+    for i in range(len(z) - 1, -1, -1):
+        y[i] = round(-z[i] - math.fsum(mu[j][i] * (y[j] + z[j]) for j in range(i + 1, len(z))))
+    return float(np.sum((L.T @ (Mf.T @ np.array(y, dtype=float) + c)) ** 2))
 
 
 def dual_lattice(lat: EmbeddedLattice) -> EmbeddedLattice:
@@ -660,13 +699,16 @@ def dual_lattice(lat: EmbeddedLattice) -> EmbeddedLattice:
     return EmbeddedLattice(np.linalg.inv(lat.basis).T)
 
 
-def lll_reduce_rows(basis) -> tuple[np.ndarray, list[list[int]]]:
+def lll_reduce_rows(basis) -> tuple[list[list[float]], list[list[int]]]:
     """LLL-reduce the row basis: (rows, M) with rows = M basis, M unimodular.
 
-    M is a list of rows of Python ints, the convention of intmat.  Every
-    step on the rows (b_k -= q b_j, a swap of b_k-1 and b_k) is mirrored on
-    M exactly, so M is the exact transform and the float rows equal M basis
-    up to the rounding of those steps.
+    The basis is any square nested sequence of reals, an array included;
+    the rows come back as lists of Python floats, M as a list of rows of
+    Python ints, the convention of intmat.  Every step on the rows
+    (b_k -= q b_j, a swap of b_k-1 and b_k) is mirrored on M exactly, so M
+    is the exact transform and the float rows equal M basis up to the
+    rounding of those steps.  A caller that needs exact reduced rows takes
+    M alone and applies it to an exact basis, as the divisor lattice does.
 
     Skew bases of dense ideal lattices make the Gram matrix ill-conditioned,
     which swells the upper levels of the enumeration with candidates that
@@ -680,7 +722,10 @@ def lll_reduce_rows(basis) -> tuple[np.ndarray, list[list[int]]]:
     positive and finite (numerically dependent rows), raises
     NotPositiveDefinite.
 
-    The Gram-Schmidt rows (b*, mu and the norms |b*_i|^2) are kept across
+    Every step runs on lists of Python floats in a fixed order: the dots are
+    _dot and the Gram-Schmidt rows _gram_schmidt, the helper that factors
+    an EmbeddedLattice, so the reduction is the same on every CPU.  The
+    Gram-Schmidt rows (b*, mu and the norms |b*_i|^2) are kept across
     steps, with the index of the lowest one that may be out of date: k + 1
     after step k recomputes, k when its size reduction changed b_k, k - 1
     when it swapped b_k-1 and b_k.  Step k recomputes the rows from there up
@@ -689,55 +734,37 @@ def lll_reduce_rows(basis) -> tuple[np.ndarray, list[list[int]]]:
     function of rows of b that are unchanged since it was last computed,
     and rows above k are not read until k reaches them, so every rounded
     mu, Lovasz decision and output row is the float a full recompute at
-    each step gives.  The rows and b* are kept as a list of 1-D arrays, and
-    mu and the norms as Python floats: the same IEEE operations and the
-    same BLAS dot as on 2-D arrays, without their indexing cost per step.
+    each step gives.
     """
-    b = np.array(basis, dtype=float)
-    n = b.shape[0]
+    n = len(basis)
     if n < 2:
-        return b, [[1]] * n  # the identity of size 0 or 1
-    top = float(abs(b).max())
-    if not top < math.inf:  # a nan fails too
+        return [[float(x) for x in r] for r in basis], [[1]] * n  # the identity of size 0 or 1
+    if not all(map(math.isfinite, itertools.chain(*basis))):
         raise NotPositiveDefinite("the basis has an entry beyond the float range")
+    top = max(map(abs, itertools.chain(*basis)))
     scale = 2.0 ** max(math.frexp(top)[1] - (1024 - n.bit_length()) // 2, 0)
-    rows = list(b / scale)
-    M = np.eye(n, dtype=int).tolist()
-    star = [None] * n
-    mu = [[0.0] * n for _ in range(n)]
-    norms = [0.0] * n
-    stale = 0  # the lowest Gram-Schmidt row that may be out of date
-    k = 1
+    rows = [[float(x) / scale for x in r] for r in basis]  # exact; x / 1.0 is x
+    M = [[int(i == j) for j in range(n)] for i in range(n)]
+    gs = _, mu, norms = _gram_schmidt(rows, indices=())
+    stale, k = 0, 1  # stale: the lowest Gram-Schmidt row that may be out of date
     for _ in range(10000):
         if k >= n:
             break
-        for i in range(stale, k + 1):
-            s = r = rows[i]
-            mi = mu[i]
-            for j in range(i):
-                mi[j] = float(r.dot(star[j])) / norms[j]
-                s = s - mi[j] * star[j]
-            star[i] = s
-            norms[i] = float(s.dot(s))
-            if not 0.0 < norms[i] < math.inf:
-                raise NotPositiveDefinite(
-                    f"Gram-Schmidt norm {norms[i]:.6g} of row {i} is not positive and finite: "
-                    "the rows are numerically dependent")
+        _gram_schmidt(rows, gs, range(stale, k + 1))
         stale = k + 1
         for j in range(k - 1, -1, -1):
             q = round(mu[k][j])
             if q:
                 # b* stays; row k of mu moves by q times row j (unit diagonal)
-                rows[k] = rows[k] - q * rows[j]
+                rows[k] = [x - q * y for x, y in zip(rows[k], rows[j])]
                 M[k] = [x - q * y for x, y in zip(M[k], M[j])]
-                mu[k][:j] = [x - q * y for x, y in zip(mu[k][:j], mu[j])]
-                mu[k][j] -= q
+                mu[k][:j + 1] = [x - q * y for x, y in zip(mu[k], mu[j][:j + 1])]
                 stale = k
-        if norms[k] >= (_LLL_DELTA - mu[k][k - 1] ** 2) * norms[k - 1]:
+        if norms[k] >= (_LLL_DELTA - mu[k][k - 1] * mu[k][k - 1]) * norms[k - 1]:
             k += 1
         else:
             rows[k - 1], rows[k] = rows[k], rows[k - 1]
             M[k - 1], M[k] = M[k], M[k - 1]
             stale = k - 1
             k = max(k - 1, 1)
-    return np.array(rows) * scale, M
+    return [[x * scale for x in r] for r in rows], M

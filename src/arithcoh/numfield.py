@@ -23,6 +23,14 @@ product of primes and their inverses, and J^v = (J d)^-1 when d * O^v = O.
 The norm of an ideal is the product of its HNF pivots over den^n.  Only the
 embeddings are floating point.
 
+The metrized lattice of an ideal (embed_ideal) is built in Python floats in
+a fixed order, with no numpy arithmetic, BLAS or LAPACK call from the HNF
+rows H to the lattice's Cholesky factor: the rows of H are embedded, the
+float LLL of those rows only chooses an exact unimodular transform M, and
+the exact integer rows M H are embedded again and factored by the lattice's
+own fixed-order Gram-Schmidt.  So the LLL's rounded row updates never reach
+the lattice, and its bits do not depend on the CPU's kernels.
+
 Conventions fixed here because descriptor files depend on them:
   * archimedean places are ordered real-first (ascending value of the
     generator under the embedding), then complex;
@@ -45,7 +53,7 @@ import numpy as np
 
 from . import intmat
 from .errors import DescriptorInconsistent, InvalidDivisor, InvalidFieldSpec, UnsupportedField
-from .lattice import EmbeddedLattice, lll_reduce_rows
+from .lattice import EmbeddedLattice, _dot, lll_reduce_rows
 
 _MULT_INT_TOL = 1e-6
 _COVOL_RTOL = 1e-8
@@ -72,6 +80,8 @@ class NumberFieldDescriptor:
     quad_d: int | None = None  # squarefree d, marking a built-in quadratic field
     # the nonzero entries of mult_table as (i, j, ((k, c_ijk), ...)), for elem_mul
     mul_terms: tuple = field(init=False, repr=False, compare=False)
+    # the columns of integral_basis_embeddings as tuples of floats, for _metric_rows
+    embedding_columns: tuple = field(init=False, repr=False, compare=False)
     # the trace form T_ij = Tr(w_i w_j) as adj T and det T, with det T > 0:
     # T^-1 = trace_adj / trace_det
     trace_adj: tuple = field(init=False, repr=False, compare=False)
@@ -91,6 +101,7 @@ class NumberFieldDescriptor:
         self.mul_terms = tuple((i, j, tuple((k, c) for k, c in enumerate(row) if c))
                                for i, row_i in enumerate(self.mult_table)
                                for j, row in enumerate(row_i))
+        self.embedding_columns = tuple(zip(*np.asarray(self.integral_basis_embeddings).tolist()))
         form = [[elem_trace(self, w) for w in row] for row in self.mult_table]
         det = intmat.det_int(form)
         self.trace_adj = tuple(tuple(x if det > 0 else -x for x in r)
@@ -503,24 +514,18 @@ def primes_above(fld: NumberFieldDescriptor, p: int) -> list[PrimeIdeal]:
 # metrized embedding
 
 
-def infinite_weights(fld: NumberFieldDescriptor, x_inf) -> np.ndarray:
+def infinite_weights(fld: NumberFieldDescriptor, x_inf) -> list[float]:
     """Per-coordinate metric weights ||1||^2_sigma for the divisor metric.
 
     Real places contribute exp(-2 x_sigma); each coordinate of a complex
-    pair contributes 2 exp(-x_sigma).
+    pair contributes 2 exp(-x_sigma).  A list of x_sigma of another length
+    than the number of places raises ValueError.
     """
     x = [float(t) for t in x_inf]
     if len(x) != fld.r1 + fld.r2:
         raise ValueError(f"expected {fld.r1 + fld.r2} infinite components, got {len(x)}")
-    return np.array(_coordinate_weights(fld, x))
-
-
-def _coordinate_weights(fld: NumberFieldDescriptor, x) -> list[float]:
-    """infinite_weights as a list, for one float x_sigma per place."""
-    w = [math.exp(-2.0 * t) for t in x[:fld.r1]]
-    for t in x[fld.r1:]:
-        w.extend([2.0 * math.exp(-t)] * 2)
-    return w
+    return [math.exp(-2.0 * t) for t in x[:fld.r1]] + \
+        [w for t in x[fld.r1:] for w in [2.0 * math.exp(-t)] * 2]
 
 
 def embed_ideal(fld: NumberFieldDescriptor, I: FractionalIdeal, x_inf) -> EmbeddedLattice:
@@ -528,32 +533,60 @@ def embed_ideal(fld: NumberFieldDescriptor, I: FractionalIdeal, x_inf) -> Embedd
 
     The basis is LLL-reduced in the metrized coordinates (a unimodular change
     of Z-basis), which keeps the Gram matrix well conditioned however skew
-    the HNF basis of a high-norm ideal is.
+    the HNF basis of a high-norm ideal is.  The float LLL only chooses the
+    exact transform M; the lattice's rows are the exact integer rows M H,
+    embedded in a fixed order (see _embed_reduced).
     """
     return _embed_reduced(fld, I, x_inf)[0]
+
+
+def _metric_rows(fld: NumberFieldDescriptor, num, den: int, sw) -> list[list[float]]:
+    """The integer rows num over den, embedded and weighted: entry k of row i
+    is (sum_j (num_ij / den) E_jk) sw_k, for the embeddings E of the
+    integral basis, the sum added in the order of j (lattice._dot).
+
+    num_ij / den, int / int, is correctly rounded, as float(Fraction) is;
+    one beyond the float range raises InvalidDivisor.  A product or sum that
+    overflows gives inf or nan, which the LLL or the lattice's Gram matrix
+    rejects with NotPositiveDefinite.
+    """
+    try:
+        coords = [[x / den for x in row] for row in num]
+    except OverflowError:
+        top = max(abs(x) for row in num for x in row)
+        raise InvalidDivisor(
+            f"the ideal's basis has an entry of about 2^{top.bit_length() - den.bit_length()}, "
+            "beyond the float range") from None
+    return [[_dot(c, col) * w for col, w in zip(fld.embedding_columns, sw)] for c in coords]
 
 
 def _embed_reduced(fld: NumberFieldDescriptor, I: FractionalIdeal,
                    x_inf) -> tuple[EmbeddedLattice, list[list[int]]]:
     """embed_ideal's lattice and the unimodular integer M of its reduction:
-    the lattice's basis is M times the embedded HNF rows of I."""
-    w = infinite_weights(fld, x_inf)
-    try:  # int / int is correctly rounded, as float(Fraction) is
-        coords = np.array([[x / I.den for x in row] for row in I.num])
-    except OverflowError:
-        top = max(abs(x) for row in I.num for x in row)
-        raise InvalidDivisor(
-            f"the ideal's basis has an entry of about 2^{top.bit_length() - I.den.bit_length()}, "
-            "beyond the float range") from None
-    # an entry that overflows is rejected by lll_reduce_rows, or for n = 1 by
-    # the Gram matrix's own check
-    with np.errstate(over="ignore"):
-        basis = (coords @ fld.integral_basis_embeddings) * np.sqrt(w)
-    rows, M = lll_reduce_rows(basis)
+    the lattice's basis is the embedded rows of M H, for the HNF rows H of I.
+
+    The HNF rows are embedded with the square roots sw of the coordinate
+    weights (_metric_rows), and the float LLL of those rows chooses M.  Its
+    own rows, rounded at every step, are dropped: when M is not the
+    identity the exact integer rows M H are embedded the same way, so the
+    cancellation of the LLL's row updates never reaches the lattice.  The
+    lattice factors those rows by its own fixed-order Gram-Schmidt, and no
+    numpy arithmetic, BLAS or LAPACK call runs from H to the factor: the
+    bits do not depend on the CPU's kernels.
+
+    The lattice's log-covolume is checked against log N(I) +
+    (1/2) log|disc| - sum x_sigma, with log N(I) = log(prod of the HNF
+    pivots) - n log den taken from the integers.
+    """
+    sw = [math.sqrt(w) for w in infinite_weights(fld, x_inf)]
+    rows = _metric_rows(fld, I.num, I.den, sw)
+    M = lll_reduce_rows(rows)[1]
+    if M != [[int(i == j) for j in range(len(M))] for i in range(len(M))]:
+        MH = [[sum(a * h for a, h in zip(m, col)) for col in zip(*I.num)] for m in M]
+        rows = _metric_rows(fld, MH, I.den, sw)
     lat = EmbeddedLattice(rows)
-    nrm = I.norm()
-    expected = math.log(nrm.numerator) - math.log(nrm.denominator) + \
-        0.5 * math.log(fld.abs_discriminant) - math.fsum(float(t) for t in x_inf)
+    expected = math.log(math.prod(r[i] for i, r in enumerate(I.num))) - fld.n * math.log(I.den) + \
+        0.5 * math.log(fld.abs_discriminant) - math.fsum(map(float, x_inf))
     if abs(lat.log_covolume - expected) > 1e-6:  # relative, in linear scale
         raise DescriptorInconsistent(
             f"embedded log-covolume {lat.log_covolume:.12g} disagrees with "

@@ -31,6 +31,22 @@ tail_bound, ...), or its list index where no key names it, as in the
 first, so its numbers are named too.  It exits 1 when any record changed
 and 0 otherwise, so it can gate a script.  A change that rewrites the
 corpus states these in CHANGES.md.
+
+Which records depend on the CPU.  From an ideal's HNF rows to the Cholesky
+factor of its lattice every step runs in Python floats in a fixed order, so
+the h and cli records come out bit for bit whatever BLAS or SIMD kernels
+numpy picks.  The steps that still run in such kernels are theta's level
+products (V + c) @ U[i, i+1:], which add two or more terms only for n >= 3,
+the shift's L.T @ c and the nearest-plane solve of a shifted sum, np.exp of
+each block of terms, and the ghost family's GEMM.  To check, run --diff
+under an AVX2-only CPU's kernels, which both variables select for this
+process only:
+
+    OPENBLAS_CORETYPE=Haswell NPY_DISABLE_CPU_FEATURES="X86_V4 AVX512_ICL AVX512_SPR" \
+        python tests/golden/regenerate.py --diff
+
+tests/test_golden.py runs it for the h and cli families and expects 0
+changed records.
 """
 
 from __future__ import annotations

@@ -303,6 +303,29 @@ def test_effectivity_coordinates_are_over_the_hnf_basis():
                                                         abs=2e-9)
 
 
+def test_effectivity_v_is_periodic_under_the_ideal():
+    # the reduced coordinates were rounded to floats before the shift was
+    # taken mod Z^n, so an integer part beyond 2^53 swallowed the fractional
+    # part of another coordinate: over Q(sqrt 2) at x = (1, -1) the shift
+    # (0, 0.5) gave 0.0799 and (1e20, 0.5), the same class, 1.0.  Adding an
+    # integer, however large, to an integral coordinate moves the shift by an
+    # element of the ideal and must give the same bits
+    cases = [(make_field(("quadratic", 2)), [1.0, -1.0], [0.0, 0.5]),
+             (QI, [0.3], [0.0, 0.25]),
+             (make_field(zeta8_descriptor()), [0.2, -0.1], [0.0, 0.5, 1.0, 0.25])]
+    for F, xs, base in cases:
+        D = divisor_from_ideal(F, unit_ideal(F), xs)
+        v = effectivity_v(D, base, 1e-10)
+        assert 0.0 < v < 1.0
+        for k, ck in enumerate(base):
+            if ck != int(ck):
+                continue
+            for big in (1e20, -1e20, 1e300):
+                shifted = list(base)
+                shifted[k] = ck + big
+                assert effectivity_v(D, shifted, 1e-10) == v, (F, shifted)
+
+
 def test_serre_duality_self_dual_point():
     report = verify_serre_duality(zero_divisor(Q), 1e-10)
     assert report.delta == 0.0
@@ -829,9 +852,11 @@ def test_h0_and_verify_duality_refuse_a_budget_below_1_or_not_an_integer():
 
 
 def test_h0_never_returns_a_value_from_out_of_range_bounds():
-    # the Gram spans e^1200, the bounds of one coordinate reach 1e115, and
-    # their int64 cast gave h0 = 0 from 1 point with two warnings
-    with pytest.raises(EnumerationBudgetExceeded, match="coordinate 0"):
+    # the Gram spans e^1200, the bounds of one coordinate reached 1e115, and
+    # their int64 cast gave h0 = 0 from 1 point with two warnings.  The LLL's
+    # transform has entries so large that the first coordinate of both exact
+    # reduced rows, a - b sqrt(2) in floats, cancels to 0
+    with pytest.raises(NotPositiveDefinite, match="Gram-Schmidt norm 0 of row 1"):
         h0(divisor_from_primes(make_field(("quadratic", 2)), (), [-300.0, 300.0]))
 
 

@@ -460,22 +460,60 @@ def test_embedded_lattice_rejects_a_non_finite_gram_without_a_warning():
     assert cases == 5 + 7 ** 4 - 2 ** 4
 
 
+def _fixed_dot(a, b) -> float:
+    """Oracle: sum a_k b_k added left to right in Python floats, whatever
+    the BLAS kernel's order."""
+    s = 0.0
+    for x, y in zip(a, b):
+        s += float(x) * float(y)
+    return s
+
+
+def _reference_gram_schmidt(b: np.ndarray):
+    """Oracle: classical Gram-Schmidt of the rows of b, with fixed-order
+    dots; returns mu (unit diagonal) and the norms |b*_i|^2."""
+    n = b.shape[0]
+    star = b.copy()
+    mu = np.eye(n)
+    norms = np.zeros(n)
+    for i in range(n):
+        for j in range(i):
+            mu[i, j] = _fixed_dot(b[i], star[j]) / norms[j]
+            star[i] = star[i] - mu[i, j] * star[j]
+        norms[i] = _fixed_dot(star[i], star[i])
+    return mu, norms
+
+
 def test_embedded_lattice_gram_is_exactly_symmetric():
-    # the Gram of a basis skips the symmetry check and the symmetrising step;
-    # it must still equal, bit for bit, what a validated GramMatrix makes of
-    # b b^T, factor and log-covolume included
+    # the Gram and its factor come from the rows in fixed order: the Gram is
+    # the fixed-order dots, mirrored, and the factor the Gram-Schmidt of the
+    # rows, L_ii = |b*_i| and L_ij = mu_ij |b*_j|, bit for bit as a
+    # reference computes them.  Against b b^T and its validated GramMatrix:
+    # each dot is within gamma_n (|b| |b|^T)_ij of the exact one, so the
+    # two Grams differ by at most 2 gamma_n (|b| |b|^T)_ij, and the factor's
+    # backward error |L L^T - b b^T|_ij stays below 4 (n + 1) u
+    # sqrt(G_ii G_jj), u = 2^-53
     rng = np.random.default_rng(40)
+    u = 2.0 ** -53
     for n in (1, 2, 3, 4, 5):
+        gamma = n * u / (1.0 - n * u)
         for _ in range(200):
             b = rng.normal(size=(n, n)) * np.exp(rng.uniform(-5.0, 5.0, size=(n, 1)))
             lat = EmbeddedLattice(b)
             g = lat.gram.entries
             assert np.array_equal(g, g.T)
+            assert g.tolist() == [[_fixed_dot(x, y) for y in b] for x in b]
+            mu, norms = _reference_gram_schmidt(b)
+            lengths = np.sqrt(norms)
+            assert np.array_equal(lat.gram.factor, np.tril(mu * lengths))
+            assert lat.log_covolume == 0.5 * math.fsum(np.log(norms).tolist())
             checked = GramMatrix(b @ b.T)
-            assert np.array_equal(g, checked.entries)
-            assert np.array_equal(lat.gram.factor, checked.factor)
-            assert lat.log_covolume == checked.log_covolume
-            assert not g.flags.writeable and not lat.gram.factor.flags.writeable
+            scale = np.abs(b) @ np.abs(b).T
+            assert np.all(np.abs(g - checked.entries) <= 2.0 * gamma * scale)
+            L = lat.gram.factor
+            diag = np.sqrt(np.diag(checked.entries))
+            assert np.all(np.abs(L @ L.T - b @ b.T) <= 4 * (n + 1) * u * np.outer(diag, diag))
+            assert not g.flags.writeable and not L.flags.writeable
 
 
 def test_lll_reduction_commutes_with_a_power_of_2():
@@ -493,7 +531,8 @@ def test_lll_reduction_commutes_with_a_power_of_2():
 
 def _reference_lll(basis) -> np.ndarray:
     """Oracle: the LLL that recomputes every Gram-Schmidt row after every
-    step, at the same power-of-2 scale; the rows only, and no checks."""
+    step, at the same power-of-2 scale and with the same fixed-order dots;
+    the rows only, and no checks."""
     b = np.array(basis, dtype=float)
     n = b.shape[0]
     scale = 2.0 ** max(math.frexp(float(abs(b).max()))[1] - (1024 - n.bit_length()) // 2, 0)
@@ -505,9 +544,9 @@ def _reference_lll(basis) -> np.ndarray:
         norms = np.zeros(n)
         for i in range(n):
             for j in range(i):
-                mu[i, j] = float(mat[i] @ star[j]) / norms[j]
+                mu[i, j] = _fixed_dot(mat[i], star[j]) / norms[j]
                 star[i] = star[i] - mu[i, j] * star[j]
-            norms[i] = float(star[i] @ star[i])
+            norms[i] = _fixed_dot(star[i], star[i])
         return mu, norms
 
     k = 1
@@ -661,6 +700,7 @@ def test_shifted_theta_floor_at_the_nearest_plane_point():
 
 def _babai_point(B, M, c) -> list[int]:
     """v = M^T y for Babai's nearest-plane y over the reduced rows B = M L."""
+    B = np.array(B)
     R = cholesky(B @ B.T).T
     z = np.linalg.solve(np.array(M, dtype=float).T, c)
     y = np.zeros_like(z)
